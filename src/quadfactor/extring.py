@@ -29,8 +29,8 @@ from .rpoly import lambda_candidates
 D2_MAX_POWER = 6
 
 
-def _levels() -> dict:
-    return {"D1": 1, "D2": 2}
+# depth of each ring level: how many low coefficients must lie in Z[w]
+LEVELS = {"D1": 1, "D2": 2}
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class ExtElem:
     level: str
 
     def __post_init__(self):
-        depth = _levels().get(self.level)
+        depth = LEVELS.get(self.level)
         if depth is None:
             raise DomainError(f"unknown ring level {self.level!r}")
         for i in range(depth):

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError
-from .qint import (QuadInt, RingCfg, _divisors, _is_irreducible_canonical,
+from .qint import (QuadInt, RingCfg, _is_irreducible_canonical,
                    _require_factorable, canonical_associate, elements_of_norm,
-                   order_key, try_div)
+                   irreducible_common_divisors, order_key, try_div)
 
 NORM_LIMIT = 10 ** 8
 
@@ -70,13 +70,10 @@ class FactorizationSet:
     """All factorizations of one element, up to associates and order.
 
     `factorizations` is a frozenset of tuples; tuple entries are
-    canonical representatives sorted by (norm, a, b).  `complete` records
-    that the enumeration exhausted the divisor tree (always true here;
-    the flag exists so downstream consumers can trust the set)."""
+    canonical representatives sorted by (norm, a, b)."""
 
     element: object
     factorizations: frozenset
-    complete: bool = True
 
     def lengths(self) -> list[int]:
         return sorted({len(m) for m in self.factorizations})
@@ -85,20 +82,11 @@ class FactorizationSet:
         return Elasticity.from_lengths(len(m) for m in self.factorizations)
 
 
-def _irreducible_divisors(x: QuadInt):
-    n = x.norm()
-    for m in _divisors(n):
-        if m > 1:
-            for y in elements_of_norm(m, x.cfg):
-                if _is_irreducible_canonical(y) and try_div(x, y) is not None:
-                    yield y
-
-
 @functools.lru_cache(maxsize=None)
 def _factor_multisets(x: QuadInt) -> frozenset:
     """x canonical, nonzero, nonunit; returns frozenset of sorted tuples."""
     out = set()
-    for y in _irreducible_divisors(x):
+    for y in irreducible_common_divisors([x]):
         q = try_div(x, y)
         if q.is_unit():
             out.add((y,))

@@ -341,13 +341,7 @@ def gauss_product_check(f, g) -> bool:
     certifies its failure over this ring."""
     if not (is_primitive(f) and is_primitive(g)):
         raise DomainError("gauss_product_check expects primitive inputs")
-    fc, gc = list(f.coeffs), list(g.coeffs)
-    cfg = fc[0].cfg
-    prod = [QuadInt(0, 0, cfg) for _ in range(len(fc) + len(gc) - 1)]
-    for i, ci in enumerate(fc):
-        for j, cj in enumerate(gc):
-            prod[i + j] = prod[i + j] + ci * cj
-    return common_nonunit_divisor(prod) is None
+    return common_nonunit_divisor(list((f * g).coeffs)) is None
 
 
 def gamma_check(B: FracIdeal, C: FracIdeal) -> bool:

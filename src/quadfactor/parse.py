@@ -114,7 +114,7 @@ class _Parser:
 
     def _power(self, base: KPoly, exp: KPoly, tok) -> KPoly:
         e = exp.coeff(0)
-        if exp.degree() != 0 or not e.is_rational() or \
+        if exp.degree() > 0 or not e.is_rational() or \
                 e.u.denominator != 1 or e.u < 0:
             raise self.fail("exponent must be a nonnegative integer", tok)
         k = int(e.u)

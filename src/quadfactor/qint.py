@@ -15,6 +15,7 @@ rational part preferred, then small, then positive w-part.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -262,18 +263,14 @@ def _require_factorable(x: QuadInt) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _is_irreducible_canonical(x: QuadInt) -> bool:
-    n = x.norm()
-    for m in _divisors(n):
-        if 1 < m < n:
-            for y in elements_of_norm(m, x.cfg):
-                if try_div(x, y) is not None:
-                    return False
-    return True
+    # a proper divisor has smaller norm and so comes first; the only
+    # canonical divisor of x with the norm of x is x itself
+    return next(common_divisors([x])) == x
 
 
 def is_irreducible(x: QuadInt) -> bool:
-    """No factorization into two nonunits; decided by scanning all
-    associate classes whose norm properly divides norm(x)."""
+    """No factorization into two nonunits; decided by scanning the
+    associate classes whose norm divides norm(x), smallest first."""
     _require_factorable(x)
     return _is_irreducible_canonical(canonical_associate(x))
 
@@ -300,50 +297,38 @@ def is_prime(x: QuadInt) -> bool:
     return False
 
 
+def common_divisors(elems: list[QuadInt]):
+    """Canonical nonunits dividing every element, by ascending norm.
+
+    A common divisor's norm divides the gcd of the norms, so the scan is
+    finite unless every element is zero; then every nonunit divides and
+    the scan runs over all norms."""
+    cfg = elems[0].cfg
+    nonzero = [e for e in elems if not e.is_zero()]
+    g = 0
+    for e in nonzero:
+        g = math.gcd(g, e.norm())
+    for m in (_divisors(g)[1:] if g else itertools.count(2)):
+        for c in elements_of_norm(m, cfg):
+            if all(try_div(e, c) is not None for e in nonzero):
+                yield c
+
+
 def common_nonunit_divisor(elems: list[QuadInt]) -> QuadInt | None:
     """Smallest-norm canonical nonunit dividing every element, or None.
 
     A common divisor of minimal norm > 1 is automatically irreducible:
-    any proper factor of it would be a smaller common divisor.
+    any proper factor of it would be a smaller common divisor.  When
+    every element is zero this is the smallest irreducible of the ring.
     """
     if not elems:
         raise DomainError("empty element list")
-    cfg = elems[0].cfg
-    nonzero = [e for e in elems if not e.is_zero()]
-    if not nonzero:
-        # everything is divisible by 0's divisors; report the smallest
-        # irreducible of the ring
-        n = 2
-        while True:
-            for c in elements_of_norm(n, cfg):
-                if _is_irreducible_canonical(c):
-                    return c
-            n += 1
-    g = 0
-    for e in nonzero:
-        g = math.gcd(g, e.norm())
-    for m in _divisors(g):
-        if m > 1:
-            for c in elements_of_norm(m, cfg):
-                if all(try_div(e, c) is not None for e in nonzero):
-                    return c
-    return None
+    return next(common_divisors(elems), None)
 
 
 def irreducible_common_divisors(elems: list[QuadInt]) -> list[QuadInt]:
     """All canonical irreducibles dividing every element of the list."""
-    cfg = elems[0].cfg
-    nonzero = [e for e in elems if not e.is_zero()]
-    if not nonzero:
+    if all(e.is_zero() for e in elems):
         raise DomainError("all elements are zero")
-    g = 0
-    for e in nonzero:
-        g = math.gcd(g, e.norm())
-    out = []
-    for m in _divisors(g):
-        if m > 1:
-            for c in elements_of_norm(m, cfg):
-                if _is_irreducible_canonical(c) and \
-                        all(try_div(e, c) is not None for e in nonzero):
-                    out.append(c)
-    return out
+    return [c for c in common_divisors(elems)
+            if _is_irreducible_canonical(c)]

@@ -13,22 +13,19 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .errors import DomainError, ResourceLimitError
-from .factor import Elasticity, FactorizationSet, _factor_multisets
+from .factor import Elasticity, FactorizationSet
 from .kpoly import (FACTOR_K_MAX_DEG, KElem, KPoly, canonical_associate_k,
                     factor_k, kelem_order_key, sqrt_in_field)
 from .qint import (QuadInt, RingCfg, _divisors, assoc_key,
-                   canonical_associate, common_nonunit_divisor,
-                   elements_of_norm, irreducible_common_divisors,
-                   is_irreducible, norm, order_key, try_div, units)
-
-log = logging.getLogger(__name__)
+                   canonical_associate, common_divisors,
+                   common_nonunit_divisor, elements_of_norm, norm, order_key,
+                   try_div, units)
 
 MAX_DEG = FACTOR_K_MAX_DEG
 MAX_COEFF_NORM = 10 ** 6
@@ -250,81 +247,72 @@ def _grouped(ks: list, unit_k: KElem, subset: tuple):
     return g0, h0
 
 
+def _splits(f: RPoly, ks):
+    """Every split f = g * h into nonunits of R[x], as certificates.
+
+    ks are the monic K[x]-factors of f, sorted as factor_k returns them;
+    None factors f once the constant splits are exhausted.  First come
+    the constant common divisors g of the coefficients by ascending norm
+    (skipping those whose cofactor is a unit), then g = lam * g0 over
+    the proper sub-multisets g0 of ks and the lam of lambda_candidates.
+    Together these are all splits up to associates: a nonconstant g
+    whose cofactor is constant is the other half of a constant split."""
+    for c in common_divisors(list(f.coeffs)):
+        h = f.try_scale_div(c)
+        if not h.is_unit():
+            yield GroupingCertificate((), KElem.from_quadint(c),
+                                      RPoly.const(c), h)
+    if ks is None:
+        ks = tuple(factor_k(f.to_kpoly())[1])
+    unit_k = KElem.from_quadint(f.lc())
+    for subset in _submultisets(ks):
+        g0, h0 = _grouped(ks, unit_k, subset)
+        for lam in lambda_candidates(g0, h0):
+            yield GroupingCertificate(
+                subset, lam, RPoly.from_kpoly(g0.scale(lam)),
+                RPoly.from_kpoly(h0.scale(lam.inv())))
+
+
 def is_irreducible_rx(f: RPoly):
     """-> (bool, GroupingCertificate | None for the reducible case).
 
-    Reducibility is witnessed either by a common nonunit constant
-    divisor or by a grouping of the K[x]-factors rescaled into R[x]."""
+    The certificate is the first split of _splits: a common nonunit
+    constant divisor, else a grouping of the K[x]-factors rescaled into
+    R[x]."""
     _guard(f)
-    if f.degree() == 0:
-        c = f.coeffs[0]
-        if is_irreducible(c):
-            return True, None
-        div = common_nonunit_divisor([c])
-        cert = GroupingCertificate(
-            subset=(), lam=KElem.from_quadint(div),
-            g=RPoly.const(div), h=RPoly.const(try_div(c, div)))
-        return False, cert
-    content = common_nonunit_divisor(list(f.coeffs))
-    if content is not None:
-        cert = GroupingCertificate(
-            subset=(), lam=KElem.from_quadint(content),
-            g=RPoly.const(content), h=f.try_scale_div(content))
-        return False, cert
-    unit_k, ks = factor_k(f.to_kpoly())
-    if len(ks) == 1:
-        return True, None
-    tried = 0
-    for subset in _submultisets(ks):
-        g0, h0 = _grouped(ks, unit_k, subset)
-        tried += 1
-        for lam in lambda_candidates(g0, h0):
-            g = RPoly.from_kpoly(g0.scale(lam))
-            h = RPoly.from_kpoly(h0.scale(lam.inv()))
-            return False, GroupingCertificate(subset, lam, g, h)
-    log.debug("irreducible after %d groupings: %s", tried, f)
-    return True, None
+    cert = next(_splits(f, None), None)
+    return cert is None, cert
 
 
 @functools.lru_cache(maxsize=4096)
-def _poly_multisets(f: RPoly) -> frozenset:
-    """f canonical, nonzero, nonunit; frozenset of sorted RPoly tuples."""
-    cfg = f.cfg
-    if f.degree() == 0:
-        return frozenset(
-            tuple(RPoly.const(c) for c in m)
-            for m in _factor_multisets(canonical_associate(f.coeffs[0])))
+def _poly_multisets(f: RPoly, ks: tuple) -> frozenset:
+    """f canonical, nonzero, nonunit, with monic K[x]-factors ks;
+    frozenset of sorted RPoly tuples.
+
+    Every factorization with two or more factors starts with a split
+    whose g is irreducible: a constant factor if it has one, else any
+    factor, whose K[x]-factors then form a proper sub-multiset of ks.
+    So recursing on the cofactors of those splits is exhaustive, and the
+    K[x]-factors of g and h are read off the subset."""
     out = set()
-    for c in irreducible_common_divisors(list(f.coeffs)):
-        q = f.try_scale_div(c)
-        for rest in _poly_multisets(canonical_poly(q)):
-            out.add(tuple(sorted((RPoly.const(c),) + rest,
-                                 key=rpoly_order_key)))
-    unit_k, ks = factor_k(f.to_kpoly())
-    groups = list(_submultisets(ks))
-    groups.append(tuple(range(len(ks))))  # constant cofactor route
-    for subset in groups:
-        g0, h0 = _grouped(ks, unit_k, subset)
-        for lam in lambda_candidates(g0, h0):
-            g = RPoly.from_kpoly(g0.scale(lam))
-            if not is_irreducible_rx(g)[0]:
-                continue
-            h = RPoly.from_kpoly(h0.scale(lam.inv()))
-            gc = canonical_poly(g)
-            if h.is_unit():
-                out.add((gc,))
-                continue
-            for rest in _poly_multisets(canonical_poly(h)):
-                out.add(tuple(sorted((gc,) + rest, key=rpoly_order_key)))
-    return frozenset(out)
+    for cert in _splits(f, ks):
+        if next(_splits(cert.g, tuple(ks[i] for i in cert.subset)),
+                None) is not None:
+            continue
+        gc = canonical_poly(cert.g)
+        rest_ks = tuple(q for i, q in enumerate(ks) if i not in cert.subset)
+        for rest in _poly_multisets(canonical_poly(cert.h), rest_ks):
+            out.add(tuple(sorted((gc,) + rest, key=rpoly_order_key)))
+    return frozenset(out) or frozenset({(f,)})
 
 
 def factorizations_rx(f: RPoly) -> FactorizationSet:
     """Every factorization of f in R[x] into irreducibles, up to
     associates and order."""
     _guard(f)
+    ks = tuple(factor_k(f.to_kpoly())[1])
     return FactorizationSet(
-        element=f, factorizations=_poly_multisets(canonical_poly(f)))
+        element=f, factorizations=_poly_multisets(canonical_poly(f), ks))
 
 
 def length_set_rx(f: RPoly) -> set[int]:

@@ -1,0 +1,78 @@
+"""The original R[x] search, kept only as a test oracle.
+
+is_irreducible_rx and _poly_multisets as they were before the single
+split generator: each runs its own subset x lam loop, factors every
+candidate g and cofactor h again in K[x], and also tries the grouping
+of all K[x]-factors with a constant cofactor."""
+
+import functools
+
+from quadfactor.factor import _factor_multisets
+from quadfactor.kpoly import KElem, factor_k
+from quadfactor.qint import (canonical_associate, common_nonunit_divisor,
+                             irreducible_common_divisors, is_irreducible,
+                             try_div)
+from quadfactor.rpoly import (GroupingCertificate, RPoly, _grouped, _guard,
+                              _submultisets, canonical_poly,
+                              lambda_candidates, rpoly_order_key)
+
+
+def is_irreducible_rx(f: RPoly):
+    _guard(f)
+    if f.degree() == 0:
+        c = f.coeffs[0]
+        if is_irreducible(c):
+            return True, None
+        div = common_nonunit_divisor([c])
+        cert = GroupingCertificate(
+            subset=(), lam=KElem.from_quadint(div),
+            g=RPoly.const(div), h=RPoly.const(try_div(c, div)))
+        return False, cert
+    content = common_nonunit_divisor(list(f.coeffs))
+    if content is not None:
+        cert = GroupingCertificate(
+            subset=(), lam=KElem.from_quadint(content),
+            g=RPoly.const(content), h=f.try_scale_div(content))
+        return False, cert
+    unit_k, ks = factor_k(f.to_kpoly())
+    if len(ks) == 1:
+        return True, None
+    for subset in _submultisets(ks):
+        g0, h0 = _grouped(ks, unit_k, subset)
+        for lam in lambda_candidates(g0, h0):
+            g = RPoly.from_kpoly(g0.scale(lam))
+            h = RPoly.from_kpoly(h0.scale(lam.inv()))
+            return False, GroupingCertificate(subset, lam, g, h)
+    return True, None
+
+
+@functools.lru_cache(maxsize=None)
+def poly_multisets(f: RPoly) -> frozenset:
+    """f canonical, nonzero, nonunit; frozenset of sorted RPoly tuples."""
+    if f.degree() == 0:
+        return frozenset(
+            tuple(RPoly.const(c) for c in m)
+            for m in _factor_multisets(canonical_associate(f.coeffs[0])))
+    out = set()
+    for c in irreducible_common_divisors(list(f.coeffs)):
+        q = f.try_scale_div(c)
+        for rest in poly_multisets(canonical_poly(q)):
+            out.add(tuple(sorted((RPoly.const(c),) + rest,
+                                 key=rpoly_order_key)))
+    unit_k, ks = factor_k(f.to_kpoly())
+    groups = list(_submultisets(ks))
+    groups.append(tuple(range(len(ks))))  # constant cofactor route
+    for subset in groups:
+        g0, h0 = _grouped(ks, unit_k, subset)
+        for lam in lambda_candidates(g0, h0):
+            g = RPoly.from_kpoly(g0.scale(lam))
+            if not is_irreducible_rx(g)[0]:
+                continue
+            h = RPoly.from_kpoly(h0.scale(lam.inv()))
+            gc = canonical_poly(g)
+            if h.is_unit():
+                out.add((gc,))
+                continue
+            for rest in poly_multisets(canonical_poly(h)):
+                out.add(tuple(sorted((gc,) + rest, key=rpoly_order_key)))
+    return frozenset(out)

@@ -168,3 +168,54 @@ def test_quadratic_shortcut_matches_generic():
         assert is_irreducible_rx(f)[0] == (not splits)
         checked += 1
     assert checked > 50
+
+
+def test_split_search_matches_oracle(monkeypatch):
+    import functools
+
+    import rx_oracle
+    from quadfactor import rpoly
+    from quadfactor.suite import CORE_RINGS
+    # factor_k is pure; sharing its results keeps the oracle's repeated
+    # K[x] factorizations from dominating the run time
+    shared = functools.lru_cache(maxsize=None)(factor_k)
+    monkeypatch.setattr(rpoly, "factor_k", shared)
+    monkeypatch.setattr(rx_oracle, "factor_k", shared)
+    rng = random.Random(21)
+
+    def linear(cfg):
+        return RPoly([cfg.el(rng.randint(-3, 3), rng.randint(-1, 1))
+                      for _ in range(rng.randint(1, 2))], cfg)
+
+    checked = 0
+    while checked < 60:
+        cfg = ring(rng.choice(CORE_RINGS))
+        f = linear(cfg) * linear(cfg)
+        if f.is_zero() or f.is_unit():
+            continue
+        assert factorizations_rx(f).factorizations == \
+            rx_oracle.poly_multisets(canonical_poly(f)), f
+        assert is_irreducible_rx(f) == rx_oracle.is_irreducible_rx(f), f
+        checked += 1
+
+
+def test_factor_k_runs_once_per_call(monkeypatch):
+    from quadfactor import rpoly
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return factor_k(f)
+
+    monkeypatch.setattr(rpoly, "factor_k", counted)
+    f = RP("(x+1)*(x+2)*(x+3)", -5)
+    assert factorizations_rx(f).lengths() == [3]
+    assert len(calls) == 1
+    calls.clear()
+    assert is_irreducible_rx(f)[0] is False
+    assert len(calls) == 1
+    # a constant split certifies reducibility before K[x] is needed
+    calls.clear()
+    assert is_irreducible_rx(RP("2*(x+1)*(x+2)*(x+3)", -5))[1].g == \
+        RPoly([2], ring(-5))
+    assert calls == []

@@ -42,6 +42,13 @@ def test_precedence():
     assert str(parse_kpoly("1 + 2 * x", CFG)) == "2*x+1"
 
 
+def test_zero_exponent():
+    # the exponent 0 parses to the zero polynomial, whose degree is -1
+    assert str(parse_kpoly("2^0*x+1", CFG)) == "x+1"
+    assert str(parse_kpoly("x^0", CFG)) == "1"
+    assert str(parse_kpoly("3^(1-1)*6", CFG)) == "6"
+
+
 @pytest.mark.parametrize("bad", [
     "1+",
     "x^-2",
@@ -144,6 +151,11 @@ def test_cli_poly_factor(capsys):
     assert payload["length_set"] == [3, 5]
     assert payload["elasticity"] == {"num": 5, "den": 3}
     assert ["3", "3", "3", "3", "x"] in payload["factorizations"]
+    # a large linear polynomial is K-irreducible and primitive, so it
+    # needs no lam search at all
+    code, out, _ = invoke(capsys, "--d", "-5", "poly-factor", "998*x+999")
+    assert code == 0
+    assert json.loads(out)["factorizations"] == [["998*x+999"]]
 
 
 def test_cli_irr(capsys):
