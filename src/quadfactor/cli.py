@@ -10,6 +10,7 @@ check fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -190,16 +191,15 @@ def _cmd_gamma_check(args) -> int:
     cfg = _need_ring(args)
     B = ideals.ideal_from_gens(parse_ideal_gens(args.b, cfg))
     C = ideals.ideal_from_gens(parse_ideal_gens(args.c, cfg))
-    product_v = ideals.v_closure(ideals.mul(B, C))
-    trivial = product_v == ideals.unit_ideal(cfg)
-    principal = ideals.is_principal(ideals.v_closure(B))
+    rep = ideals.gamma_check(B, C)
+    gen = rep.b_v_generator
     _emit({
         "b": str(B),
         "c": str(C),
         "d": cfg.d,
-        "product_v_trivial": trivial,
-        "b_v_principal": None if principal is None else str(principal),
-        "holds": ideals.gamma_check(B, C),
+        "product_v_trivial": rep.product_v_trivial,
+        "b_v_principal": None if gen is None else str(gen),
+        "holds": rep.holds,
     }, args.format)
     return 0
 
@@ -284,7 +284,10 @@ def _cmd_paper_suite(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every main() call shares it."""
     p = _CliParser(prog="quadfactor", description=__doc__)
     p.add_argument("--d", type=int, default=None,
                    help="squarefree d < 0 defining Z[sqrt(d)]")

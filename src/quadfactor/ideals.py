@@ -14,13 +14,15 @@ ideals are not invertible, and (R : I) must still come out right there.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .kpoly import KElem, _kelem_assoc_key, canonical_associate_k
-from .qint import QuadInt, RingCfg, canonical_associate, common_nonunit_divisor
+from .kpoly import KElem
+from .qint import (QuadInt, RingCfg, assoc_key, canonical_associate,
+                   common_nonunit_divisor)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -242,8 +244,8 @@ def is_principal(I: FracIdeal) -> KElem | None:
     for x, y in _points_of_normk(I, target):
         g = KElem.of(Fraction(x, I.denom), Fraction(y, I.denom), I.cfg)
         if ideal_from_gens([g]) == I:
-            g = canonical_associate_k(g)
-            if best is None or _kelem_assoc_key(g) < _kelem_assoc_key(best):
+            g = canonical_associate(g)
+            if best is None or assoc_key(g) < assoc_key(best):
                 best = g
     return best
 
@@ -275,31 +277,22 @@ def is_superprimitive(f) -> tuple[bool, KElem | None]:
 
     (R : A_f) always contains R; it equals R exactly when the reduced
     denominator of the colon ideal is 1.  Otherwise some basis vector is
-    non-integral, its norm bounds a finite search, and the witness is the
-    smallest offender: canonical associate minimizing (normk, |u|, v).
+    non-integral, so scanning the lattice by ascending norm meets a
+    non-integral point, and the witness is the smallest offender: among
+    the canonical associates of least normk, the one minimizing (|u|, v).
     """
     C = colon(content_ideal(f))
     if C.denom == 1:
         return True, None
-    cfg = C.cfg
     m = C.denom
-    bound = None
-    for x, y in C.basis():
-        z = KElem.of(Fraction(x, m), Fraction(y, m), cfg)
-        if not z.is_integral():
-            n = z.normk()
-            bound = n if bound is None or n < bound else bound
-    assert bound is not None
-    target_max = int(bound * m * m)
-    cands = set()
-    for t in range(1, target_max + 1):
+    for t in itertools.count(1):
+        cands = []
         for x, y in _points_of_normk(C, t):
-            z = KElem.of(Fraction(x, m), Fraction(y, m), cfg)
+            z = KElem.of(Fraction(x, m), Fraction(y, m), C.cfg)
             if not z.is_integral():
-                cands.add(canonical_associate_k(z))
-    assert cands
-    witness = min(cands, key=lambda z: (z.normk(), abs(z.u), z.v))
-    return False, witness
+                cands.append(canonical_associate(z))
+        if cands:
+            return False, min(cands, key=lambda z: (abs(z.u), z.v))
 
 
 def gcd_v(elems: list[QuadInt]) -> QuadInt | None:
@@ -344,8 +337,21 @@ def gauss_product_check(f, g) -> bool:
     return common_nonunit_divisor(list((f * g).coeffs)) is None
 
 
-def gamma_check(B: FracIdeal, C: FracIdeal) -> bool:
+@dataclass(frozen=True)
+class GammaReport:
+    """One instance of the implication (B*C)_v = R  ==>  B_v principal:
+    whether the premise holds, and a generator of B_v if it has one."""
+
+    product_v_trivial: bool
+    b_v_generator: KElem | None
+
+    @property
+    def holds(self) -> bool:
+        return not self.product_v_trivial or self.b_v_generator is not None
+
+
+def gamma_check(B: FracIdeal, C: FracIdeal) -> GammaReport:
     """Instance of the implication: (B*C)_v = R  ==>  B_v principal."""
-    if v_closure(mul(B, C)) != unit_ideal(B.cfg):
-        return True
-    return is_principal(v_closure(B)) is not None
+    return GammaReport(
+        product_v_trivial=v_closure(mul(B, C)) == unit_ideal(B.cfg),
+        b_v_generator=is_principal(v_closure(B)))

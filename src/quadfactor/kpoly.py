@@ -2,7 +2,8 @@
 
 Scalars are u + v*w with rational u, v (`KElem`); polynomials (`KPoly`)
 keep coefficients low-to-high.  Everything runs on `fractions.Fraction`,
-so results are exact.
+so results are exact.  `Poly` holds the ring arithmetic that K[x] shares
+with R[x] (`rpoly.RPoly`).
 
 Rational polynomials are factored by Kronecker's interpolation method:
 a degree-k divisor of f is determined by its values at k+1 points, and
@@ -14,18 +15,18 @@ skipping roots of f (a root found on the way is itself a factor).
 
 K[x] factorization reduces to Q[x] by norm descent: shift f by s*w until
 N(x) = g*conj(g) is squarefree, factor N over Q, and read each K-factor
-off as gcd(g, h_i).
+off as gcd(g, h_i).  A squarefree quadratic needs no descent: it splits
+exactly when its discriminant is a square in K.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError
-from .qint import QuadInt, RingCfg, format_coords, units
+from .qint import QuadInt, RingCfg, _divisors, format_coords, order_key
 
 FACTOR_Q_MAX_DEG = 8
 FACTOR_K_MAX_DEG = 6
@@ -51,6 +52,9 @@ class KElem:
     @staticmethod
     def from_quadint(x: QuadInt) -> "KElem":
         return KElem(Fraction(x.a), Fraction(x.b), x.cfg)
+
+    def coords(self) -> tuple[Fraction, Fraction]:
+        return self.u, self.v
 
     def normk(self) -> Fraction:
         return self.u * self.u - self.cfg.d * self.v * self.v
@@ -109,22 +113,6 @@ class KElem:
         return f"KElem({self.u}, {self.v}, d={self.cfg.d})"
 
 
-def kelem_order_key(z: KElem):
-    return (z.normk(), z.u, z.v)
-
-
-def _kelem_assoc_key(z: KElem):
-    su = 0 if z.u > 0 else (1 if z.u == 0 else 2)
-    sv = 0 if z.v > 0 else (1 if z.v == 0 else 2)
-    return (su, abs(z.u), sv, abs(z.v))
-
-
-def canonical_associate_k(z: KElem) -> KElem:
-    """Same representative rule as for Z[w], applied inside K."""
-    us = [KElem.from_quadint(u) for u in units(z.cfg)]
-    return min((z * u for u in us), key=_kelem_assoc_key)
-
-
 def _rat_sqrt(q: Fraction) -> Fraction | None:
     if q < 0:
         return None
@@ -166,8 +154,12 @@ def sqrt_in_field(z: KElem) -> KElem | None:
     return None
 
 
-class KPoly:
-    """A polynomial over Q(sqrt(d)); coefficient i multiplies x^i."""
+class Poly:
+    """A polynomial over Z[w] or over K; coefficient i multiplies x^i.
+
+    The ring operations R[x] and K[x] share.  A subclass names its zero
+    scalar (zero_elem); polynomials of different subclasses are never
+    equal."""
 
     __slots__ = ("coeffs", "cfg")
 
@@ -178,9 +170,70 @@ class KPoly:
         self.coeffs = tuple(cs)
         self.cfg = cfg
 
-    @staticmethod
-    def const(z: KElem) -> "KPoly":
-        return KPoly([z], z.cfg)
+    @classmethod
+    def const(cls, z):
+        return cls([z], z.cfg)
+
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def lc(self):
+        if self.is_zero():
+            raise DomainError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def coeff(self, i: int):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.zero_elem()
+
+    def __add__(self, o):
+        n = max(len(self.coeffs), len(o.coeffs))
+        return type(self)([self.coeff(i) + o.coeff(i) for i in range(n)],
+                          self.cfg)
+
+    def __sub__(self, o):
+        n = max(len(self.coeffs), len(o.coeffs))
+        return type(self)([self.coeff(i) - o.coeff(i) for i in range(n)],
+                          self.cfg)
+
+    def __neg__(self):
+        return type(self)([-c for c in self.coeffs], self.cfg)
+
+    def __mul__(self, o):
+        if self.is_zero() or o.is_zero():
+            return type(self)([], self.cfg)
+        out = [self.zero_elem()] * (len(self.coeffs) + len(o.coeffs) - 1)
+        for i, ci in enumerate(self.coeffs):
+            if ci.is_zero():
+                continue
+            for j, cj in enumerate(o.coeffs):
+                out[i + j] = out[i + j] + ci * cj
+        return type(self)(out, self.cfg)
+
+    def scale(self, z):
+        return type(self)([c * z for c in self.coeffs], self.cfg)
+
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is type(self) and self.coeffs == other.coeffs
+                and self.cfg.d == other.cfg.d)
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.cfg.d))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self}, d={self.cfg.d})"
+
+
+def poly_order_key(p: Poly):
+    return (p.degree(), tuple(order_key(c) for c in reversed(p.coeffs)))
+
+
+class KPoly(Poly):
+    """A polynomial over Q(sqrt(d))."""
+
+    __slots__ = ()
 
     @staticmethod
     def from_rationals(vals, cfg: RingCfg) -> "KPoly":
@@ -192,50 +245,11 @@ class KPoly:
     def one_elem(self) -> KElem:
         return KElem(Fraction(1), Fraction(0), self.cfg)
 
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_unit(self) -> bool:
         return self.degree() == 0
 
-    def lc(self) -> KElem:
-        if self.is_zero():
-            raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, i: int) -> KElem:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.zero_elem()
-
     def is_rational(self) -> bool:
         return all(c.v == 0 for c in self.coeffs)
-
-    def __add__(self, o: "KPoly") -> "KPoly":
-        n = max(len(self.coeffs), len(o.coeffs))
-        return KPoly([self.coeff(i) + o.coeff(i) for i in range(n)], self.cfg)
-
-    def __sub__(self, o: "KPoly") -> "KPoly":
-        n = max(len(self.coeffs), len(o.coeffs))
-        return KPoly([self.coeff(i) - o.coeff(i) for i in range(n)], self.cfg)
-
-    def __neg__(self) -> "KPoly":
-        return KPoly([-c for c in self.coeffs], self.cfg)
-
-    def __mul__(self, o: "KPoly") -> "KPoly":
-        if self.is_zero() or o.is_zero():
-            return KPoly([], self.cfg)
-        out = [self.zero_elem()] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci.is_zero():
-                continue
-            for j, cj in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + ci * cj
-        return KPoly(out, self.cfg)
-
-    def scale(self, z: KElem) -> "KPoly":
-        return KPoly([c * z for c in self.coeffs], self.cfg)
 
     def monic(self) -> "KPoly":
         return self.scale(self.lc().inv())
@@ -257,12 +271,6 @@ class KPoly:
                 rem.pop()
         return KPoly(q, self.cfg), KPoly(rem, self.cfg)
 
-    def evaluate(self, z: KElem) -> KElem:
-        acc = self.zero_elem()
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
     def derivative(self) -> "KPoly":
         return KPoly([KElem.of(i, 0, self.cfg) * c
                       for i, c in enumerate(self.coeffs)][1:], self.cfg)
@@ -280,16 +288,6 @@ class KPoly:
 
     def is_integral(self) -> bool:
         return all(c.is_integral() for c in self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, KPoly) and self.coeffs == other.coeffs
-                and self.cfg.d == other.cfg.d)
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.cfg.d))
-
-    def __repr__(self) -> str:
-        return f"KPoly({self!s}, d={self.cfg.d})"
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -323,10 +321,6 @@ class KPoly:
         return out
 
 
-def poly_order_key(p: KPoly):
-    return (p.degree(), tuple(kelem_order_key(c) for c in reversed(p.coeffs)))
-
-
 def poly_gcd(f: KPoly, g: KPoly) -> KPoly:
     """Monic gcd in K[x] by the Euclidean algorithm (field coefficients)."""
     if f.is_zero() and g.is_zero():
@@ -347,16 +341,9 @@ def _int_eval(F: list[int], x: int) -> int:
     return acc
 
 
-@functools.lru_cache(maxsize=None)
 def _signed_divisors(n: int) -> tuple[int, ...]:
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.extend((i, -i, n // i, -(n // i)))
-        i += 1
-    return tuple(sorted(set(out), key=lambda t: (abs(t), t < 0)))
+    """Divisors of n by ascending absolute value, positive first."""
+    return tuple(s for t in _divisors(abs(n)) for s in (t, -t))
 
 
 def _points():
@@ -547,6 +534,19 @@ def _trager(h: KPoly) -> list[KPoly]:
     raise RuntimeError("no squarefree norm shift found; input unexpected")
 
 
+def _quadratic_factors(h: KPoly) -> list[KPoly]:
+    """Distinct monic irreducible K[x]-factors of monic squarefree
+    h = x^2 + b*x + c: x - r for the roots r = (-b +- s)/2 when the
+    discriminant b^2 - 4c has a square root s in K, else h itself."""
+    b, c = h.coeff(1), h.coeff(0)
+    s = sqrt_in_field(b * b - c * KElem.of(4, 0, h.cfg))
+    if s is None:
+        return [h]
+    half = KElem.of(Fraction(1, 2), 0, h.cfg)
+    return sorted((KPoly([(b + t) * half, h.one_elem()], h.cfg)
+                   for t in (s, -s)), key=poly_order_key)
+
+
 def factor_k(f: KPoly) -> tuple[KElem, list[KPoly]]:
     """Complete factorization in K[x]: unit * monic irreducibles
     (repeated according to multiplicity).
@@ -561,7 +561,8 @@ def factor_k(f: KPoly) -> tuple[KElem, list[KPoly]]:
     if m.degree() == 0:
         return unit, []
     sqf = m.divmod(poly_gcd(m, m.derivative()))[0].monic()
-    distinct = _trager(sqf)
+    distinct = (_quadratic_factors(sqf) if sqf.degree() == 2
+                else _trager(sqf))
     out = []
     rem = m
     for q in distinct:

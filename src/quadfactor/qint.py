@@ -9,7 +9,10 @@ group is then finite ({1, -1}, plus {w, -w} when d = -1), which makes
 
 Associate classes get a canonical representative: the unit multiple
 minimizing (-sign(a), |a|, -sign(b), |b|) lexicographically, i.e. positive
-rational part preferred, then small, then positive w-part.
+rational part preferred, then small, then positive w-part.  The same
+rule, and the same order key, serve the field elements of kpoly: both
+scalar types expose their coordinates through `coords()` and are built
+from them as `type(x)(a, b, cfg)`.
 """
 
 from __future__ import annotations
@@ -83,6 +86,9 @@ class QuadInt:
         self.a = a
         self.b = b
         self.cfg = cfg
+
+    def coords(self) -> tuple[int, int]:
+        return self.a, self.b
 
     def norm(self) -> int:
         return self.a * self.a - self.cfg.d * self.b * self.b
@@ -162,10 +168,6 @@ def conj(x: QuadInt) -> QuadInt:
     return x.conj()
 
 
-def mul(x: QuadInt, y: QuadInt) -> QuadInt:
-    return x * y
-
-
 def try_div(x: QuadInt, y: QuadInt) -> QuadInt | None:
     """Exact quotient x / y in Z[w], or None when y does not divide x.
 
@@ -181,28 +183,44 @@ def try_div(x: QuadInt, y: QuadInt) -> QuadInt | None:
     return QuadInt(t.a // n, t.b // n, x.cfg)
 
 
-def units(cfg: RingCfg) -> list[QuadInt]:
-    """All units: exactly the elements of norm 1."""
-    out = [cfg.el(1), cfg.el(-1)]
-    if cfg.d == -1:
-        out += [cfg.el(0, 1), cfg.el(0, -1)]
+def _associate_coords(a, b, d: int) -> list:
+    """Coordinates of the unit multiples of a + b*w.  The units are the
+    elements of norm 1: +-1, and also +-w when d = -1."""
+    out = [(a, b), (-a, -b)]
+    if d == -1:
+        out += [(-b, a), (b, -a)]
     return out
 
 
-def assoc_key(x: QuadInt):
-    """Order key realizing the canonical-representative rule."""
-    sa = 0 if x.a > 0 else (1 if x.a == 0 else 2)
-    sb = 0 if x.b > 0 else (1 if x.b == 0 else 2)
-    return (sa, abs(x.a), sb, abs(x.b))
+def units(cfg: RingCfg) -> list[QuadInt]:
+    """All units: exactly the elements of norm 1."""
+    return [cfg.el(a, b) for a, b in _associate_coords(1, 0, cfg.d)]
 
 
-def canonical_associate(x: QuadInt) -> QuadInt:
-    return min((x * u for u in units(x.cfg)), key=assoc_key)
+def _coords_key(p):
+    a, b = p
+    sa = 0 if a > 0 else (1 if a == 0 else 2)
+    sb = 0 if b > 0 else (1 if b == 0 else 2)
+    return (sa, abs(a), sb, abs(b))
 
 
-def order_key(x: QuadInt):
-    """Deterministic total order on elements (used to sort multisets)."""
-    return (x.norm(), x.a, x.b)
+def assoc_key(x):
+    """Order key realizing the canonical-representative rule, for an
+    element of Z[w] or of K."""
+    return _coords_key(x.coords())
+
+
+def canonical_associate(x):
+    """The unit multiple of x (in Z[w] or in K) minimizing assoc_key."""
+    a, b = min(_associate_coords(*x.coords(), x.cfg.d), key=_coords_key)
+    return type(x)(a, b, x.cfg)
+
+
+def order_key(x):
+    """Deterministic total order on elements of Z[w] or of K (used to
+    sort multisets): norm, then coordinates."""
+    a, b = x.coords()
+    return (a * a - x.cfg.d * b * b, a, b)
 
 
 @functools.lru_cache(maxsize=None)

@@ -20,8 +20,8 @@ from math import lcm
 
 from .errors import DomainError, ResourceLimitError
 from .factor import Elasticity, FactorizationSet
-from .kpoly import (FACTOR_K_MAX_DEG, KElem, KPoly, canonical_associate_k,
-                    factor_k, kelem_order_key, sqrt_in_field)
+from .kpoly import (FACTOR_K_MAX_DEG, KElem, KPoly, Poly, factor_k,
+                    poly_order_key, sqrt_in_field)
 from .qint import (QuadInt, RingCfg, _divisors, assoc_key,
                    canonical_associate, common_divisors,
                    common_nonunit_divisor, elements_of_norm, norm, order_key,
@@ -32,38 +32,21 @@ MAX_COEFF_NORM = 10 ** 6
 WITNESS_MAX_DEG = 2
 
 
-class RPoly:
-    """Polynomial with coefficients in Z[w], low degree first."""
+class RPoly(Poly):
+    """Polynomial with coefficients in Z[w], low degree first; integer
+    coefficients are read as elements of Z[w]."""
 
-    __slots__ = ("coeffs", "cfg")
+    __slots__ = ()
 
     def __init__(self, coeffs, cfg: RingCfg):
-        cs = [c if isinstance(c, QuadInt) else cfg.el(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
-        self.cfg = cfg
+        super().__init__([c if isinstance(c, QuadInt) else cfg.el(c)
+                          for c in coeffs], cfg)
 
-    @staticmethod
-    def const(c: QuadInt) -> "RPoly":
-        return RPoly([c], c.cfg)
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def zero_elem(self) -> QuadInt:
+        return self.cfg.el(0)
 
     def is_unit(self) -> bool:
         return self.degree() == 0 and self.coeffs[0].is_unit()
-
-    def lc(self) -> QuadInt:
-        return self.coeffs[-1]
-
-    def coeff(self, i: int) -> QuadInt:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.cfg.el(0)
 
     def to_kpoly(self) -> KPoly:
         return KPoly([KElem.from_quadint(c) for c in self.coeffs], self.cfg)
@@ -76,28 +59,6 @@ class RPoly:
                     f"coefficient of x^{i} is {c}, not in Z[w]")
         return RPoly([c.to_quadint() for c in p.coeffs], p.cfg)
 
-    def add(self, other: "RPoly") -> "RPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RPoly([self.coeff(i) + other.coeff(i) for i in range(n)],
-                     self.cfg)
-
-    def sub(self, other: "RPoly") -> "RPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RPoly([self.coeff(i) - other.coeff(i) for i in range(n)],
-                     self.cfg)
-
-    def mul(self, other: "RPoly") -> "RPoly":
-        if self.is_zero() or other.is_zero():
-            return RPoly([], self.cfg)
-        out = [self.cfg.el(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return RPoly(out, self.cfg)
-
-    def scale(self, c: QuadInt) -> "RPoly":
-        return RPoly([a * c for a in self.coeffs], self.cfg)
-
     def try_scale_div(self, c: QuadInt) -> "RPoly | None":
         """self / c if every coefficient is divisible, else None."""
         out = []
@@ -108,25 +69,8 @@ class RPoly:
             out.append(q)
         return RPoly(out, self.cfg)
 
-    def __mul__(self, other):
-        return self.mul(other)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RPoly) and self.cfg is other.cfg
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.coeffs, self.cfg.d, "RPoly"))
-
     def __str__(self) -> str:
         return str(self.to_kpoly())
-
-    def __repr__(self) -> str:
-        return f"RPoly({self}, d={self.cfg.d})"
-
-
-def rpoly_order_key(f: RPoly):
-    return (f.degree(), tuple(order_key(c) for c in reversed(f.coeffs)))
 
 
 def canonical_poly(f: RPoly) -> RPoly:
@@ -188,13 +132,13 @@ def lambda_candidates(g0: KPoly, h0: KPoly) -> list[KElem]:
             lam = KElem.from_quadint(s) * k_m / k_c
             if g0.scale(lam).is_integral() and \
                     h0.scale(lam.inv()).is_integral():
-                best = canonical_associate_k(lam)
+                best = canonical_associate(lam)
                 key = (best.u, best.v)
                 if key not in seen:
                     seen.add(key)
                     out.append(best)
         n += 1
-    out.sort(key=kelem_order_key)
+    out.sort(key=order_key)
     return out
 
 
@@ -302,7 +246,7 @@ def _poly_multisets(f: RPoly, ks: tuple) -> frozenset:
         gc = canonical_poly(cert.g)
         rest_ks = tuple(q for i, q in enumerate(ks) if i not in cert.subset)
         for rest in _poly_multisets(canonical_poly(cert.h), rest_ks):
-            out.add(tuple(sorted((gc,) + rest, key=rpoly_order_key)))
+            out.add(tuple(sorted((gc,) + rest, key=poly_order_key)))
     return frozenset(out) or frozenset({(f,)})
 
 
@@ -376,50 +320,36 @@ def _quad_splits_in_rx(f: RPoly, s: KElem) -> bool:
     return False
 
 
-def _splits_in_k(f: RPoly) -> bool:
-    if f.degree() == 2:
-        # quadratic splits iff the discriminant is a square in K
-        return _quad_disc_sqrt(f) is not None
-    return len(factor_k(f.to_kpoly())[1]) > 1
-
-
 def property_p_witness(cfg: RingCfg, max_norm: int = 20,
                        max_deg: int = WITNESS_MAX_DEG):
-    """First polynomial (degree ascending, then leading coefficient and
-    remaining coefficients by norm then sign pattern) that is
-    irreducible in R[x] but splits in K[x]; None if the search space
-    holds no witness.
+    """First quadratic (by leading coefficient, then remaining
+    coefficients, each by norm then sign pattern) that is irreducible in
+    R[x] but splits in K[x]; None if the search space holds no witness.
 
     Degrees 0 and 1 cannot witness (constants have no K[x] splitting,
-    linear polynomials are K-irreducible), so the scan starts at 2."""
+    linear polynomials are K-irreducible), so max_deg = 1 finds none."""
     if max_norm < 1 or max_deg < 1:
         raise DomainError("bounds must be positive")
     if max_deg > WITNESS_MAX_DEG:
         raise ResourceLimitError(
             f"witness search supports degree <= {WITNESS_MAX_DEG}")
+    if max_deg < 2:
+        return None
     leads = sorted((z for n in range(1, max_norm + 1)
                     for z in elements_of_norm(n, cfg)),
                    key=lambda z: (norm(z), assoc_key(z)))
     inner = _elements_by_norm(cfg, max_norm, with_zero=True)
-    for deg in range(2, max_deg + 1):
-        for lead in leads:
-            for rest in itertools.product(inner, repeat=deg):
-                f = RPoly(list(reversed(rest)) + [lead], cfg)
-                if deg == 2:
-                    s = _quad_disc_sqrt(f)
-                    if s is None:
-                        continue
-                    if common_nonunit_divisor(list(f.coeffs)) is not None:
-                        continue
-                    if _quad_splits_in_rx(f, s):
-                        continue
-                    # shortcut says witness; the full test has the
-                    # final word
-                    if is_irreducible_rx(f)[0]:
-                        return f
-                    continue
-                if not _splits_in_k(f):
-                    continue
-                if is_irreducible_rx(f)[0]:
-                    return f
+    for lead in leads:
+        for c1, c0 in itertools.product(inner, repeat=2):
+            f = RPoly([c0, c1, lead], cfg)
+            s = _quad_disc_sqrt(f)
+            if s is None:
+                continue
+            if common_nonunit_divisor(list(f.coeffs)) is not None:
+                continue
+            if _quad_splits_in_rx(f, s):
+                continue
+            # shortcut says witness; the full test has the final word
+            if is_irreducible_rx(f)[0]:
+                return f
     return None

@@ -446,12 +446,12 @@ def check_ideal_laws(seed: int = 0) -> CheckResult:
         C = ideals.ideal_from_gens([
             KElem.of(1, 0, cfg5),
             KElem.of(Fraction(1, 2), Fraction(-1, 2), cfg5)])
-        gamma_bad = ideals.gamma_check(B, C)
+        gamma_bad = ideals.gamma_check(B, C).holds
         cfg1 = ring(-1)
         B1 = ideals.ideal_from_quadints([cfg1.el(1, 1)])
         C1 = ideals.ideal_from_gens(
             [KElem.of(Fraction(1, 2), Fraction(-1, 2), cfg1)])
-        gamma_good = ideals.gamma_check(B1, C1)
+        gamma_good = ideals.gamma_check(B1, C1).holds
         ok = (not gamma_bad) and gamma_good
         return ok, (f"{rounds} ideal rounds; gauss fails with content 2; "
                     f"gamma instance false at d=-5, true at d=-1")

@@ -8,13 +8,13 @@ of all K[x]-factors with a constant cofactor."""
 import functools
 
 from quadfactor.factor import _factor_multisets
-from quadfactor.kpoly import KElem, factor_k
+from quadfactor.kpoly import KElem, factor_k, poly_order_key
 from quadfactor.qint import (canonical_associate, common_nonunit_divisor,
                              irreducible_common_divisors, is_irreducible,
                              try_div)
 from quadfactor.rpoly import (GroupingCertificate, RPoly, _grouped, _guard,
                               _submultisets, canonical_poly,
-                              lambda_candidates, rpoly_order_key)
+                              lambda_candidates)
 
 
 def is_irreducible_rx(f: RPoly):
@@ -58,7 +58,7 @@ def poly_multisets(f: RPoly) -> frozenset:
         q = f.try_scale_div(c)
         for rest in poly_multisets(canonical_poly(q)):
             out.add(tuple(sorted((RPoly.const(c),) + rest,
-                                 key=rpoly_order_key)))
+                                 key=poly_order_key)))
     unit_k, ks = factor_k(f.to_kpoly())
     groups = list(_submultisets(ks))
     groups.append(tuple(range(len(ks))))  # constant cofactor route
@@ -74,5 +74,5 @@ def poly_multisets(f: RPoly) -> frozenset:
                 out.add((gc,))
                 continue
             for rest in poly_multisets(canonical_poly(h)):
-                out.add(tuple(sorted((gc,) + rest, key=rpoly_order_key)))
+                out.add(tuple(sorted((gc,) + rest, key=poly_order_key)))
     return frozenset(out)

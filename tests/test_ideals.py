@@ -9,7 +9,7 @@ from quadfactor.ideals import (colon, content_ideal, gamma_check,
                                gcd_v, ideal_from_gens, ideal_from_quadints,
                                is_primitive, is_principal, is_superprimitive,
                                mul, unit_ideal, v_closure)
-from quadfactor.kpoly import KElem, canonical_associate_k
+from quadfactor.kpoly import KElem
 from quadfactor.qint import canonical_associate, ring
 from quadfactor.rpoly import RPoly
 
@@ -85,7 +85,7 @@ def test_is_principal():
         if g.is_zero():
             continue
         got = is_principal(ideal_from_quadints([g]))
-        assert got == canonical_associate_k(KElem.from_quadint(g))
+        assert got == canonical_associate(KElem.from_quadint(g))
 
 
 def test_mul_conjugate_primes():
@@ -168,6 +168,52 @@ def test_superprimitive_implies_primitive():
                 assert unit_ideal(cfg).contains(wit * g)
 
 
+def _superprimitive_oracle(f):
+    """The witness search before it stopped at the first norm: every
+    non-integral point of (R : A_f) up to the least norm of a
+    non-integral basis vector, minimized by (normk, |u|, v)."""
+    from quadfactor.ideals import _points_of_normk
+    C = colon(content_ideal(f))
+    if C.denom == 1:
+        return True, None
+    m = C.denom
+    bound = min(z.normk() for z in
+                (KElem.of(Fraction(x, m), Fraction(y, m), C.cfg)
+                 for x, y in C.basis()) if not z.is_integral())
+    cands = set()
+    for t in range(1, int(bound * m * m) + 1):
+        for x, y in _points_of_normk(C, t):
+            z = KElem.of(Fraction(x, m), Fraction(y, m), C.cfg)
+            if not z.is_integral():
+                cands.add(canonical_associate(z))
+    return False, min(cands, key=lambda z: (z.normk(), abs(z.u), z.v))
+
+
+def test_superprimitive_matches_full_search():
+    rng = random.Random(12)
+    witnesses = 0
+    for _ in range(120):
+        cfg = ring(rng.choice((-1, -2, -3, -5, -6, -14)))
+        c = cfg.el(rng.randint(-3, 3), rng.randint(-1, 1))
+        coeffs = [c * cfg.el(rng.randint(-4, 4), rng.randint(-2, 2))
+                  for _ in range(rng.randint(1, 3))]
+        f = RPoly(coeffs, cfg)
+        if f.is_zero():
+            continue
+        got = is_superprimitive(f)
+        assert got == _superprimitive_oracle(f), f
+        witnesses += not got[0]
+    assert witnesses > 30
+
+
+def test_superprimitive_large_content(capsys):
+    from quadfactor.cli import main
+    assert main(["--d", "-51", "psp-check", "(8+3*w)*x+8+3*w"]) == 0
+    assert capsys.readouterr().out == (
+        '{"poly": "(8+3*w)*x+8+3*w", "d": -51, "primitive": false, '
+        '"superprimitive": false, "witness": "(8-3*w)/523"}\n')
+
+
 def test_gcd_v():
     cfg = ring(-5)
     assert gcd_v([cfg.el(4), cfg.el(2)]) == cfg.el(2)
@@ -231,11 +277,13 @@ def test_gamma_check():
     C = ideal_from_gens([E(1, 0, -5),
                          E(Fraction(1, 2), Fraction(-1, 2), -5)])
     assert v_closure(mul(B, C)) == unit_ideal(cfg)
-    assert gamma_check(B, C) is False
+    rep = gamma_check(B, C)
+    assert rep.product_v_trivial and rep.b_v_generator is None
+    assert rep.holds is False
     # trivial product closure never arises here, so the implication holds
     C2 = ideal_from_quadints([cfg.el(2), cfg.el(1, -1)])
-    assert gamma_check(B, C2) is True
+    assert gamma_check(B, C2).holds is True
     cfg1 = ring(-1)
     B1 = ideal_from_quadints([cfg1.el(1, 1)])
     C1 = ideal_from_gens([E(Fraction(1, 2), Fraction(-1, 2), -1)])
-    assert gamma_check(B1, C1) is True
+    assert gamma_check(B1, C1).holds is True

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from quadfactor.errors import DomainError, ResourceLimitError
-from quadfactor.kpoly import (KElem, KPoly, canonical_associate_k, factor_k,
-                              factor_q, poly_gcd, sqrt_in_field)
+from quadfactor.kpoly import (KElem, KPoly, factor_k, factor_q, poly_gcd,
+                              sqrt_in_field)
 from quadfactor.parse import parse_kpoly
-from quadfactor.qint import ring
+from quadfactor.qint import canonical_associate, ring
 
 
 def P(text, d):
@@ -51,9 +51,9 @@ def test_kelem_str():
 
 def test_canonical_associate_k():
     z = E(Fraction(-1, 2), Fraction(1, 2), -5)
-    assert canonical_associate_k(z) == E(Fraction(1, 2), Fraction(-1, 2), -5)
+    assert canonical_associate(z) == E(Fraction(1, 2), Fraction(-1, 2), -5)
     zi = E(0, Fraction(-3, 2), -1)
-    assert canonical_associate_k(zi) == E(Fraction(3, 2), 0, -1)
+    assert canonical_associate(zi) == E(Fraction(3, 2), 0, -1)
 
 
 def test_sqrt_in_field():
@@ -166,3 +166,30 @@ def test_factor_k_product_back():
             prod = prod * g
         assert prod == f
         assert sum(g.degree() for g in fs) == f.degree()
+
+
+def test_quadratics_match_trager():
+    # Trager's norm descent stays the oracle for the discriminant route
+    from quadfactor.kpoly import _quadratic_factors, _trager
+    from quadfactor.suite import CORE_RINGS
+    rng = random.Random(31)
+    split = 0
+    for i in range(24):
+        d = rng.choice(CORE_RINGS)
+        cfg = ring(d)
+        if i % 2:
+            # a product of two monic linear factors, so that many split
+            r1, r2 = (E(Fraction(rng.randint(-2, 2), rng.randint(1, 2)),
+                        Fraction(rng.randint(-1, 1), rng.randint(1, 2)), d)
+                      for _ in range(2))
+            h = KPoly([r1, E(1, 0, d)], cfg) * KPoly([r2, E(1, 0, d)], cfg)
+        else:
+            h = KPoly([E(rng.randint(-5, 5), rng.randint(-2, 2), d),
+                       E(rng.randint(-5, 5), rng.randint(-2, 2), d),
+                       E(1, 0, d)], cfg)
+        if poly_gcd(h, h.derivative()).degree() > 0:
+            continue
+        got = _quadratic_factors(h)
+        assert got == _trager(h), h
+        split += len(got) == 2
+    assert split > 6

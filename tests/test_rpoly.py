@@ -37,6 +37,11 @@ def test_rpoly_basics():
     assert RPoly([2, 4], cfg).try_scale_div(cfg.el(2)) == RPoly([1, 2], cfg)
     assert str(RP("2*x+1-w", -5)) == "2*x+1-w"
     assert canonical_poly(RPoly([0, -3], cfg)) == RPoly([0, 3], cfg)
+    assert f + g - f == RPoly([cfg.el(1, 1)], cfg)
+    assert (f - f).is_zero() and -g == RPoly([cfg.el(-1, -1)], cfg)
+    # R[x] and K[x] share their arithmetic but never compare equal
+    assert f != f.to_kpoly() and RPoly([], cfg) != f.to_kpoly() - f.to_kpoly()
+    assert repr(g) == "RPoly(1+w, d=-5)"
 
 
 def test_from_kpoly_rejects_fractions():

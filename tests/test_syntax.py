@@ -261,6 +261,20 @@ def test_cli_exit_codes(capsys):
     assert code == 3
 
 
+def test_cli_consecutive_calls_share_no_flags(capsys):
+    # main() reuses one parser; no flag of one call may leak into the next
+    code, out, _ = invoke(capsys, "--format", "tsv", "--d", "-5",
+                          "factor", "6")
+    assert code == 0 and out.startswith("element\t6\n")
+    code, out, _ = invoke(capsys, "--d", "-5", "factor", "6")
+    assert code == 0 and json.loads(out)["element"] == "6"
+    code, out, err = invoke(capsys, "--d", "-5", "factor")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "usage"
+    code, out, _ = invoke(capsys, "ring-info")
+    assert code == 2
+
+
 def test_cli_leading_minus_needs_separator(capsys):
     code, _, err = invoke(capsys, "--d", "-5", "poly-factor", "-x^2-5")
     assert code == 2
