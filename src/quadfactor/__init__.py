@@ -1,7 +1,8 @@
 """Exact factorization arithmetic in imaginary quadratic orders Z[w],
 their polynomial rings, and the pinched rings between R[x] and K[x]."""
 
-from .errors import DomainError, ParseError, ResourceLimitError
+from .errors import (DomainError, ParseError, ResourceLimitError,
+                     VerificationError)
 from .factor import (Elasticity, FactorizationSet, elasticity_elem,
                      factorizations, length_set, ring_elasticity_lower_bound)
 from .ideals import (FracIdeal, colon, content_ideal, gamma_check,
@@ -22,7 +23,7 @@ from .extring import (D2WitnessReport, ExtElem, d1_classify, d1_elasticity,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DomainError", "ParseError", "ResourceLimitError",
+    "DomainError", "ParseError", "ResourceLimitError", "VerificationError",
     "QuadInt", "RingCfg", "ring", "norm", "conj", "try_div", "units",
     "canonical_associate", "elements_of_norm", "is_irreducible", "is_prime",
     "KElem", "KPoly", "poly_gcd", "factor_q", "factor_k", "sqrt_in_field",

@@ -3,8 +3,8 @@
 Output goes to stdout as a single JSON object (or key/value TSV), and
 is byte-identical across runs for a fixed argv and seed.  Errors are
 JSON objects on stderr with exit codes: 2 for syntax and usage, 3 for
-domain violations, 4 for resource guards.  paper-suite exits 1 when any
-check fails.
+domain violations, 4 for resource guards, 5 for a result that failed its
+own check.  paper-suite exits 1 when any check fails.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import json
 import sys
 
 from . import extring, factor, ideals, rpoly, suite
-from .errors import DomainError, ParseError, ResourceLimitError
+from .errors import (DomainError, ParseError, ResourceLimitError,
+                     VerificationError)
 from .kpoly import factor_k
 from .parse import (parse_element, parse_ideal_gens, parse_kpoly,
                     parse_rpoly)
@@ -341,6 +342,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as e:
         _emit_error("resource", str(e))
         return 4
+    except VerificationError as e:
+        _emit_error("verification", str(e))
+        return 5
 
 
 def run() -> None:

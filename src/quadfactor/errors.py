@@ -11,3 +11,8 @@ class ParseError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A degree or size guard was exceeded before the computation started."""
+
+
+class VerificationError(RuntimeError):
+    """A computed result failed its own check (for example, factors that
+    do not multiply back to the input): an internal fault, not bad input."""

@@ -5,18 +5,15 @@ keep coefficients low-to-high.  Everything runs on `fractions.Fraction`,
 so results are exact.  `Poly` holds the ring arithmetic that K[x] shares
 with R[x] (`rpoly.RPoly`).
 
-Rational polynomials are factored by Kronecker's interpolation method:
-a degree-k divisor of f is determined by its values at k+1 points, and
-each value g(x_i) must divide f(x_i), so finitely many divisor
-combinations exhaust all candidates.  The method is slow in the worst
-case but dependency-free, exact, and comfortably fast at the degrees the
-guards admit.  Evaluation points are taken as 0, 1, -1, 2, -2, ...
-skipping roots of f (a root found on the way is itself a factor).
+Rational polynomials are factored over Z by the Zassenhaus method
+(`zpoly.zassenhaus`: Berlekamp mod p, Hensel lifting, recombination)
+after splitting off content and repeated factors.
 
-K[x] factorization reduces to Q[x] by norm descent: shift f by s*w until
-N(x) = g*conj(g) is squarefree, factor N over Q, and read each K-factor
-off as gcd(g, h_i).  A squarefree quadratic needs no descent: it splits
-exactly when its discriminant is a square in K.
+K[x] factorization reduces to Q[x] by norm descent (Trager 1976): shift
+f by s*w until N(x) = g*conj(g) is squarefree, factor N over Q, and read
+each K-factor off as gcd(g, h_i).  A squarefree quadratic needs no
+descent: it splits exactly when its discriminant is a square in K.  Each
+factorization is checked by multiplying back before it is returned.
 """
 
 from __future__ import annotations
@@ -25,12 +22,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ResourceLimitError
-from .qint import QuadInt, RingCfg, _divisors, format_coords, order_key
+from .errors import DomainError, ResourceLimitError, VerificationError
+from .qint import QuadInt, RingCfg, format_coords, order_key
+from .zpoly import zassenhaus
 
 FACTOR_Q_MAX_DEG = 8
 FACTOR_K_MAX_DEG = 6
 _SHIFT_LIMIT = 20
+_SHIFTS = tuple(s for k in range(1, _SHIFT_LIMIT + 1) for s in (k, -k))
 
 
 def _frac(x) -> Fraction:
@@ -149,7 +148,8 @@ def sqrt_in_field(z: KElem) -> KElem | None:
             p = _rat_sqrt(p2)
             if p is not None:
                 root = KElem(p, z.v / (2 * p), cfg)
-                assert root * root == z
+                if root * root != z:
+                    raise VerificationError(f"{root} is no square root of {z}")
                 return root
     return None
 
@@ -330,161 +330,46 @@ def poly_gcd(f: KPoly, g: KPoly) -> KPoly:
     return f.monic()
 
 
-# ---------------------------------------------------------------------------
-# Kronecker factorization of integer polynomials
-# ---------------------------------------------------------------------------
-
-def _int_eval(F: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(F):
-        acc = acc * x + c
-    return acc
-
-
-def _signed_divisors(n: int) -> tuple[int, ...]:
-    """Divisors of n by ascending absolute value, positive first."""
-    return tuple(s for t in _divisors(abs(n)) for s in (t, -t))
-
-
-def _points():
-    yield 0
-    k = 1
-    while True:
-        yield k
-        yield -k
-        k += 1
-
-
-def _lagrange(pts: list[int], vals: list[int]) -> list[Fraction]:
-    """Interpolating polynomial (coefficients low-to-high, Fractions)."""
-    n = len(pts)
-    acc = [Fraction(0)] * n
-    for i in range(n):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            # multiply basis by (x - pts[j])
-            basis = [Fraction(0)] + basis
-            for k in range(len(basis) - 1):
-                basis[k] -= pts[j] * basis[k + 1]
-            denom *= pts[i] - pts[j]
-        scale = Fraction(vals[i]) / denom
-        for k in range(len(basis)):
-            acc[k] += scale * basis[k]
-    while acc and acc[-1] == 0:
-        acc.pop()
-    return acc
-
-
-def _frac_divmod(F: list[int], G: list[int]) -> tuple[list[Fraction], list[Fraction]]:
-    q = [Fraction(0)] * max(len(F) - len(G) + 1, 0)
-    rem = [Fraction(c) for c in F]
-    while len(rem) >= len(G) and rem:
-        c = rem[-1] / G[-1]
-        k = len(rem) - len(G)
-        q[k] = c
-        for i, gc in enumerate(G):
-            rem[k + i] -= c * gc
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return q, rem
-
-
-def _exact_int_quotient(F: list[int], G: list[int]) -> list[int] | None:
-    q, r = _frac_divmod(F, G)
-    if r:
-        return None
-    if any(c.denominator != 1 for c in q):
-        return None
-    return [int(c) for c in q]
-
-
-def _compatible_combos(pts: list[int], divlists: list[tuple[int, ...]]):
-    """Divisor tuples with d_i = d_j mod (x_i - x_j) for all pairs.
-
-    Any integer polynomial g satisfies g(x_i) = g(x_j) mod (x_i - x_j),
-    so incompatible tuples cannot interpolate to an integer divisor and
-    are pruned before interpolation.
-    """
-    chosen: list[int] = []
-
-    def rec(i: int):
-        if i == len(pts):
-            yield tuple(chosen)
-            return
-        for cand in divlists[i]:
-            if all((cand - chosen[j]) % (pts[i] - pts[j]) == 0
-                   for j in range(i)):
-                chosen.append(cand)
-                yield from rec(i + 1)
-                chosen.pop()
-
-    yield from rec(0)
-
-
-def _kronecker(F: list[int]) -> list[list[int]]:
-    """Irreducible factors of a primitive integer polynomial, lc > 0.
-
-    Factors of minimal degree are found first, which certifies their
-    irreducibility: any proper factor would already have shown up at a
-    smaller k.
-    """
-    n = len(F) - 1
-    if n == 1:
-        return [F[:]]
-    kmax = n // 2
-    pts: list[int] = []
-    vals: list[int] = []
-    gen = _points()
-    while len(pts) < kmax + 1:
-        x = next(gen)
-        fx = _int_eval(F, x)
-        if fx == 0:
-            g = [-x, 1]
-            q = _exact_int_quotient(F, g)
-            assert q is not None
-            return sorted([g] + _kronecker(q),
-                          key=lambda h: (len(h), tuple(reversed(h))))
-        pts.append(x)
-        vals.append(fx)
-    for k in range(1, kmax + 1):
-        p = pts[:k + 1]
-        divlists = [_signed_divisors(v) for v in vals[:k + 1]]
-        # g and -g interpolate from opposite sign tuples; fixing the first
-        # divisor positive halves the search without losing candidates
-        divlists[0] = tuple(t for t in divlists[0] if t > 0)
-        for combo in _compatible_combos(p, divlists):
-            cand = _lagrange(p, list(combo))
-            if len(cand) - 1 != k or any(c.denominator != 1 for c in cand):
-                continue
-            g = [int(c) for c in cand]
-            if g[-1] < 0:
-                g = [-c for c in g]
-            q = _exact_int_quotient(F, g)
-            if q is not None:
-                return sorted(_kronecker(g) + _kronecker(q),
-                              key=lambda h: (len(h), tuple(reversed(h))))
-    return [F[:]]
+def _integer_form(p: KPoly) -> tuple[Fraction, list[int]]:
+    """(c, F) with rational p = c * F, F primitive in Z[x] with lc > 0."""
+    den = math.lcm(*(c.u.denominator for c in p.coeffs))
+    ints = [int(c.u * den) for c in p.coeffs]
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return Fraction(g, den), [c // g for c in ints]
 
 
 def _rational_factors(p: KPoly) -> tuple[Fraction, list[KPoly]]:
-    """content * product-of-primitive-integer-irreducibles for rational p."""
-    denl = 1
-    for c in p.coeffs:
-        denl = math.lcm(denl, c.u.denominator)
-    ints = [int(c.u * denl) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    sign = 1 if ints[-1] > 0 else -1
-    F = [c // (g * sign) for c in ints]
-    content = Fraction(g * sign, denl)
+    """content * product-of-primitive-integer-irreducibles for rational p,
+    each factor repeated by its multiplicity."""
+    content, F = _integer_form(p)
     if len(F) == 1:
         return content, []
-    factors = [KPoly.from_rationals(h, p.cfg) for h in _kronecker(F)]
-    return content, sorted(factors, key=poly_order_key)
+    sqf = p.divmod(poly_gcd(p, p.derivative()))[0]
+    distinct = [KPoly.from_rationals(g, p.cfg)
+                for g in zassenhaus(_integer_form(sqf)[1])]
+    return content, sorted(_repeat(p, distinct), key=poly_order_key)
+
+
+def _repeat(f: KPoly, distinct: list[KPoly]) -> list[KPoly]:
+    """The distinct factors of f, each repeated by its multiplicity."""
+    out = []
+    for q in distinct:
+        quo, r = f.divmod(q)
+        while r.is_zero():
+            out.append(q)
+            f = quo
+            quo, r = f.divmod(q)
+    return out
+
+
+def _checked(f: KPoly, unit: KElem, factors: list[KPoly]):
+    """(unit, sorted factors), once they multiply back to f exactly."""
+    prod = KPoly.const(unit)
+    for q in factors:
+        prod = prod * q
+    if prod != f:
+        raise VerificationError(f"factors of {f} do not multiply back")
+    return unit, sorted(factors, key=poly_order_key)
 
 
 def factor_q(f: KPoly) -> tuple[KElem, list[KPoly]]:
@@ -499,39 +384,50 @@ def factor_q(f: KPoly) -> tuple[KElem, list[KPoly]]:
         raise ResourceLimitError(
             f"degree {f.degree()} exceeds factor_q guard {FACTOR_Q_MAX_DEG}")
     content, factors = _rational_factors(f)
-    return KElem.of(content, 0, f.cfg), factors
+    return _checked(f, KElem.of(content, 0, f.cfg), factors)
 
 
 def _trager(h: KPoly) -> list[KPoly]:
     """Distinct monic irreducible K[x]-factors of monic squarefree h.
 
+    A rational h is factored over Q first, and each Q-factor descends
+    from shift 1: at shift 0 its norm h^2 is never squarefree.
+    """
+    if not h.is_rational():
+        return _descent(h, (0,) + _SHIFTS)
+    return sorted((g for q in _rational_factors(h)[1]
+                   for g in _descent(q.monic(), _SHIFTS)), key=poly_order_key)
+
+
+def _descent(h: KPoly, shifts: tuple[int, ...]) -> list[KPoly]:
+    """Trager's norm descent for monic squarefree h.
+
     Shift h by s*w until N = g * conj(g) is squarefree over Q; then the
     rational irreducible factors of N are exactly the norms of the
-    K-factors of g, and each K-factor is recovered as a gcd.
+    K-factors of g, and each K-factor is recovered as a gcd.  N has a
+    repeated root only where a root of h plus s*w meets a root of
+    conj(h) minus s*w, which fixes s for each of the deg(h)^2 <= 36 pairs
+    of roots; so one of the 41 shifts 0, +-1, ..., +-20 works (one of the
+    40 nonzero ones for rational h, whose pairs of equal roots meet at
+    s = 0).
     """
     cfg = h.cfg
     if h.degree() <= 1:
         return [h]
-    shifts = [0]
-    for s in range(1, _SHIFT_LIMIT + 1):
-        shifts.extend((s, -s))
     for s in shifts:
-        t = KElem.of(0, -s, cfg)  # g(x) = h(x - s*w)
-        g = h.shifted(t)
+        g = h.shifted(KElem.of(0, -s, cfg))  # g(x) = h(x - s*w)
         normpoly = g * g.conj_coeffs()
-        assert normpoly.is_rational()
+        if not normpoly.is_rational():
+            raise VerificationError(f"norm of {g} is not rational")
         if poly_gcd(normpoly, normpoly.derivative()).degree() != 0:
             continue
-        _, rats = _rational_factors(normpoly)
-        out = []
-        back = KElem.of(0, s, cfg)
-        for hi in rats:
-            q = poly_gcd(g, hi)
-            if q.degree() >= 1:
-                out.append(q.shifted(back).monic())
-        assert sum(q.degree() for q in out) == h.degree()
+        gcds = (poly_gcd(g, KPoly.from_rationals(n, cfg))
+                for n in zassenhaus(_integer_form(normpoly)[1]))
+        out = [q.shifted(KElem.of(0, s, cfg)).monic() for q in gcds]
+        if sum(q.degree() for q in out) != h.degree():
+            raise VerificationError(f"norm descent lost factors of {h}")
         return sorted(out, key=poly_order_key)
-    raise RuntimeError("no squarefree norm shift found; input unexpected")
+    raise VerificationError(f"no squarefree norm shift for {h}")
 
 
 def _quadratic_factors(h: KPoly) -> list[KPoly]:
@@ -560,20 +456,7 @@ def factor_k(f: KPoly) -> tuple[KElem, list[KPoly]]:
     m = f.monic()
     if m.degree() == 0:
         return unit, []
-    sqf = m.divmod(poly_gcd(m, m.derivative()))[0].monic()
+    sqf = m.divmod(poly_gcd(m, m.derivative()))[0]
     distinct = (_quadratic_factors(sqf) if sqf.degree() == 2
                 else _trager(sqf))
-    out = []
-    rem = m
-    for q in distinct:
-        while True:
-            quo, r = rem.divmod(q)
-            if not r.is_zero():
-                break
-            out.append(q)
-            rem = quo
-    prod = KPoly.const(unit)
-    for q in out:
-        prod = prod * q
-    assert prod == f, "factorization must multiply back exactly"
-    return unit, sorted(out, key=poly_order_key)
+    return _checked(f, unit, _repeat(m, distinct))

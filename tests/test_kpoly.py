@@ -117,6 +117,16 @@ def test_factor_q():
     unit, fs = factor_q(P("1/2*x^2-1/2", -5))
     assert unit == E(Fraction(1, 2), 0, -5)
     assert fs == [P("x-1", -5), P("x+1", -5)]
+    # the guard degree 8: x^8-1 splits into cyclotomic factors, while
+    # x^8+1 is irreducible over Q yet splits mod every prime, so the
+    # lifted factors must be recombined to keep it whole
+    unit, fs = factor_q(P("x^8-1", -5))
+    assert fs == [P("x-1", -5), P("x+1", -5), P("x^2+1", -5), P("x^4+1", -5)]
+    unit, fs = factor_q(P("x^8+1", -5))
+    assert unit == E(1, 0, -5) and fs == [P("x^8+1", -5)]
+    unit, fs = factor_q(P("(x^4-10*x^2+1)*(2*x-1)^2*(x^2+1)", -5))
+    assert fs == [P("2*x-1", -5), P("2*x-1", -5), P("x^2+1", -5),
+                  P("x^4-10*x^2+1", -5)]
     with pytest.raises(DomainError):
         factor_q(P("w*x+1", -5))
     with pytest.raises(DomainError):
@@ -146,17 +156,24 @@ def test_factor_k_examples():
 
 def test_factor_k_product_back():
     rng = random.Random(7)
+
+    def rand_poly(d, n):
+        return KPoly([E(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                        Fraction(rng.randint(-3, 3), rng.randint(1, 2)), d)
+                      for _ in range(n)], ring(d))
+
     for i in range(60):
         d = rng.choice((-1, -2, -3, -5, -14))
-        cfg = ring(d)
-        # mostly quadratics; a few small cubics (their degree-6 norm
-        # polynomials make Kronecker work hard)
-        n = 4 if i % 10 == 0 else rng.randint(2, 3)
-        hi = 1 if n == 4 else 3
-        coeffs = [E(Fraction(rng.randint(-hi, hi), rng.randint(1, 2)),
-                    Fraction(rng.randint(-hi, hi), rng.randint(1, 2)), d)
-                  for _ in range(n)]
-        f = KPoly(coeffs, cfg)
+        # quadratics through sextics: dense ones, and products of two or
+        # (for repeated factors) three smaller ones
+        if i % 3 == 0:
+            f = rand_poly(d, rng.randint(3, 7))
+        elif i % 3 == 1:
+            f = (rand_poly(d, rng.randint(2, 4))
+                 * rand_poly(d, rng.randint(2, 4)))
+        else:
+            g = rand_poly(d, rng.randint(2, 3))
+            f = g * g * rand_poly(d, rng.randint(1, 3))
         if f.is_zero() or f.degree() == 0:
             continue
         unit, fs = factor_k(f)
@@ -166,6 +183,76 @@ def test_factor_k_product_back():
             prod = prod * g
         assert prod == f
         assert sum(g.degree() for g in fs) == f.degree()
+
+
+def test_rational_factors_match_kronecker():
+    # Kronecker's method, the Q[x] factorer before Zassenhaus, is the
+    # oracle: same content, same factors, same order
+    from kronecker_oracle import rational_factors
+    from quadfactor.kpoly import _rational_factors
+    rng = random.Random(41)
+    cfg = ring(-5)
+    repeated = 0
+    for i in range(80):
+        f = KPoly.from_rationals([Fraction(rng.choice((1, 2, 3, -6)),
+                                           rng.randint(1, 3))], cfg)
+        degree = rng.randint(1, 4)
+        while f.degree() < degree:
+            g = KPoly.from_rationals(
+                [rng.randint(-4, 4) for _ in range(rng.randint(1, 2))]
+                + [rng.choice((1, 1, 2, 3, -1))], cfg)
+            f = f * g * g if i % 4 == 0 and g.degree() <= 2 else f * g
+        if f.is_zero() or f.degree() > 4:
+            continue
+        got = _rational_factors(f)
+        assert got == rational_factors(f), f
+        repeated += len(set(got[1])) < len(got[1])
+    assert repeated > 5
+
+
+def test_factor_k_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from quadfactor.suite import CORE_RINGS
+    x = sympy.Symbol("x")
+    rng = random.Random(53)
+
+    def monic_factors(f, d):
+        """sympy's monic K[x]-factors of f, with multiplicity, each as its
+        (u, v) coefficient pairs from the top down."""
+        expr = sum((sympy.Rational(c.u) + sympy.Rational(c.v)
+                    * sympy.sqrt(d)) * x ** i for i, c in enumerate(f.coeffs))
+        _, fl = sympy.Poly(expr, x, extension=sympy.sqrt(d)).factor_list()
+        # a coefficient of QQ<sqrt(d)> lists its coordinates in sqrt(d)
+        # from the top down: [v, u], [u] or []
+        return [tuple(tuple(Fraction(int(q.numerator), int(q.denominator))
+                            for q in reversed(([0, 0] + a.to_list())[-2:]))
+                      for a in g.monic().rep.to_list())
+                for g, m in fl for _ in range(m)]
+
+    def rand_poly(d, n, hi):
+        return KPoly([E(Fraction(rng.randint(-hi, hi), rng.randint(1, 2)),
+                        rng.randint(-1, 1), d) for _ in range(n - 1)]
+                     + [E(1, 0, d)], ring(d))
+
+    cases = [("x^4+3*x^2+7", -14), ("(x^2+1)*(x^2+w)", -5),
+             ("(x^3+2)*(x^3+w)", -5), ("x^6+100*x^3+999", -5),
+             ("((6+w)/3)+((-1-w)/2)*x+((-5-6*w)/3)*x^2+x^3", -86),
+             ("((15+2*w)/3)+(3+2*w)*x+(-2+w)*x^2+(-4+w)*x^3", -89)]
+    cases = [(P(t, d), d) for t, d in cases]
+    for i in range(24):
+        d = CORE_RINGS[i % len(CORE_RINGS)]
+        if i % 2:
+            f = rand_poly(d, rng.randint(2, 4), 3) * rand_poly(d, 3, 3)
+        else:
+            f = rand_poly(d, rng.randint(4, 7), 4)
+        cases.append((f, d))
+    split = 0
+    for f, d in cases:
+        got = [tuple(c.coords() for c in reversed(g.coeffs))
+               for g in factor_k(f)[1]]
+        assert sorted(got) == sorted(monic_factors(f, d)), f
+        split += len(got) > 1
+    assert split > 12
 
 
 def test_quadratics_match_trager():

@@ -261,6 +261,17 @@ def test_cli_exit_codes(capsys):
     assert code == 3
 
 
+def test_cli_verification_failure_exits_5(capsys, monkeypatch):
+    # factors that do not multiply back end as exit 5 with one JSON
+    # error line on stderr, not as a traceback
+    from quadfactor import kpoly
+    monkeypatch.setattr(kpoly, "_quadratic_factors", lambda h: [
+        kpoly.KPoly.from_rationals([1, 1], h.cfg)] * 2)
+    code, out, err = invoke(capsys, "--d", "-5", "kfactor", "x^2+5")
+    assert code == 5 and out == ""
+    assert json.loads(err)["error"]["type"] == "verification"
+
+
 def test_cli_consecutive_calls_share_no_flags(capsys):
     # main() reuses one parser; no flag of one call may leak into the next
     code, out, _ = invoke(capsys, "--format", "tsv", "--d", "-5",
