@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, VerificationError
 from .factor import (Elasticity, FactorizationSet, factorizations,
                      _factor_multisets)
 from .kpoly import KElem, KPoly, factor_k, poly_order_key
 from .qint import (QuadInt, canonical_associate, common_nonunit_divisor,
                    is_irreducible)
-from .rpoly import lambda_candidates
+from .rpoly import RPoly, is_irreducible_rx
 
 D2_MAX_POWER = 6
 
@@ -99,7 +99,7 @@ def _one_plus_tail_factors(u: KPoly) -> list[KPoly]:
     for q in ks:
         c0 = q.coeff(0)
         if c0.is_zero():
-            raise AssertionError("tail factors cannot vanish at 0")
+            raise VerificationError("tail factors cannot vanish at 0")
         out.append(q.scale(c0.inv()))
     return out
 
@@ -158,7 +158,10 @@ def d2_is_irreducible(g: ExtElem) -> bool:
     nonunit of R divides both low coefficients, and the cofactor's low
     coefficients stay in R) or is a product of two linear polynomials,
     necessarily in R[x] since degree-1 elements of D2 have both
-    coefficients in R."""
+    coefficients in R.  With the constant splits excluded and an
+    integral leading coefficient, g lies in R[x] with no constant
+    split there either, so the R[x] test decides it (and applies its
+    coefficient guard)."""
     if g.level != "D2":
         raise DomainError("this test applies to D2 elements")
     p = g.poly
@@ -187,19 +190,7 @@ def d2_is_irreducible(g: ExtElem) -> bool:
         # a (1,1)-split would need both linear factors in R[x], whose
         # product has leading coefficient in R
         return True
-    unit_k, ks = factor_k(p)
-    if len(ks) != 2 or any(q.degree() != 1 for q in ks):
-        return True
-    seen = set()
-    for pick in (0, 1):
-        if ks[pick] in seen:
-            continue
-        seen.add(ks[pick])
-        g0k = ks[pick]
-        h0k = ks[1 - pick].scale(unit_k)
-        if lambda_candidates(g0k, h0k):
-            return False
-    return True
+    return is_irreducible_rx(RPoly.from_kpoly(p))[0]
 
 
 @dataclass(frozen=True)
@@ -224,7 +215,9 @@ def d2_witness_verify(pi: QuadInt, n: int) -> D2WitnessReport:
     giving the element factorization lengths 2 and 2n+1."""
     if not is_irreducible(pi):
         raise DomainError(f"{pi} is not irreducible in Z[w]")
-    if not 1 <= n <= D2_MAX_POWER:
+    if n < 1:
+        raise DomainError(f"power must be between 1 and {D2_MAX_POWER}")
+    if n > D2_MAX_POWER:
         raise ResourceLimitError(f"power must be between 1 and {D2_MAX_POWER}")
     cfg = pi.cfg
     pn = KElem.from_quadint(pi ** n)

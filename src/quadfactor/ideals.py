@@ -14,12 +14,11 @@ ideals are not invertible, and (R : I) must still come out right there.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, VerificationError
 from .kpoly import KElem
 from .qint import (QuadInt, RingCfg, assoc_key, canonical_associate,
                    common_nonunit_divisor)
@@ -109,13 +108,12 @@ class FracIdeal:
     cfg: RingCfg
 
     def __post_init__(self):
-        assert self.a > 0 and self.c > 0 and 0 <= self.b < self.a
-        assert self.denom > 0
-        assert math.gcd(math.gcd(self.a, self.b),
-                        math.gcd(self.c, self.denom)) == 1
-        # closure under the w-action (x, y) -> (d*y, x)
-        assert self._lattice_member(0, self.a)
-        assert self._lattice_member(self.cfg.d * self.c, self.b)
+        # reduced Hermite form, closed under the w-action (x, y) -> (d*y, x)
+        if not (0 <= self.b < self.a and self.c > 0 and self.denom > 0
+                and math.gcd(self.a, self.b, self.c, self.denom) == 1
+                and self._lattice_member(0, self.a)
+                and self._lattice_member(self.cfg.d * self.c, self.b)):
+            raise VerificationError(f"{self!r} is not a reduced ideal lattice")
 
     def _lattice_member(self, x: int, y: int) -> bool:
         if y % self.c:
@@ -207,7 +205,8 @@ def colon(I: FracIdeal) -> FracIdeal:
     rows = [[b, d * c, -a, 0],
             [c, b, 0, -a]]
     kern = _int_kernel(rows)
-    assert len(kern) == 2
+    if len(kern) != 2:
+        raise VerificationError(f"colon kernel has rank {len(kern)}, not 2")
     vecs = [(m * v[0], m * v[1]) for v in kern]
     return _make(vecs, a, I.cfg)
 
@@ -217,19 +216,34 @@ def v_closure(I: FracIdeal) -> FracIdeal:
     return colon(colon(I))
 
 
-def _points_of_normk(I: FracIdeal, target: int):
-    """Lattice numerator vectors (x, y) with x^2 + |d|y^2 = target."""
+def _reduced_basis(I: FracIdeal):
+    """Lagrange-reduced basis of the numerator lattice of I for the
+    norm form x^2 + |d|*y^2; the first vector is a shortest one."""
     dd = -I.cfg.d
-    jmax = math.isqrt(target // (dd * I.c * I.c))
+
+    def q(p):
+        return p[0] * p[0] + dd * p[1] * p[1]
+
+    u, v = sorted([(I.a, 0), (I.b, I.c)], key=q)
+    while True:
+        k = (2 * (u[0] * v[0] + dd * u[1] * v[1]) + q(u)) // (2 * q(u))
+        v = (v[0] - k * u[0], v[1] - k * u[1])
+        if q(v) >= q(u):
+            return u, v
+        u, v = v, u
+
+
+def _points_up_to(I: FracIdeal, bound: int):
+    """Numerator vectors (x, y) of I with x^2 + |d|*y^2 <= bound: one
+    row y = c*j per j, stepping x by a through the residue j*b mod a."""
+    dd = -I.cfg.d
+    jmax = math.isqrt(bound // (dd * I.c * I.c))
     for j in range(-jmax, jmax + 1):
         y = I.c * j
-        r = target - dd * y * y
-        x0 = math.isqrt(r)
-        if x0 * x0 != r:
-            continue
-        for x in {x0, -x0}:
-            if (x - j * I.b) % I.a == 0:
-                yield (x, y)
+        xmax = math.isqrt(bound - dd * y * y)
+        x0 = j * I.b - (j * I.b + xmax) // I.a * I.a
+        for x in range(x0, xmax + 1, I.a):
+            yield (x, y)
 
 
 def is_principal(I: FracIdeal) -> KElem | None:
@@ -240,8 +254,11 @@ def is_principal(I: FracIdeal) -> KElem | None:
     exact ideal equality, so a None answer is definitive.
     """
     target = I.a * I.c  # normk(g) * denom^2 must equal a*c
+    dd = -I.cfg.d
     best = None
-    for x, y in _points_of_normk(I, target):
+    for x, y in _points_up_to(I, target):
+        if x * x + dd * y * y != target:
+            continue
         g = KElem.of(Fraction(x, I.denom), Fraction(y, I.denom), I.cfg)
         if ideal_from_gens([g]) == I:
             g = canonical_associate(g)
@@ -276,23 +293,23 @@ def is_superprimitive(f) -> tuple[bool, KElem | None]:
     z with z*A_f <= R and z outside R.
 
     (R : A_f) always contains R; it equals R exactly when the reduced
-    denominator of the colon ideal is 1.  Otherwise some basis vector is
-    non-integral, so scanning the lattice by ascending norm meets a
-    non-integral point, and the witness is the smallest offender: among
-    the canonical associates of least normk, the one minimizing (|u|, v).
+    denominator of the colon ideal is 1.  Otherwise some vector of a
+    reduced basis is non-integral, and its norm bounds the least norm
+    of a non-integral point, so scanning the points up to that norm is
+    exhaustive.  The witness is the smallest offender: among the
+    canonical associates of least normk, the one minimizing (|u|, v).
     """
     C = colon(content_ideal(f))
     if C.denom == 1:
         return True, None
     m = C.denom
-    for t in itertools.count(1):
-        cands = []
-        for x, y in _points_of_normk(C, t):
-            z = KElem.of(Fraction(x, m), Fraction(y, m), C.cfg)
-            if not z.is_integral():
-                cands.append(canonical_associate(z))
-        if cands:
-            return False, min(cands, key=lambda z: (abs(z.u), z.v))
+    dd = -C.cfg.d
+    bound = min(x * x + dd * y * y for x, y in _reduced_basis(C)
+                if x % m or y % m)
+    cands = (canonical_associate(
+        KElem.of(Fraction(x, m), Fraction(y, m), C.cfg))
+        for x, y in _points_up_to(C, bound) if x % m or y % m)
+    return False, min(cands, key=lambda z: (z.normk(), abs(z.u), z.v))
 
 
 def gcd_v(elems: list[QuadInt]) -> QuadInt | None:

@@ -16,16 +16,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import DomainError, ResourceLimitError
 from .factor import Elasticity, FactorizationSet
 from .kpoly import (FACTOR_K_MAX_DEG, KElem, KPoly, Poly, factor_k,
                     poly_order_key, sqrt_in_field)
-from .qint import (QuadInt, RingCfg, _divisors, assoc_key,
-                   canonical_associate, common_divisors,
-                   common_nonunit_divisor, elements_of_norm, norm, order_key,
-                   try_div, units)
+from .qint import (QuadInt, RingCfg, assoc_key, canonical_associate,
+                   common_divisors, common_nonunit_divisor, elements_of_norm,
+                   norm, order_key, try_div, units)
 
 MAX_DEG = FACTOR_K_MAX_DEG
 MAX_COEFF_NORM = 10 ** 6
@@ -75,11 +73,7 @@ class RPoly(Poly):
 
 def canonical_poly(f: RPoly) -> RPoly:
     """Unit-rescale so the leading coefficient is canonical."""
-    target = canonical_associate(f.lc())
-    for u in units(f.cfg):
-        if f.lc() * u == target:
-            return f.scale(u)
-    raise AssertionError("unit orbit must contain the canonical associate")
+    return f.scale(try_div(canonical_associate(f.lc()), f.lc()))
 
 
 @dataclass(frozen=True)
@@ -100,46 +94,32 @@ def lambda_candidates(g0: KPoly, h0: KPoly) -> list[KElem]:
     """All lam in K*, up to associates, with lam*g0 and lam^-1*h0 both
     integral.
 
-    Completeness: write the leading coefficient of g0 as C/m in lowest
-    terms (C in R, m in Z minimal).  If lam*g0 is integral then lam*C/m
-    = s lies in R, so lam = m*s/C.  If additionally lam^-1*h0 is
-    integral then for any nonzero coefficient e of h0, e/lam is
-    integral, hence normk(lam) <= normk(e); taking E as the least such
-    norm gives normk(s) = normk(lam)*normk(C)/m^2 <= E*normk(C)/m^2.
-    Enumerating s over that finite ball and verifying both containments
-    is therefore exhaustive.  Each verified lam is recorded by its
-    canonical associate (unit rescalings give the same grouping).
+    Completeness: if lam is admissible then s = lam*lc(g0) lies in R,
+    and so does e/lam for every coefficient e of h0; hence lc(g0)*e =
+    s*(e/lam) lies in R and is divisible by s.  So there is no lam when
+    some lc(g0)*e is not in R, and otherwise s is a unit or a common
+    nonunit divisor of the lc(g0)*e.  Associate classes of lam biject
+    with those of s, so s = 1 and the canonical common divisors cover
+    every class; each lam = s/lc(g0) passing both containments is
+    recorded by its canonical associate (unit rescalings give the same
+    grouping).
     """
     if g0.is_zero() or h0.is_zero():
         raise DomainError("cannot regroup a zero factor")
     if not (g0 * h0).is_integral():
         raise DomainError("product of the groups must lie in R[x]")
-    cfg = g0.cfg
     c = g0.lc()
-    m = lcm(c.u.denominator, c.v.denominator)
-    big_c = KElem.of(c.u * m, c.v * m, cfg).to_quadint()
-    e_min = min(e.normk() for e in h0.coeffs if not e.is_zero())
-    bound = Fraction(norm(big_c)) * e_min / (m * m)
-    k_m = KElem.of(m, 0, cfg)
-    k_c = KElem.from_quadint(big_c)
-    out = []
-    seen = set()
-    n = 1
-    # associate classes of lam biject with those of s = lam*C/m, so
-    # canonical representatives s cover every class exactly once
-    while n <= bound:
-        for s in elements_of_norm(n, cfg):
-            lam = KElem.from_quadint(s) * k_m / k_c
-            if g0.scale(lam).is_integral() and \
-                    h0.scale(lam.inv()).is_integral():
-                best = canonical_associate(lam)
-                key = (best.u, best.v)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(best)
-        n += 1
-    out.sort(key=order_key)
-    return out
+    prods = [c * e for e in h0.coeffs if not e.is_zero()]
+    if not all(p.is_integral() for p in prods):
+        return []
+    found = set()
+    for s in itertools.chain((c.cfg.el(1),), common_divisors(
+            [p.to_quadint() for p in prods])):
+        lam = KElem.from_quadint(s) / c
+        if g0.scale(lam).is_integral() and \
+                h0.scale(lam.inv()).is_integral():
+            found.add(canonical_associate(lam))
+    return sorted(found, key=order_key)
 
 
 def _guard(f: RPoly) -> None:
@@ -297,8 +277,9 @@ def _quad_splits_in_rx(f: RPoly, s: KElem) -> bool:
     there a split into two linear factors of R[x]?
 
     Any such split is lam*(x-r1) times (c2/lam)*(x-r2) over the roots
-    r1, r2, so lam divides c2 and only the four integrality conditions
-    below matter.  Both root pairings are tried."""
+    r1, r2, so lam divides c2: up to a unit it is 1 or a nonunit
+    divisor of c2, and only the four integrality conditions below
+    matter.  Both root pairings are tried."""
     cfg = f.cfg
     c2 = f.coeff(2)
     c2k = KElem.from_quadint(c2)
@@ -306,17 +287,13 @@ def _quad_splits_in_rx(f: RPoly, s: KElem) -> bool:
     half = KElem.of(Fraction(1, 2), 0, cfg)
     r1 = (-c1k + s) * half / c2k
     r2 = (-c1k - s) * half / c2k
-    for m in _divisors(norm(c2)):
-        for lam_q in elements_of_norm(m, cfg):
-            cof = try_div(c2, lam_q)
-            if cof is None:
-                continue
-            lam = KElem.from_quadint(lam_q)
-            cofk = KElem.from_quadint(cof)
-            if (lam * r1).is_integral() and (cofk * r2).is_integral():
-                return True
-            if (lam * r2).is_integral() and (cofk * r1).is_integral():
-                return True
+    for lam_q in itertools.chain((cfg.el(1),), common_divisors([c2])):
+        lam = KElem.from_quadint(lam_q)
+        cofk = KElem.from_quadint(try_div(c2, lam_q))
+        if (lam * r1).is_integral() and (cofk * r2).is_integral():
+            return True
+        if (lam * r2).is_integral() and (cofk * r1).is_integral():
+            return True
     return False
 
 

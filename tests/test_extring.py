@@ -238,6 +238,78 @@ def test_d2_is_irreducible():
         d2_is_irreducible(D2("1", -5))
 
 
+def _d2_pick_oracle(p):
+    """The D2 test before it deferred to the R[x] test: after the
+    constant splits, factor in K[x] and look for a lam rescaling one
+    linear factor into R[x], with the norm-ball lam search."""
+    import lambda_oracle
+    from quadfactor.kpoly import factor_k
+    from quadfactor.qint import common_nonunit_divisor, is_irreducible
+    g0, g1 = p.coeff(0), p.coeff(1)
+    low = [z.to_quadint() for z in (g0, g1)]
+    nonzero = [z for z in low if not z.is_zero()]
+    if not nonzero:
+        return False
+    if common_nonunit_divisor(nonzero) is not None:
+        return is_irreducible(low[0]) if p.degree() == 0 else False
+    if p.degree() <= 1 or not p.coeff(2).is_integral():
+        return True
+    unit_k, ks = factor_k(p)
+    if len(ks) != 2 or any(q.degree() != 1 for q in ks):
+        return True
+    for pick in (0, 1):
+        if lambda_oracle.lambda_candidates(
+                ks[pick], ks[1 - pick].scale(unit_k)):
+            return False
+    return True
+
+
+def test_d2_is_irreducible_matches_pick_oracle():
+    from quadfactor.suite import CORE_RINGS
+    rng = random.Random(27)
+
+    def lin(cfg):
+        return KPoly([KElem.of(rng.randint(-3, 3), rng.randint(-1, 1), cfg),
+                      KElem.of(rng.randint(-2, 2), rng.randint(-1, 1), cfg)],
+                     cfg)
+
+    answers = []
+    for i in range(300):
+        cfg = ring(CORE_RINGS[i % len(CORE_RINGS)])
+        kind = i % 4
+        if kind == 0:
+            # products of two linear factors of R[x], some non-primitive
+            p = lin(cfg) * lin(cfg)
+        elif kind == 1:
+            p = KPoly([KElem.of(rng.randint(-6, 6), rng.randint(-2, 2), cfg)
+                       for _ in range(3)], cfg)
+        elif kind == 2:
+            # split in K[x] only: (x - r1)(x - r2) with fractional roots
+            r1, r2 = (KElem.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                               Fraction(rng.randint(-1, 1), rng.randint(1, 3)),
+                               cfg) for _ in range(2))
+            c = KElem.of(rng.randint(1, 6), rng.randint(-1, 1), cfg)
+            one = KElem.of(1, 0, cfg)
+            p = KPoly([-r1, one], cfg) * KPoly([-r2, one], cfg)
+            p = p.scale(c)
+            if not (p.coeff(0).is_integral() and p.coeff(1).is_integral()):
+                continue
+        else:
+            # fractional leading coefficient
+            p = lin(cfg) + KPoly([KElem.of(0, 0, cfg), KElem.of(0, 0, cfg),
+                                  KElem.of(Fraction(rng.randint(-3, 3), 2),
+                                           0, cfg)], cfg)
+        if p.is_zero() or (p.degree() == 0 and
+                           p.coeff(0).to_quadint().is_unit()):
+            continue
+        got = d2_is_irreducible(ExtElem(p, "D2"))
+        assert got == _d2_pick_oracle(p), p
+        answers.append((p.degree(), got))
+    assert len(answers) > 200
+    assert sum(1 for deg, ok in answers if deg == 2 and ok) > 60
+    assert sum(1 for deg, ok in answers if deg == 2 and not ok) > 60
+
+
 def test_d2_witness_verify():
     cfg = ring(-5)
     rep = d2_witness_verify(cfg.el(2), 1)
@@ -266,7 +338,7 @@ def test_d2_witness_guards():
     cfg = ring(-5)
     with pytest.raises(DomainError):
         d2_witness_verify(cfg.el(4), 1)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(DomainError):
         d2_witness_verify(cfg.el(2), 0)
     with pytest.raises(ResourceLimitError):
         d2_witness_verify(cfg.el(2), 7)

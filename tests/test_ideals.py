@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from quadfactor.errors import DomainError
+from quadfactor.errors import DomainError, VerificationError
 from quadfactor.ideals import (colon, content_ideal, gamma_check,
                                gauss_product_check, gcd_distributivity_check,
                                gcd_v, ideal_from_gens, ideal_from_quadints,
@@ -40,6 +41,16 @@ def test_hnf_shape():
     assert not I.contains(E(1, 0, -5))
     assert not I.contains(E(0, 1, -5))
     assert not I.contains(E(Fraction(1, 2), Fraction(1, 2), -5))
+
+
+def test_frac_ideal_invariants_raise():
+    # Z*(2,0) + Z*(0,1) is not closed under w at d = -5: the check is
+    # explicit, so it also runs under python -O
+    from quadfactor.ideals import FracIdeal
+    with pytest.raises(VerificationError):
+        FracIdeal(2, 0, 1, 1, ring(-5))
+    with pytest.raises(VerificationError):
+        FracIdeal(2, 0, 1, 0, ring(-5))
 
 
 def test_ideal_from_gens_rejects_zero():
@@ -168,11 +179,25 @@ def test_superprimitive_implies_primitive():
                 assert unit_ideal(cfg).contains(wit * g)
 
 
+def _points_of_normk(I, target):
+    """Lattice numerator vectors (x, y) with x^2 + |d|y^2 = target."""
+    dd = -I.cfg.d
+    jmax = math.isqrt(target // (dd * I.c * I.c))
+    for j in range(-jmax, jmax + 1):
+        y = I.c * j
+        r = target - dd * y * y
+        x0 = math.isqrt(r)
+        if x0 * x0 != r:
+            continue
+        for x in {x0, -x0}:
+            if (x - j * I.b) % I.a == 0:
+                yield (x, y)
+
+
 def _superprimitive_oracle(f):
     """The witness search before it stopped at the first norm: every
     non-integral point of (R : A_f) up to the least norm of a
     non-integral basis vector, minimized by (normk, |u|, v)."""
-    from quadfactor.ideals import _points_of_normk
     C = colon(content_ideal(f))
     if C.denom == 1:
         return True, None
@@ -212,6 +237,12 @@ def test_superprimitive_large_content(capsys):
     assert capsys.readouterr().out == (
         '{"poly": "(8+3*w)*x+8+3*w", "d": -51, "primitive": false, '
         '"superprimitive": false, "witness": "(8-3*w)/523"}\n')
+    # content of norm 124576: the witness lies at that norm, which the
+    # reduced basis bounds without scanning the norms below it
+    assert main(["--d", "-55", "psp-check", "(7+3*w)*(3+2*w)"]) == 0
+    assert capsys.readouterr().out == (
+        '{"poly": "-(309-23*w)", "d": -55, "primitive": false, '
+        '"superprimitive": false, "witness": "(309+23*w)/124576"}\n')
 
 
 def test_gcd_v():

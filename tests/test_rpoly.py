@@ -75,6 +75,52 @@ def test_lambda_candidates_exact():
         lambda_candidates(KPoly([], ring(-5)), h)
 
 
+def test_lambda_candidates_match_ball_walk():
+    # every grouping of seeded products, rescaled by a small constant
+    # so g0 may be non-monic or have a non-integral leading coefficient
+    import lambda_oracle
+    from quadfactor.rpoly import _grouped, _submultisets
+    from quadfactor.suite import CORE_RINGS
+    rng = random.Random(33)
+    scales = [(1, 0), (2, 0), (Fraction(1, 2), 0), (1, 1),
+              (Fraction(1, 3), Fraction(-1, 3)), (0, 1), (3, -1)]
+
+    def small(cfg, deg):
+        return RPoly([cfg.el(rng.randint(-3, 3), rng.randint(-1, 1))
+                      for _ in range(deg)] + [cfg.el(rng.randint(1, 3),
+                                                     rng.randint(-1, 1))],
+                     cfg)
+
+    # irreducible in R[x] but split in K[x]: groupings with no lam
+    witnesses = {-3: "x^2+x+1", -5: "2*x^2+2+w"}
+    cases = nonempty = fractional_lc = repeated = 0
+    for i in range(90):
+        d = CORE_RINGS[i % len(CORE_RINGS)]
+        cfg = ring(d)
+        a = small(cfg, 1)
+        if i % 3 == 0:
+            f = a * a
+        elif i % 3 == 1 and d in witnesses:
+            f = a * RP(witnesses[d], d)
+        else:
+            f = a * small(cfg, rng.randint(1, 2))
+        if rng.random() < 0.3:
+            f = f.scale(cfg.el(rng.randint(2, 3), rng.randint(0, 1)))
+        unit, ks = factor_k(f.to_kpoly())
+        repeated += len(set(ks)) < len(ks)
+        for subset in _submultisets(ks):
+            g0, h0 = _grouped(ks, unit, subset)
+            t = KElem.of(*rng.choice(scales), cfg)
+            g0, h0 = g0.scale(t), h0.scale(t.inv())
+            got = lambda_candidates(g0, h0)
+            assert got == lambda_oracle.lambda_candidates(g0, h0), (f, subset)
+            cases += 1
+            nonempty += bool(got)
+            fractional_lc += not g0.lc().is_integral()
+    assert cases > 100 and 30 < nonempty < cases - 10
+    assert fractional_lc > 20 and repeated > 20
+
+
 def test_is_irreducible_rx():
     cfg = ring(-14)
     ok, cert = is_irreducible_rx(RP("81*x", -14))

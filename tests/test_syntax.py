@@ -156,6 +156,15 @@ def test_cli_poly_factor(capsys):
     code, out, _ = invoke(capsys, "--d", "-5", "poly-factor", "998*x+999")
     assert code == 0
     assert json.loads(out)["factorizations"] == [["998*x+999"]]
+    # lam comes from the common divisors of lc(g0)*e, not a norm walk
+    # that grows with the coefficients
+    code, out, _ = invoke(capsys, "--d", "-5", "poly-factor",
+                          "(298*x+299)*(x+w)")
+    assert code == 0
+    assert out == (
+        '{"poly": "298*x^2+(299+298*w)*x+299*w", "d": -5, '
+        '"factorizations": [["x+w", "298*x+299"]], "length_set": [2], '
+        '"elasticity": {"num": 1, "den": 1}}\n')
 
 
 def test_cli_irr(capsys):
@@ -259,6 +268,10 @@ def test_cli_exit_codes(capsys):
     assert json.loads(err)["error"]["type"] == "usage"
     code, out, err = invoke(capsys, "--d", "-4", "ring-info")
     assert code == 3
+    code, out, err = invoke(capsys, "--d", "-5", "d2-demo", "2", "0")
+    assert code == 3 and json.loads(err)["error"]["type"] == "domain"
+    code, out, err = invoke(capsys, "--d", "-5", "d2-demo", "2", "7")
+    assert code == 4 and json.loads(err)["error"]["type"] == "resource"
 
 
 def test_cli_verification_failure_exits_5(capsys, monkeypatch):
