@@ -10,7 +10,7 @@ class ParseError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A degree or size guard was exceeded before the computation started."""
+    """A degree or size guard, or a work budget, was exceeded."""
 
 
 class VerificationError(RuntimeError):

@@ -15,19 +15,21 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, VerificationError
 from .factor import Elasticity, FactorizationSet
 from .kpoly import (FACTOR_K_MAX_DEG, KElem, KPoly, Poly, factor_k,
-                    poly_order_key, sqrt_in_field)
+                    poly_order_key)
 from .qint import (QuadInt, RingCfg, assoc_key, canonical_associate,
                    common_divisors, common_nonunit_divisor, elements_of_norm,
-                   norm, order_key, try_div, units)
+                   format_coords, norm, order_key, try_div, units)
 
 MAX_DEG = FACTOR_K_MAX_DEG
 MAX_COEFF_NORM = 10 ** 6
 WITNESS_MAX_DEG = 2
+# quadratics property_p_witness may try before it gives up; d = -1 at
+# norm bound 40, the largest exhaustive scan in budget, tries 532512
+WITNESS_MAX_CANDIDATES = 10 ** 6
 
 
 class RPoly(Poly):
@@ -258,43 +260,63 @@ def _elements_by_norm(cfg: RingCfg, max_norm: int, with_zero: bool):
     return out + ranked
 
 
-def _quad_disc_sqrt(f: RPoly) -> KElem | None:
-    """sqrt of the discriminant of a quadratic when it lies in K.
+def _twice_sqrt(a: int, b: int, d: int) -> tuple[int, int] | None:
+    """(u, v) with (u + v*w)^2 = 4*(a + b*w), or None when a + b*w is no
+    square in K.
 
-    norm of a square is a perfect square, so an integer isqrt test
-    rejects most non-squares before building any fractions."""
-    c2, c1, c0 = f.coeff(2), f.coeff(1), f.coeff(0)
-    disc = c1 * c1 - c2 * c0 * f.cfg.el(4)
-    dn = norm(disc)
-    r = math.isqrt(dn)
-    if r * r != dn:
+    A square root s of D = a + b*w in K is integral over Z, so it lies
+    in the ring of integers O_K, and 2*O_K lies in Z[w]: O_K is Z[w]
+    itself, or Z[(1+w)/2] when d = 1 mod 4.  So t = 2*s = u + v*w has
+    integer coordinates.  Its norm is 4*r with r = isqrt(norm(D)), and
+    t^2 = 4*D reads u^2 + d*v^2 = 4*a, u*v = 2*b; hence u^2 = 2*(r + a)
+    and -d*v^2 = 2*(r - a), three integer square-root tests, with the
+    sign of v fixed by u*v = 2*b once u >= 0 is chosen."""
+    n = a * a - d * b * b
+    r = math.isqrt(n)
+    if r * r != n:
         return None
-    return sqrt_in_field(KElem.from_quadint(disc))
+    u = math.isqrt(2 * (r + a))
+    if u * u != 2 * (r + a):
+        return None
+    q, rem = divmod(2 * (r - a), -d)
+    v = math.isqrt(q)
+    if rem or v * v != q:
+        return None
+    if b < 0:
+        v = -v
+    if u * u + d * v * v != 4 * a or u * v != 2 * b:
+        raise VerificationError(f"({format_coords(u, v)})^2 is not "
+                                f"4*({format_coords(a, b)})")
+    return u, v
 
 
-def _quad_splits_in_rx(f: RPoly, s: KElem) -> bool:
-    """For a primitive quadratic with discriminant square root s: is
-    there a split into two linear factors of R[x]?
+def _linear_leads(c2: QuadInt) -> list[tuple[QuadInt, QuadInt]]:
+    """(lam, 4*lam) for lam = 1 and each canonical nonunit divisor of
+    c2: up to a unit, the leading coefficients of the linear factors in
+    R[x] of a quadratic with leading coefficient c2."""
+    four = c2.cfg.el(4)
+    return [(lam, four * lam) for lam in
+            itertools.chain((c2.cfg.el(1),), common_divisors([c2]))]
 
-    Any such split is lam*(x-r1) times (c2/lam)*(x-r2) over the roots
-    r1, r2, so lam divides c2: up to a unit it is 1 or a nonunit
-    divisor of c2, and only the four integrality conditions below
-    matter.  Both root pairings are tried."""
-    cfg = f.cfg
-    c2 = f.coeff(2)
-    c2k = KElem.from_quadint(c2)
-    c1k = KElem.from_quadint(f.coeff(1))
-    half = KElem.of(Fraction(1, 2), 0, cfg)
-    r1 = (-c1k + s) * half / c2k
-    r2 = (-c1k - s) * half / c2k
-    for lam_q in itertools.chain((cfg.el(1),), common_divisors([c2])):
-        lam = KElem.from_quadint(lam_q)
-        cofk = KElem.from_quadint(try_div(c2, lam_q))
-        if (lam * r1).is_integral() and (cofk * r2).is_integral():
-            return True
-        if (lam * r2).is_integral() and (cofk * r1).is_integral():
-            return True
-    return False
+
+def _quad_splits_in_rx(c2: QuadInt, c1: QuadInt, t: QuadInt,
+                       lams: list) -> bool:
+    """For a primitive quadratic c2*x^2 + c1*x + c0 whose discriminant
+    is t^2/4: is there a split into two linear factors of R[x]?  lams is
+    _linear_leads(c2), computed once per leading coefficient.
+
+    The roots are r1, r2 = (-2*c1 +- t)/(4*c2).  Any split is
+    lam*(x-r1) times (c2/lam)*(x-r2) for one labelling of the roots, so
+    lam divides c2: up to a unit it is 1 or a nonunit divisor of c2.
+    lam*r1 lies in R iff 4*c2 divides lam*(-2*c1 + t), and (c2/lam)*r2
+    does iff 4*lam divides -2*c1 - t.  The other labelling needs no
+    test of its own: it is the case lam' = c2/lam, which is in lams up
+    to a unit."""
+    four_c2 = c2.cfg.el(4) * c2
+    top, other = t - c1 - c1, -(t + c1 + c1)
+    return any(try_div(lam * top, four_c2) is not None and
+               try_div(other, four_lam) is not None
+               for lam, four_lam in lams)
 
 
 def property_p_witness(cfg: RingCfg, max_norm: int = 20,
@@ -304,7 +326,13 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
     R[x] but splits in K[x]; None if the search space holds no witness.
 
     Degrees 0 and 1 cannot witness (constants have no K[x] splitting,
-    linear polynomials are K-irreducible), so max_deg = 1 finds none."""
+    linear polynomials are K-irreducible), so max_deg = 1 finds none.
+    A quadratic is screened in integers: its discriminant must be a
+    square in K (_twice_sqrt), its coefficients coprime, and no
+    rescaling of its roots may give linear factors of R[x]
+    (_quad_splits_in_rx);
+    is_irreducible_rx confirms a survivor.  Past WITNESS_MAX_CANDIDATES
+    candidates the search raises ResourceLimitError."""
     if max_norm < 1 or max_deg < 1:
         raise DomainError("bounds must be positive")
     if max_deg > WITNESS_MAX_DEG:
@@ -312,21 +340,39 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
             f"witness search supports degree <= {WITNESS_MAX_DEG}")
     if max_deg < 2:
         return None
+    d = cfg.d
     leads = sorted((z for n in range(1, max_norm + 1)
                     for z in elements_of_norm(n, cfg)),
                    key=lambda z: (norm(z), assoc_key(z)))
     inner = _elements_by_norm(cfg, max_norm, with_zero=True)
+    # the discriminant c1^2 - 4*lead*c0 in coordinates: c1^2 once per
+    # call, 4*lead*c0 and the split divisors once per lead
+    squares = [(c1, c1.a * c1.a + d * c1.b * c1.b, 2 * c1.a * c1.b)
+               for c1 in inner]
+    tried = 0
     for lead in leads:
-        for c1, c0 in itertools.product(inner, repeat=2):
-            f = RPoly([c0, c1, lead], cfg)
-            s = _quad_disc_sqrt(f)
-            if s is None:
-                continue
-            if common_nonunit_divisor(list(f.coeffs)) is not None:
-                continue
-            if _quad_splits_in_rx(f, s):
-                continue
-            # shortcut says witness; the full test has the final word
-            if is_irreducible_rx(f)[0]:
-                return f
+        la, lb = 4 * lead.a, 4 * lead.b
+        prods = [(c0, la * c0.a + d * lb * c0.b, la * c0.b + lb * c0.a)
+                 for c0 in inner]
+        lams = _linear_leads(lead)
+        for c1, sa, sb in squares:
+            room = WITNESS_MAX_CANDIDATES - tried
+            row = prods if room >= len(prods) else prods[:room]
+            tried += len(row)
+            for c0, pa, pb in row:
+                t = _twice_sqrt(sa - pa, sb - pb, d)
+                if t is None:
+                    continue
+                if common_nonunit_divisor([c0, c1, lead]) is not None:
+                    continue
+                if _quad_splits_in_rx(lead, c1, QuadInt(*t, cfg), lams):
+                    continue
+                # shortcut says witness; the full test has the final word
+                f = RPoly([c0, c1, lead], cfg)
+                if is_irreducible_rx(f)[0]:
+                    return f
+            if row is not prods:
+                raise ResourceLimitError(
+                    f"witness search exceeds its budget of "
+                    f"{WITNESS_MAX_CANDIDATES} candidates")
     return None

@@ -1,15 +1,20 @@
+import itertools
+import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadfactor.errors import DomainError, ResourceLimitError
 from quadfactor.ideals import is_primitive
-from quadfactor.kpoly import KElem, factor_k
+from quadfactor.kpoly import KElem, factor_k, sqrt_in_field
 from quadfactor.parse import parse_rpoly
-from quadfactor.qint import ring
-from quadfactor.rpoly import (RPoly, _quad_disc_sqrt, _quad_splits_in_rx,
-                              canonical_poly, elasticity_rx,
+from quadfactor.qint import _is_squarefree, elements_of_norm, ring
+from quadfactor.rpoly import (RPoly, _linear_leads, _quad_splits_in_rx,
+                              _twice_sqrt, canonical_poly, elasticity_rx,
                               factorizations_rx, is_irreducible_rx,
                               lambda_candidates, length_set_rx,
                               property_p_witness)
@@ -214,11 +219,108 @@ def test_quadratic_shortcut_matches_generic():
         from quadfactor.qint import common_nonunit_divisor
         if common_nonunit_divisor(list(f.coeffs)) is not None:
             continue
-        s = _quad_disc_sqrt(f)
-        splits = s is not None and _quad_splits_in_rx(f, s)
+        c0, c1, c2 = f.coeffs
+        t = _twice_sqrt(*(c1 * c1 - c2 * c0 * cfg.el(4)).coords(), d)
+        splits = t is not None and _quad_splits_in_rx(
+            c2, c1, cfg.el(*t), _linear_leads(c2))
         assert is_irreducible_rx(f)[0] == (not splits)
         checked += 1
     assert checked > 50
+
+
+def test_quadratic_test_matches_field_oracle():
+    # every quadratic with coefficients of norm <= 8: the integer test
+    # and the Fraction-based one agree on "square?", on the root up to
+    # sign, and on "splits in R[x]?"
+    import witness_oracle
+    from quadfactor.suite import CORE_RINGS
+    squares = splits = 0
+    for d in CORE_RINGS + (-13, -43):
+        cfg = ring(d)
+        elems = [cfg.el(a, b) for a in range(-2, 3) for b in range(-2, 3)
+                 if a * a - d * b * b <= 8]
+        for c2, c1, c0 in itertools.product(elems, repeat=3):
+            if c2.is_zero():
+                continue
+            s = witness_oracle.quad_disc_sqrt(c2, c1, c0)
+            t = _twice_sqrt(*(c1 * c1 - c2 * c0 * cfg.el(4)).coords(), d)
+            assert (t is None) == (s is None), (d, c2, c1, c0)
+            if t is None:
+                continue
+            assert KElem.of(*t, cfg) in (s + s, -(s + s)), (d, c2, c1, c0)
+            got = _quad_splits_in_rx(c2, c1, cfg.el(*t), _linear_leads(c2))
+            assert got == witness_oracle.quad_splits_in_rx(c2, c1, s), \
+                (d, c2, c1, c0)
+            squares += 1
+            splits += got
+    assert squares > 1000 and 100 < splits < squares - 100
+
+
+@st.composite
+def _discriminants(draw):
+    d = draw(st.sampled_from([d for d in range(-1, -101, -1)
+                              if _is_squarefree(-d)]))
+    big = st.integers(-10 ** 9, 10 ** 9)
+    if draw(st.booleans()):
+        return d, draw(big), draw(big)
+    # a square times a small factor, so that roots occur often
+    p, q = draw(st.integers(-3000, 3000)), draw(st.integers(-3000, 3000))
+    m = draw(st.sampled_from([1, -1, 2, 3, d, -d, 2 * d]))
+    return d, m * (p * p + d * q * q), m * 2 * p * q
+
+
+@settings(max_examples=400, deadline=None)
+@given(_discriminants())
+def test_twice_sqrt_matches_sqrt_in_field(case):
+    d, a, b = case
+    cfg = ring(d)
+    s = sqrt_in_field(KElem.of(a, b, cfg))
+    t = _twice_sqrt(a, b, d)
+    assert (t is None) == (s is None)
+    if t is not None:
+        assert KElem.of(*t, cfg) in (s + s, -(s + s))
+
+
+def test_witness_budget(monkeypatch):
+    from quadfactor import rpoly
+    cfg = ring(-1)
+    leads = sum(len(elements_of_norm(n, cfg)) for n in range(1, 11))
+    total = leads * len(rpoly._elements_by_norm(cfg, 10, True)) ** 2
+    monkeypatch.setattr(rpoly, "WITNESS_MAX_CANDIDATES", total)
+    assert property_p_witness(cfg, 10, 2) is None
+    monkeypatch.setattr(rpoly, "WITNESS_MAX_CANDIDATES", total - 1)
+    with pytest.raises(ResourceLimitError):
+        property_p_witness(cfg, 10, 2)
+    # a witness beyond the budget raises, one inside it is found
+    monkeypatch.setattr(rpoly, "WITNESS_MAX_CANDIDATES", 1)
+    with pytest.raises(ResourceLimitError):
+        property_p_witness(ring(-3), 20, 2)
+    monkeypatch.setattr(rpoly, "WITNESS_MAX_CANDIDATES", 10 ** 4)
+    assert property_p_witness(ring(-3), 20, 2) == RP("x^2+x+1", -3)
+
+
+def test_cli_witness_budget(capsys):
+    from quadfactor.cli import main
+    assert main(["--d", "-1", "--norm-bound", "40", "witness-p"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["witness"] is None and err == ""
+    assert main(["--d", "-1", "--norm-bound", "80", "witness-p"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"]["type"] == "resource"
+
+
+def test_cli_witness_p_pinned(capsys):
+    # stdout of witness-p at --norm-bound 20 for every squarefree d in
+    # [-100, -1], as the Fraction-based scan printed it
+    from quadfactor.cli import main
+    path = pathlib.Path(__file__).with_name("witness_p_norm20.jsonl")
+    expected = path.read_text().splitlines(keepends=True)
+    assert len(expected) == 61
+    for line in expected:
+        d = json.loads(line)["d"]
+        assert main(["--d", str(d), "--norm-bound", "20", "witness-p"]) == 0
+        assert capsys.readouterr().out == line
 
 
 def test_split_search_matches_oracle(monkeypatch):

@@ -1,0 +1,44 @@
+"""The field-arithmetic quadratic test, kept only as a test oracle.
+
+rpoly's witness scan as it was before it answered its two questions in
+Z[w]: the square root s of the discriminant comes from
+kpoly.sqrt_in_field, and the split test forms the roots in K as
+Fraction-based KElems and asks whether lam*r1 and (c2/lam)*r2 are
+integral."""
+
+import itertools
+import math
+from fractions import Fraction
+
+from quadfactor.kpoly import KElem, sqrt_in_field
+from quadfactor.qint import QuadInt, common_divisors, norm, try_div
+
+
+def quad_disc_sqrt(c2: QuadInt, c1: QuadInt, c0: QuadInt) -> KElem | None:
+    """sqrt of the discriminant c1^2 - 4*c2*c0 when it lies in K."""
+    disc = c1 * c1 - c2 * c0 * c2.cfg.el(4)
+    dn = norm(disc)
+    r = math.isqrt(dn)
+    if r * r != dn:
+        return None
+    return sqrt_in_field(KElem.from_quadint(disc))
+
+
+def quad_splits_in_rx(c2: QuadInt, c1: QuadInt, s: KElem) -> bool:
+    """For a quadratic with discriminant square root s: is there a
+    split into two linear factors lam*(x-r1) and (c2/lam)*(x-r2) of
+    R[x], lam running over 1 and the nonunit divisors of c2?"""
+    cfg = c2.cfg
+    c2k = KElem.from_quadint(c2)
+    c1k = KElem.from_quadint(c1)
+    half = KElem.of(Fraction(1, 2), 0, cfg)
+    r1 = (-c1k + s) * half / c2k
+    r2 = (-c1k - s) * half / c2k
+    for lam_q in itertools.chain((cfg.el(1),), common_divisors([c2])):
+        lam = KElem.from_quadint(lam_q)
+        cofk = KElem.from_quadint(try_div(c2, lam_q))
+        if (lam * r1).is_integral() and (cofk * r2).is_integral():
+            return True
+        if (lam * r2).is_integral() and (cofk * r1).is_integral():
+            return True
+    return False
