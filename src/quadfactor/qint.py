@@ -279,7 +279,6 @@ def _require_factorable(x: QuadInt) -> None:
         raise DomainError("units have no factorization data")
 
 
-@functools.lru_cache(maxsize=None)
 def _is_irreducible_canonical(x: QuadInt) -> bool:
     # a proper divisor has smaller norm and so comes first; the only
     # canonical divisor of x with the norm of x is x itself
@@ -320,15 +319,28 @@ def common_divisors(elems: list[QuadInt]):
 
     A common divisor's norm divides the gcd of the norms, so the scan is
     finite unless every element is zero; then every nonunit divides and
-    the scan runs over all norms."""
+    the scan runs over all norms.
+
+    Each candidate is tested with integers only, by the identity
+    `try_div` rests on: c = ca + cb*w divides x = a + b*w exactly when
+    x*conj(c) = (a*ca - d*b*cb) + (b*ca - a*cb)*w is 0 mod m = norm(c),
+    coordinate by coordinate.  Since m divides norm(x) here, either
+    congruence implies the other (norm(x*conj(c)) is 0 mod m^2 and d is
+    squarefree); the second is evaluated only on a hit and keeps the
+    test exact without that premise."""
     cfg = elems[0].cfg
-    nonzero = [e for e in elems if not e.is_zero()]
+    d = cfg.d
+    pairs = [(e.a, e.b) for e in elems if not e.is_zero()]
     g = 0
-    for e in nonzero:
-        g = math.gcd(g, e.norm())
+    for a, b in pairs:
+        g = math.gcd(g, a * a - d * b * b)
     for m in (_divisors(g)[1:] if g else itertools.count(2)):
         for c in elements_of_norm(m, cfg):
-            if all(try_div(e, c) is not None for e in nonzero):
+            ca, cb = c.a, c.b
+            for a, b in pairs:
+                if (a * ca - d * b * cb) % m or (b * ca - a * cb) % m:
+                    break
+            else:
                 yield c
 
 
@@ -345,8 +357,28 @@ def common_nonunit_divisor(elems: list[QuadInt]) -> QuadInt | None:
 
 
 def irreducible_common_divisors(elems: list[QuadInt]) -> list[QuadInt]:
-    """All canonical irreducibles dividing every element of the list."""
+    """All canonical irreducibles dividing every element of the list.
+
+    Irreducibility is decided inside the divisor scan: a divisor c is
+    kept exactly when no divisor kept before it divides c.  Every
+    divisor of c is a common divisor of smaller norm, so the scan yields
+    it first; a reducible c has an irreducible proper divisor, which was
+    kept; and two distinct canonical divisors of equal norm cannot
+    divide each other (their quotient would be a unit).  norm(y) | norm(c)
+    is tested first, as a cheap filter."""
     if all(e.is_zero() for e in elems):
         raise DomainError("all elements are zero")
-    return [c for c in common_divisors(elems)
-            if _is_irreducible_canonical(c)]
+    d = elems[0].cfg.d
+    kept = []
+    out = []
+    for c in common_divisors(elems):
+        ca, cb = c.a, c.b
+        m = ca * ca - d * cb * cb
+        for n, ya, yb in kept:
+            if (m % n == 0 and not (ca * ya - d * cb * yb) % n
+                    and not (cb * ya - ca * yb) % n):
+                break
+        else:
+            kept.append((m, ca, cb))
+            out.append(c)
+    return out

@@ -73,10 +73,16 @@ def naive_factorization_oracle(d: int, max_norm: int) -> dict:
             b += 1
     memo = {}
 
+    # rec(a, b) depends only on canon(a, b), so a result stored under
+    # the raw pair as well as the canonical one is exact for both keys,
+    # and a repeated raw pair skips canon altogether.
     def rec(a, b):
+        if (a, b) in memo:
+            return memo[(a, b)]
         ca, cb = canon(a, b)
         if (ca, cb) in memo:
-            return memo[(ca, cb)]
+            res = memo[(a, b)] = memo[(ca, cb)]
+            return res
         n = ca * ca + dd * cb * cb
         res = set()
         split = False
@@ -98,7 +104,7 @@ def naive_factorization_oracle(d: int, max_norm: int) -> dict:
             m += 1
         if not split:
             res = {((n, ca, cb),)}
-        memo[(ca, cb)] = res
+        memo[(ca, cb)] = memo[(a, b)] = res
         return res
 
     out = {}

@@ -114,3 +114,14 @@ def test_verify_random_factorizations():
         lens = {len(m) for m in fs.factorizations}
         assert fs.lengths() == sorted(lens)
         assert fs.elasticity() == Fraction(max(lens), min(lens))
+
+
+@pytest.mark.parametrize("d, classes_, total", [
+    (-1, 1572, 1572), (-2, 2218, 2218), (-3, 1814, 2150),
+    (-5, 1391, 1946), (-14, 834, 959)])
+def test_reference_oracle_pinned(d, classes_, total):
+    # the suite's factor-oracle compares against this dict; pinning its
+    # size keeps a change to the oracle from shrinking the comparison
+    from quadfactor.suite import naive_factorization_oracle
+    oracle = naive_factorization_oracle(d, 2000)
+    assert (len(oracle), sum(map(len, oracle.values()))) == (classes_, total)

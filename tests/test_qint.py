@@ -3,7 +3,7 @@ import random
 import pytest
 
 from quadfactor.errors import DomainError
-from quadfactor.qint import (QuadInt, canonical_associate,
+from quadfactor.qint import (QuadInt, canonical_associate, common_divisors,
                              common_nonunit_divisor, conj, elements_of_norm,
                              irreducible_common_divisors, is_irreducible,
                              is_prime, norm, ring, try_div, units)
@@ -187,6 +187,45 @@ def test_common_divisors():
         [cfg.el(2), cfg.el(1, 1), cfg.el(1, -1), cfg.el(3)]
     with pytest.raises(DomainError):
         common_nonunit_divisor([])
+
+
+def _assert_scans_match(elems):
+    import divisor_oracle
+    assert list(common_divisors(elems)) == \
+        list(divisor_oracle.common_divisors(elems)), elems
+    assert irreducible_common_divisors(elems) == \
+        divisor_oracle.irreducible_common_divisors(elems), elems
+
+
+def test_divisor_scan_matches_oracle_every_element():
+    # every class of norm <= 3000: same divisors, same irreducibles,
+    # in the same order, as the try_div scan with its separate filter
+    from quadfactor.suite import CORE_RINGS
+    checked = 0
+    for d in CORE_RINGS + (-13, -43, -47, -89):
+        cfg = ring(d)
+        for n in range(2, 3001):
+            for x in elements_of_norm(n, cfg):
+                _assert_scans_match([x])
+                checked += 1
+    assert checked == 14967
+
+
+def test_divisor_scan_matches_oracle_seeded_lists():
+    # lists of 1-4 multiples of one nonunit, zeros included
+    rng = random.Random(11)
+    ds = (-1, -2, -3, -5, -6, -14, -21, -26)
+    for i in range(3000):
+        cfg = ring(ds[i % len(ds)])
+        f = cfg.el(0)
+        while f.norm() < 2:
+            f = cfg.el(rng.randint(-12, 12), rng.randint(-6, 6))
+        elems = [cfg.el(0) if rng.random() < 0.15 else
+                 f * cfg.el(rng.randint(-8, 8), rng.randint(-4, 4))
+                 for _ in range(rng.randint(1, 4))]
+        if all(e.is_zero() for e in elems):
+            elems[0] = f
+        _assert_scans_match(elems)
 
 
 def test_str_parse_forms():
