@@ -3,8 +3,7 @@ their polynomial rings, and the pinched rings between R[x] and K[x]."""
 
 from .errors import (DomainError, ParseError, ResourceLimitError,
                      VerificationError)
-from .factor import (Elasticity, FactorizationSet, elasticity_elem,
-                     factorizations, length_set, ring_elasticity_lower_bound)
+from .factor import FactorizationSet, factorizations
 from .ideals import (FracIdeal, colon, content_ideal, gamma_check,
                      gauss_product_check, gcd_distributivity_check, gcd_v,
                      ideal_from_gens, ideal_from_quadints, is_primitive,
@@ -13,12 +12,10 @@ from .kpoly import KElem, KPoly, factor_k, factor_q, poly_gcd, sqrt_in_field
 from .qint import (QuadInt, RingCfg, canonical_associate, conj,
                    elements_of_norm, is_irreducible, is_prime, norm, ring,
                    try_div, units)
-from .rpoly import (GroupingCertificate, RPoly, elasticity_rx,
-                    factorizations_rx, is_irreducible_rx, lambda_candidates,
-                    length_set_rx, property_p_witness)
-from .extring import (D2WitnessReport, ExtElem, d1_classify, d1_elasticity,
-                      d1_factorizations, d1_length_set, d2_is_irreducible,
-                      d2_witness_verify)
+from .rpoly import (GroupingCertificate, RPoly, factorizations_rx,
+                    is_irreducible_rx, lambda_candidates, property_p_witness)
+from .extring import (D2WitnessReport, ExtElem, d1_classify,
+                      d1_factorizations, d2_is_irreducible, d2_witness_verify)
 
 __version__ = "0.1.0"
 
@@ -31,13 +28,10 @@ __all__ = [
     "v_closure", "is_principal", "content_ideal", "is_primitive",
     "is_superprimitive", "gcd_v", "gcd_distributivity_check",
     "gauss_product_check", "gamma_check",
-    "Elasticity", "FactorizationSet", "factorizations", "length_set",
-    "elasticity_elem", "ring_elasticity_lower_bound",
+    "FactorizationSet", "factorizations",
     "RPoly", "GroupingCertificate", "lambda_candidates",
-    "is_irreducible_rx", "factorizations_rx", "length_set_rx",
-    "elasticity_rx", "property_p_witness",
+    "is_irreducible_rx", "factorizations_rx", "property_p_witness",
     "ExtElem", "D2WitnessReport", "d1_classify", "d1_factorizations",
-    "d1_length_set", "d1_elasticity", "d2_is_irreducible",
-    "d2_witness_verify",
+    "d2_is_irreducible", "d2_witness_verify",
     "__version__",
 ]

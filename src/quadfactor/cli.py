@@ -59,6 +59,10 @@ def _need_ring(args):
     return ring(args.d)
 
 
+def _ratio(q) -> dict:
+    return {"num": q.numerator, "den": q.denominator}
+
+
 def _classes(fs, to_str) -> list[list[str]]:
     rendered = [[to_str(z) for z in m] for m in fs.factorizations]
     return sorted(rendered, key=lambda m: (len(m), m))
@@ -85,7 +89,7 @@ def _cmd_factor(args) -> int:
         "d": cfg.d,
         "factorizations": _classes(fs, str),
         "length_set": fs.lengths(),
-        "elasticity": fs.elasticity().as_json(),
+        "elasticity": _ratio(fs.elasticity()),
     }, args.format)
     return 0
 
@@ -96,7 +100,7 @@ def _cmd_elasticity(args) -> int:
     _emit({
         "element": str(x),
         "d": cfg.d,
-        "elasticity": factor.elasticity_elem(x).as_json(),
+        "elasticity": _ratio(factor.factorizations(x).elasticity()),
     }, args.format)
     return 0
 
@@ -110,7 +114,7 @@ def _cmd_poly_factor(args) -> int:
         "d": cfg.d,
         "factorizations": _classes(fs, str),
         "length_set": fs.lengths(),
-        "elasticity": fs.elasticity().as_json(),
+        "elasticity": _ratio(fs.elasticity()),
     }, args.format)
     return 0
 
@@ -121,7 +125,7 @@ def _cmd_poly_elasticity(args) -> int:
     _emit({
         "poly": str(f),
         "d": cfg.d,
-        "elasticity": rpoly.elasticity_rx(f).as_json(),
+        "elasticity": _ratio(rpoly.factorizations_rx(f).elasticity()),
     }, args.format)
     return 0
 
@@ -236,7 +240,7 @@ def _cmd_d1(args) -> int:
             fs = extring.d1_factorizations(g)
             payload["factorizations"] = _classes(fs, str)
             payload["length_set"] = fs.lengths()
-            payload["elasticity"] = fs.elasticity().as_json()
+            payload["elasticity"] = _ratio(fs.elasticity())
         except DomainError as e:
             payload["note"] = str(e)
     _emit(payload, args.format)
@@ -254,10 +258,7 @@ def _cmd_d2_demo(args) -> int:
         "identity_holds": rep.identity_holds,
         "factors_irreducible": rep.factors_irreducible,
         "lengths": list(rep.lengths),
-        "elasticity_lower_bound": {
-            "num": rep.elasticity_lower_bound.numerator,
-            "den": rep.elasticity_lower_bound.denominator,
-        },
+        "elasticity_lower_bound": _ratio(rep.elasticity_lower_bound),
         "observed_lengths": list(rep.observed_lengths),
     }, args.format)
     return 0

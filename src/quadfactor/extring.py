@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError, VerificationError
-from .factor import (Elasticity, FactorizationSet, factorizations,
-                     _factor_multisets)
+from .factor import FactorizationSet, factorizations, _factor_multisets
 from .kpoly import KElem, KPoly, factor_k, poly_order_key
 from .qint import (QuadInt, canonical_associate, common_nonunit_divisor,
                    is_irreducible)
@@ -141,14 +140,6 @@ def d1_factorizations(g: ExtElem) -> FactorizationSet:
     for cm in consts:
         out.add(tuple(sorted(cm + tuple(atoms), key=poly_order_key)))
     return FactorizationSet(element=g, factorizations=frozenset(out))
-
-
-def d1_length_set(g: ExtElem) -> set[int]:
-    return {len(m) for m in d1_factorizations(g).factorizations}
-
-
-def d1_elasticity(g: ExtElem) -> Elasticity:
-    return d1_factorizations(g).elasticity()
 
 
 def d2_is_irreducible(g: ExtElem) -> bool:

@@ -1,5 +1,6 @@
-"""Irreducible factorizations, length sets and elasticity for elements
-of Z[w].
+"""Irreducible factorizations of elements of Z[w], and the
+`FactorizationSet` that R[x] and D1 share: its length set and its
+elasticity, max length / min length as a `Fraction`.
 
 Norms strictly decrease along proper divisors, so the divisor tree is
 finite: every factorization of x starts with an irreducible divisor y,
@@ -15,54 +16,12 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ResourceLimitError
-from .qint import (QuadInt, RingCfg, _is_irreducible_canonical,
-                   _require_factorable, canonical_associate, elements_of_norm,
-                   irreducible_common_divisors, order_key, try_div)
+from .errors import ResourceLimitError
+from .qint import (QuadInt, _is_irreducible_canonical, _require_factorable,
+                   canonical_associate, irreducible_common_divisors,
+                   order_key, try_div)
 
 NORM_LIMIT = 10 ** 8
-
-
-@dataclass(frozen=True)
-class Elasticity:
-    """max length / min length, or one of the symbols."""
-
-    kind: str  # "finite" | "infinite" | "undefined"
-    value: Fraction | None
-
-    @staticmethod
-    def finite(q) -> "Elasticity":
-        return Elasticity("finite", Fraction(q))
-
-    @staticmethod
-    def infinite() -> "Elasticity":
-        return Elasticity("infinite", None)
-
-    @staticmethod
-    def undefined() -> "Elasticity":
-        return Elasticity("undefined", None)
-
-    @staticmethod
-    def from_lengths(lengths) -> "Elasticity":
-        ls = sorted(set(lengths))
-        if not ls:
-            return Elasticity.undefined()
-        return Elasticity.finite(Fraction(ls[-1], ls[0]))
-
-    def as_json(self):
-        if self.kind == "finite":
-            return {"num": self.value.numerator, "den": self.value.denominator}
-        return self.kind
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Elasticity):
-            return self.kind == other.kind and self.value == other.value
-        if self.kind == "finite":
-            return self.value == other
-        return NotImplemented
-
-    def __str__(self) -> str:
-        return str(self.value) if self.kind == "finite" else self.kind
 
 
 @dataclass(frozen=True)
@@ -78,8 +37,13 @@ class FactorizationSet:
     def lengths(self) -> list[int]:
         return sorted({len(m) for m in self.factorizations})
 
-    def elasticity(self) -> Elasticity:
-        return Elasticity.from_lengths(len(m) for m in self.factorizations)
+    def elasticity(self) -> Fraction:
+        """max length / min length.  The set is never empty: every
+        public constructor (factorizations, rpoly.factorizations_rx,
+        extring.d1_factorizations) takes a nonzero nonunit, and so
+        yields at least one factorization."""
+        lens = self.lengths()
+        return Fraction(lens[-1], lens[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -104,33 +68,6 @@ def factorizations(x: QuadInt) -> FactorizationSet:
     return FactorizationSet(
         element=x,
         factorizations=_factor_multisets(canonical_associate(x)))
-
-
-def length_set(x: QuadInt) -> set[int]:
-    return {len(m) for m in factorizations(x).factorizations}
-
-
-def elasticity_elem(x: QuadInt) -> Elasticity:
-    return factorizations(x).elasticity()
-
-
-def ring_elasticity_lower_bound(cfg: RingCfg, norm_bound: int) -> Elasticity:
-    """max of elasticity_elem over all elements with 2 <= norm <= bound.
-
-    This is reported as a lower bound for the elasticity of the ring:
-    the supremum over all elements need not be attained in any finite
-    norm range."""
-    if norm_bound < 2:
-        raise DomainError("norm bound must be at least 2")
-    best = None
-    for n in range(2, norm_bound + 1):
-        for x in elements_of_norm(n, cfg):
-            e = elasticity_elem(x).value
-            if best is None or e > best:
-                best = e
-    if best is None:
-        return Elasticity.undefined()
-    return Elasticity.finite(best)
 
 
 def verify_factorization_set(fs: FactorizationSet) -> bool:

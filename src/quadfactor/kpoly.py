@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError, VerificationError
-from .qint import QuadInt, RingCfg, format_coords, order_key
+from .qint import QuadInt, RingCfg, _twice_sqrt, format_coords, order_key
 from .zpoly import zassenhaus
 
 FACTOR_Q_MAX_DEG = 8
@@ -112,46 +112,20 @@ class KElem:
         return f"KElem({self.u}, {self.v}, d={self.cfg.d})"
 
 
-def _rat_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    a = math.isqrt(q.numerator)
-    b = math.isqrt(q.denominator)
-    if a * a == q.numerator and b * b == q.denominator:
-        return Fraction(a, b)
-    return None
-
-
 def sqrt_in_field(z: KElem) -> KElem | None:
     """A square root of z inside K = Q(sqrt(d)), or None.
 
-    For z = u + v*w with v != 0, (p + q*w)^2 = z forces q = v/(2p) and
-    p^2 = (u +- sqrt(normk(z)))/2, so z is a square iff normk(z) is a
-    rational square and one of those two rationals is a positive square.
-    """
-    cfg = z.cfg
+    With den the common denominator of z's coordinates, z*den^2 lies in
+    Z[w], and qint._twice_sqrt gives t = 2*den*sqrt(z) in integers, so
+    the root is t/(2*den): the one with positive rational part, or with
+    rational part 0 and nonnegative w-part."""
     if z.is_zero():
         return z
-    if z.v == 0:
-        r = _rat_sqrt(z.u)
-        if r is not None:
-            return KElem(r, Fraction(0), cfg)
-        r = _rat_sqrt(z.u / cfg.d)  # (t*w)^2 = t^2 * d
-        if r is not None:
-            return KElem(Fraction(0), r, cfg)
+    den = math.lcm(z.u.denominator, z.v.denominator)
+    t = _twice_sqrt(int(z.u * den * den), int(z.v * den * den), z.cfg.d)
+    if t is None:
         return None
-    s = _rat_sqrt(z.normk())
-    if s is None:
-        return None
-    for p2 in ((z.u + s) / 2, (z.u - s) / 2):
-        if p2 > 0:
-            p = _rat_sqrt(p2)
-            if p is not None:
-                root = KElem(p, z.v / (2 * p), cfg)
-                if root * root != z:
-                    raise VerificationError(f"{root} is no square root of {z}")
-                return root
-    return None
+    return KElem(Fraction(t[0], 2 * den), Fraction(t[1], 2 * den), z.cfg)
 
 
 class Poly:

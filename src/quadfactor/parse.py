@@ -6,10 +6,18 @@ only accepts a nonnegative integer exponent; / only accepts a nonzero
 constant divisor.  Everything evaluates exactly inside K[x], and the
 typed entry points then narrow the result (element, K-element, R[x]
 polynomial) with errors naming the offending coefficient.
+
+Work and output stay bounded: a literal has at most MAX_DIGITS digits;
+a product or power is refused before it is computed when its degree
+would pass MAX_EXPONENT or the bit lengths of its factors' largest
+integers sum past _MAX_BITS, the bit length of a MAX_DIGITS-digit
+number; and a sum or quotient is refused once its own largest integer
+passes _MAX_BITS.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import DomainError, ParseError
@@ -18,6 +26,8 @@ from .qint import QuadInt, RingCfg
 from .rpoly import RPoly
 
 MAX_EXPONENT = 64
+MAX_DIGITS = 4000
+_MAX_BITS = (10 ** MAX_DIGITS - 1).bit_length()
 
 _TOKEN = re.compile(r"(\d+)|([wx])|([-+*/^()])|(\S)")
 
@@ -29,12 +39,29 @@ def _tokenize(text: str):
             raise ParseError(
                 f"unexpected character {m.group(4)!r} at position {m.start()}")
         if m.group(1):
+            if len(m.group(1)) > MAX_DIGITS:
+                raise ParseError(f"integer literal exceeds {MAX_DIGITS} "
+                                 f"digits at position {m.start()}")
             out.append(("int", int(m.group(1)), m.start()))
         elif m.group(2):
             out.append(("name", m.group(2), m.start()))
         else:
             out.append(("op", m.group(3), m.start()))
     out.append(("end", None, len(text)))
+    return out
+
+
+def _bits(p: KPoly) -> int:
+    """Bit length of the largest integer in p's printed form: each
+    coefficient's common denominator and the numerators over it."""
+    out = 0
+    for c in p.coeffs:
+        a, du = c.u.as_integer_ratio()
+        b, dv = c.v.as_integer_ratio()
+        if du != dv:
+            den = math.lcm(du, dv)
+            a, b, du = a * (den // du), b * (den // dv), den
+        out = max(out, du.bit_length(), a.bit_length(), b.bit_length())
     return out
 
 
@@ -98,19 +125,23 @@ class _Parser:
             if lbp < min_bp:
                 return lhs
             self.advance()
-            if op == "^":
-                rhs = self.expr(rbp)
-                lhs = self._power(lhs, rhs, tok)
-                continue
             rhs = self.expr(rbp)
-            if op == "+":
-                lhs = lhs + rhs
-            elif op == "-":
-                lhs = lhs - rhs
+            if op == "^":
+                lhs = self._power(lhs, rhs, tok)
             elif op == "*":
+                self._bound(lhs.degree() + rhs.degree(),
+                            _bits(lhs) + _bits(rhs), tok)
                 lhs = lhs * rhs
             else:
-                lhs = self._divide(lhs, rhs, tok)
+                if op == "+":
+                    lhs = lhs + rhs
+                elif op == "-":
+                    lhs = lhs - rhs
+                else:
+                    lhs = self._divide(lhs, rhs, tok)
+                # a sum or quotient can grow its common denominators
+                # past the bound, so it is checked once computed
+                self._bound(lhs.degree(), _bits(lhs), tok)
 
     def _power(self, base: KPoly, exp: KPoly, tok) -> KPoly:
         e = exp.coeff(0)
@@ -120,10 +151,21 @@ class _Parser:
         k = int(e.u)
         if k > MAX_EXPONENT:
             raise self.fail(f"exponent exceeds {MAX_EXPONENT}", tok)
-        out = KPoly.const(KElem.of(1, 0, self.cfg))
-        for _ in range(k):
-            out = out * base
+        self._bound(k * base.degree(), k * _bits(base), tok)
+        if k == 0:
+            return KPoly.const(KElem.of(1, 0, self.cfg))
+        out = base
+        for bit in bin(k)[3:]:  # square and multiply
+            out = out * out
+            if bit == "1":
+                out = out * base
         return out
+
+    def _bound(self, degree: int, bits: int, tok) -> None:
+        if degree > MAX_EXPONENT:
+            raise self.fail(f"degree exceeds {MAX_EXPONENT}", tok)
+        if bits > _MAX_BITS:
+            raise self.fail(f"coefficients exceed {MAX_DIGITS} digits", tok)
 
     def _divide(self, num: KPoly, den: KPoly, tok) -> KPoly:
         if den.degree() > 0:

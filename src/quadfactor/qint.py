@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, VerificationError
 
 MAX_ABS_D = 100
 
@@ -181,6 +181,36 @@ def try_div(x: QuadInt, y: QuadInt) -> QuadInt | None:
     if t.a % n or t.b % n:
         return None
     return QuadInt(t.a // n, t.b // n, x.cfg)
+
+
+def _twice_sqrt(a: int, b: int, d: int) -> tuple[int, int] | None:
+    """(u, v) with (u + v*w)^2 = 4*(a + b*w), or None when a + b*w is no
+    square in K.
+
+    A square root s of D = a + b*w in K is integral over Z, so it lies
+    in the ring of integers O_K, and 2*O_K lies in Z[w]: O_K is Z[w]
+    itself, or Z[(1+w)/2] when d = 1 mod 4.  So t = 2*s = u + v*w has
+    integer coordinates.  Its norm is 4*r with r = isqrt(norm(D)), and
+    t^2 = 4*D reads u^2 + d*v^2 = 4*a, u*v = 2*b; hence u^2 = 2*(r + a)
+    and -d*v^2 = 2*(r - a), three integer square-root tests, with the
+    sign of v fixed by u*v = 2*b once u >= 0 is chosen."""
+    n = a * a - d * b * b
+    r = math.isqrt(n)
+    if r * r != n:
+        return None
+    u = math.isqrt(2 * (r + a))
+    if u * u != 2 * (r + a):
+        return None
+    q, rem = divmod(2 * (r - a), -d)
+    v = math.isqrt(q)
+    if rem or v * v != q:
+        return None
+    if b < 0:
+        v = -v
+    if u * u + d * v * v != 4 * a or u * v != 2 * b:
+        raise VerificationError(f"({format_coords(u, v)})^2 is not "
+                                f"4*({format_coords(a, b)})")
+    return u, v
 
 
 def _associate_coords(a, b, d: int) -> list:

@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ResourceLimitError, VerificationError
-from .factor import Elasticity, FactorizationSet
+from .errors import DomainError, ResourceLimitError
+from .factor import FactorizationSet
 from .kpoly import (FACTOR_K_MAX_DEG, KElem, KPoly, Poly, factor_k,
                     poly_order_key)
-from .qint import (QuadInt, RingCfg, assoc_key, canonical_associate,
-                   common_divisors, common_nonunit_divisor, elements_of_norm,
-                   format_coords, norm, order_key, try_div, units)
+from .qint import (QuadInt, RingCfg, _twice_sqrt, assoc_key,
+                   canonical_associate, common_divisors,
+                   common_nonunit_divisor, elements_of_norm, norm, order_key,
+                   try_div, units)
 
 MAX_DEG = FACTOR_K_MAX_DEG
 MAX_COEFF_NORM = 10 ** 6
@@ -241,14 +241,6 @@ def factorizations_rx(f: RPoly) -> FactorizationSet:
         element=f, factorizations=_poly_multisets(canonical_poly(f), ks))
 
 
-def length_set_rx(f: RPoly) -> set[int]:
-    return {len(m) for m in factorizations_rx(f).factorizations}
-
-
-def elasticity_rx(f: RPoly) -> Elasticity:
-    return factorizations_rx(f).elasticity()
-
-
 def _elements_by_norm(cfg: RingCfg, max_norm: int, with_zero: bool):
     out = [cfg.el(0)] if with_zero else []
     ranked = []
@@ -258,36 +250,6 @@ def _elements_by_norm(cfg: RingCfg, max_norm: int, with_zero: bool):
                 ranked.append(rep * u)
     ranked = sorted(set(ranked), key=lambda z: (norm(z), assoc_key(z)))
     return out + ranked
-
-
-def _twice_sqrt(a: int, b: int, d: int) -> tuple[int, int] | None:
-    """(u, v) with (u + v*w)^2 = 4*(a + b*w), or None when a + b*w is no
-    square in K.
-
-    A square root s of D = a + b*w in K is integral over Z, so it lies
-    in the ring of integers O_K, and 2*O_K lies in Z[w]: O_K is Z[w]
-    itself, or Z[(1+w)/2] when d = 1 mod 4.  So t = 2*s = u + v*w has
-    integer coordinates.  Its norm is 4*r with r = isqrt(norm(D)), and
-    t^2 = 4*D reads u^2 + d*v^2 = 4*a, u*v = 2*b; hence u^2 = 2*(r + a)
-    and -d*v^2 = 2*(r - a), three integer square-root tests, with the
-    sign of v fixed by u*v = 2*b once u >= 0 is chosen."""
-    n = a * a - d * b * b
-    r = math.isqrt(n)
-    if r * r != n:
-        return None
-    u = math.isqrt(2 * (r + a))
-    if u * u != 2 * (r + a):
-        return None
-    q, rem = divmod(2 * (r - a), -d)
-    v = math.isqrt(q)
-    if rem or v * v != q:
-        return None
-    if b < 0:
-        v = -v
-    if u * u + d * v * v != 4 * a or u * v != 2 * b:
-        raise VerificationError(f"({format_coords(u, v)})^2 is not "
-                                f"4*({format_coords(a, b)})")
-    return u, v
 
 
 def _linear_leads(c2: QuadInt) -> list[tuple[QuadInt, QuadInt]]:
@@ -341,9 +303,10 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
     if max_deg < 2:
         return None
     d = cfg.d
-    leads = sorted((z for n in range(1, max_norm + 1)
-                    for z in elements_of_norm(n, cfg)),
-                   key=lambda z: (norm(z), assoc_key(z)))
+    # already in (norm, assoc_key) order: norms ascend, and each
+    # elements_of_norm tuple is sorted by assoc_key
+    leads = [z for n in range(1, max_norm + 1)
+             for z in elements_of_norm(n, cfg)]
     inner = _elements_by_norm(cfg, max_norm, with_zero=True)
     # the discriminant c1^2 - 4*lead*c0 in coordinates: c1^2 once per
     # call, 4*lead*c0 and the split divisors once per lead

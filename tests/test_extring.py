@@ -5,8 +5,7 @@ import pytest
 
 from quadfactor.errors import DomainError, ResourceLimitError
 from quadfactor.extring import (D2WitnessReport, ExtElem, d1_classify,
-                                d1_elasticity, d1_factorizations,
-                                d1_length_set, d2_is_irreducible,
+                                d1_factorizations, d2_is_irreducible,
                                 d2_witness_verify)
 from quadfactor.kpoly import KElem, KPoly
 from quadfactor.parse import parse_kpoly
@@ -66,8 +65,8 @@ def test_d1_factorizations():
     assert strs(d1_factorizations(D1("2*x", -5))) == {("2", "x")}
     assert strs(d1_factorizations(D1("3*x+6", -5))) == {
         ("2", "3", "1/2*x+1"), ("1-w", "1+w", "1/2*x+1")}
-    assert d1_length_set(D1("3*x+6", -5)) == {3}
-    assert d1_elasticity(D1("3*x+6", -5)) == 1
+    assert d1_factorizations(D1("3*x+6", -5)).lengths() == [3]
+    assert d1_factorizations(D1("3*x+6", -5)).elasticity() == 1
     # normal form with v > 0 and a one-plus-tail part
     fs = d1_factorizations(D1("2*x^2+2*x", -5))
     assert strs(fs) == {("2", "x", "x+1")}
@@ -76,8 +75,8 @@ def test_d1_factorizations():
 def test_d1_factorizations_81_tail():
     g = D1("x^2+81", -14)
     fs = d1_factorizations(g)
-    assert d1_length_set(g) == {3, 5}
-    assert d1_elasticity(g) == Fraction(5, 3)
+    assert fs.lengths() == [3, 5]
+    assert fs.elasticity() == Fraction(5, 3)
     for m in fs.factorizations:
         prod = KPoly.const(KElem.of(1, 0, ring(-14)))
         for q in m:

@@ -4,9 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quadfactor.errors import DomainError, ResourceLimitError
-from quadfactor.factor import (Elasticity, elasticity_elem, factorizations,
-                               length_set, ring_elasticity_lower_bound,
-                               verify_factorization_set)
+from quadfactor.factor import factorizations, verify_factorization_set
 from quadfactor.qint import ring
 
 
@@ -18,8 +16,8 @@ def classes(x):
 def test_factor_six_two_ways():
     cfg = ring(-5)
     assert classes(cfg.el(6)) == {("2", "3"), ("1-w", "1+w")}
-    assert length_set(cfg.el(6)) == {2}
-    assert elasticity_elem(cfg.el(6)) == 1
+    assert factorizations(cfg.el(6)).lengths() == [2]
+    assert factorizations(cfg.el(6)).elasticity() == 1
 
 
 def test_factor_squares():
@@ -33,8 +31,8 @@ def test_factor_squares():
 def test_factor_81_two_lengths():
     cfg = ring(-14)
     assert classes(cfg.el(81)) == {("5-2*w", "5+2*w"), ("3", "3", "3", "3")}
-    assert length_set(cfg.el(81)) == {2, 4}
-    assert elasticity_elem(cfg.el(81)) == 2
+    assert factorizations(cfg.el(81)).lengths() == [2, 4]
+    assert factorizations(cfg.el(81)).elasticity() == 2
 
 
 def test_factor_18_unequal_lengths():
@@ -42,12 +40,12 @@ def test_factor_18_unequal_lengths():
     # that factorization lengths can differ
     cfg = ring(-14)
     assert classes(cfg.el(18)) == {("2", "3", "3"), ("2-w", "2+w")}
-    assert elasticity_elem(cfg.el(18)) == Fraction(3, 2)
+    assert factorizations(cfg.el(18)).elasticity() == Fraction(3, 2)
 
 
 def test_length_singleton():
     cfg = ring(-5)
-    assert length_set(cfg.el(36)) == {4}
+    assert factorizations(cfg.el(36)).lengths() == [4]
 
 
 def test_irreducible_element():
@@ -55,7 +53,7 @@ def test_irreducible_element():
     fs = factorizations(cfg.el(1, 1))
     assert fs.factorizations == frozenset({(cfg.el(1, 1),)})
     assert fs.lengths() == [1]
-    assert elasticity_elem(cfg.el(1, 1)) == 1
+    assert fs.elasticity() == 1
 
 
 def test_unit_input_rescaled():
@@ -65,25 +63,18 @@ def test_unit_input_rescaled():
     assert classes(cfg1.el(0, 2)) == {("1+w", "1+w")}
 
 
-def test_elasticity_symbols():
-    assert Elasticity.finite(Fraction(5, 3)).as_json() == {"num": 5, "den": 3}
-    assert Elasticity.infinite().as_json() == "infinite"
-    assert Elasticity.undefined().as_json() == "undefined"
-    assert Elasticity.from_lengths([2, 3, 5]) == Fraction(5, 2)
-    assert Elasticity.from_lengths([]) == Elasticity.undefined()
-    assert str(Elasticity.finite(Fraction(3, 2))) == "3/2"
-    assert str(Elasticity.infinite()) == "infinite"
-
-
 def test_ring_elasticity_lower_bound():
     # norm(18) = 324, so a bound of 400 sees the 3/2 witness; norm(81)
     # = 6561 brings the {2, 4} length set into range
+    from elasticity_oracle import ring_elasticity_lower_bound
     got = ring_elasticity_lower_bound(ring(-14), 400)
-    assert got.kind == "finite" and got.value >= Fraction(3, 2)
+    assert isinstance(got, Fraction) and got >= Fraction(3, 2)
     got = ring_elasticity_lower_bound(ring(-14), 6561)
-    assert got.value >= 2
+    assert got >= 2
     got1 = ring_elasticity_lower_bound(ring(-1), 100)
     assert got1 == 1
+    # Z[sqrt(-5)] has no element of norm 2
+    assert ring_elasticity_lower_bound(ring(-5), 2) is None
     with pytest.raises(DomainError):
         ring_elasticity_lower_bound(ring(-5), 1)
 

@@ -7,7 +7,8 @@ from quadfactor.errors import DomainError, ResourceLimitError
 from quadfactor.kpoly import (KElem, KPoly, factor_k, factor_q, poly_gcd,
                               sqrt_in_field)
 from quadfactor.parse import parse_kpoly
-from quadfactor.qint import canonical_associate, ring
+from quadfactor.qint import (MAX_ABS_D, _is_squarefree, canonical_associate,
+                             ring)
 
 
 def P(text, d):
@@ -73,6 +74,36 @@ def test_sqrt_in_field():
               rng.choice((-1, -2, -3, -5, -14)))
         r = sqrt_in_field(z * z)
         assert r is not None and r * r == z * z
+
+
+def test_sqrt_in_field_fractional_matches_oracle():
+    # fractional inputs over every allowed d, about half of them squares
+    # (of a general root, or of one with a zero coordinate), the rest
+    # arbitrary or rational; the Fraction-based oracle must give the
+    # same root, or None with it
+    from sqrt_oracle import sqrt_in_field as oracle
+    ds = [d for d in range(-1, -MAX_ABS_D - 1, -1) if _is_squarefree(-d)]
+    assert len(ds) == 61
+    rng = random.Random(21)
+
+    def q():
+        return Fraction(rng.randint(-40, 40), rng.randint(2, 12))
+
+    checked = squares = 0
+    for d in ds:
+        for i in range(80):
+            if i % 4 == 0:
+                r = E(q(), q(), d)
+            elif i % 4 == 1:
+                r = E(*rng.choice([(q(), 0), (0, q())]), d)
+            z = r * r if i % 4 < 2 else E(q(), q() if i % 4 == 2 else 0, d)
+            if z.u.denominator == z.v.denominator == 1:
+                continue
+            got = sqrt_in_field(z)
+            assert got == oracle(z), (d, z)
+            checked += 1
+            squares += got is not None
+    assert checked > 4000 and 0.4 < squares / checked < 0.6
 
 
 def test_poly_str():

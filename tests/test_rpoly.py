@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from quadfactor.errors import DomainError, ResourceLimitError
 from quadfactor.ideals import is_primitive
-from quadfactor.kpoly import KElem, factor_k, sqrt_in_field
+from quadfactor.kpoly import KElem, factor_k
 from quadfactor.parse import parse_rpoly
-from quadfactor.qint import _is_squarefree, elements_of_norm, ring
+from quadfactor.qint import (_is_squarefree, _twice_sqrt, elements_of_norm,
+                             ring)
 from quadfactor.rpoly import (RPoly, _linear_leads, _quad_splits_in_rx,
-                              _twice_sqrt, canonical_poly, elasticity_rx,
-                              factorizations_rx, is_irreducible_rx,
-                              lambda_candidates, length_set_rx,
+                              canonical_poly, factorizations_rx,
+                              is_irreducible_rx, lambda_candidates,
                               property_p_witness)
 
 
@@ -166,8 +166,8 @@ def test_factorizations_rx():
     fs = factorizations_rx(RP("x^2+5", -5))
     assert {tuple(str(g) for g in m) for m in fs.factorizations} == \
         {("x-w", "x+w")}
-    assert length_set_rx(RP("x^2+5", -5)) == {2}
-    assert elasticity_rx(RP("x^2+5", -5)) == 1
+    assert fs.lengths() == [2]
+    assert fs.elasticity() == 1
     fs = factorizations_rx(RP("x", -5))
     assert {tuple(str(g) for g in m) for m in fs.factorizations} == {("x",)}
     # constant polynomials reuse element factorizations
@@ -272,6 +272,7 @@ def _discriminants(draw):
 @settings(max_examples=400, deadline=None)
 @given(_discriminants())
 def test_twice_sqrt_matches_sqrt_in_field(case):
+    from sqrt_oracle import sqrt_in_field
     d, a, b = case
     cfg = ring(d)
     s = sqrt_in_field(KElem.of(a, b, cfg))

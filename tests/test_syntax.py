@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -272,6 +273,36 @@ def test_cli_exit_codes(capsys):
     assert code == 3 and json.loads(err)["error"]["type"] == "domain"
     code, out, err = invoke(capsys, "--d", "-5", "d2-demo", "2", "7")
     assert code == 4 and json.loads(err)["error"]["type"] == "resource"
+
+
+@pytest.mark.parametrize("cmd, text", [
+    ("factor", "9" * 5000),                  # literal past 4000 digits
+    ("kfactor", "((2^64)^64)^64"),           # power past 4000 digits
+    ("kfactor", "(((2^64)^64)^64)^64"),
+    ("kfactor", "((x+1)^32)^32"),            # power of degree 1024
+    ("kfactor", "(x^2)^33"),
+    ("kfactor", "x^64*x"),                   # product of degree 65
+    ("kfactor", "*".join(["9" * 3000] * 3)),  # long product of literals
+    ("kfactor", "1/(3^64)^64+w/(7^64)^40"),  # common denominator too long
+    ("kfactor", "/".join(["x"] + ["(9^64)^64"] * 50)),
+])
+def test_cli_oversized_input_exits_2(capsys, cmd, text):
+    # refused by the parser before the work is done: one JSON error
+    # line, no traceback, well under a second
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "--d", "-5", cmd, text)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["type"] == "parse"
+
+
+def test_largest_inputs_within_bounds(capsys):
+    # the bounds themselves are accepted: a 4000-digit literal, degree 64
+    code, out, _ = invoke(capsys, "--d", "-5", "kfactor", "9" * 4000)
+    assert code == 0 and json.loads(out)["unit"] == "9" * 4000
+    assert parse_kpoly("x^64", CFG).degree() == 64
+    assert parse_kpoly("(x^8)^8*1", CFG).degree() == 64
 
 
 def test_cli_verification_failure_exits_5(capsys, monkeypatch):

@@ -1,8 +1,8 @@
 """The field-arithmetic quadratic test, kept only as a test oracle.
 
 rpoly's witness scan as it was before it answered its two questions in
-Z[w]: the square root s of the discriminant comes from
-kpoly.sqrt_in_field, and the split test forms the roots in K as
+Z[w]: the square root s of the discriminant comes from the
+Fraction-based sqrt_oracle, and the split test forms the roots in K as
 Fraction-based KElems and asks whether lam*r1 and (c2/lam)*r2 are
 integral."""
 
@@ -10,7 +10,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from quadfactor.kpoly import KElem, sqrt_in_field
+from quadfactor.kpoly import KElem
+from sqrt_oracle import sqrt_in_field
 from quadfactor.qint import QuadInt, common_divisors, norm, try_div
 
 
