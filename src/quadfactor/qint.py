@@ -240,10 +240,27 @@ def assoc_key(x):
     return _coords_key(x.coords())
 
 
+def _canonical_coords(a, b, d: int):
+    """Coordinates of the unit multiple of a + b*w minimizing _coords_key,
+    in closed form.  For d != -1 the orbit is (a, b), (-a, -b): keep the
+    one with a > 0, or a = 0 and b >= 0.  For d = -1 exactly one rotation
+    by a unit lies in a > 0, b >= 0 (when the element is nonzero); the
+    only other multiple with a > 0 is (b, -a), when b > 0, and it wins
+    the |a| comparison exactly when b < a."""
+    if d == -1:
+        if a <= 0 < b:
+            a, b = b, -a
+        elif a < 0 and b <= 0:
+            a, b = -a, -b
+        elif b < 0 <= a:
+            a, b = -b, a
+        return (b, -a) if 0 < b < a else (a, b)
+    return (a, b) if a > 0 or (a == 0 and b >= 0) else (-a, -b)
+
+
 def canonical_associate(x):
     """The unit multiple of x (in Z[w] or in K) minimizing assoc_key."""
-    a, b = min(_associate_coords(*x.coords(), x.cfg.d), key=_coords_key)
-    return type(x)(a, b, x.cfg)
+    return type(x)(*_canonical_coords(*x.coords(), x.cfg.d), x.cfg)
 
 
 def order_key(x):
@@ -257,18 +274,17 @@ def order_key(x):
 def _elements_of_norm(n: int, cfg: RingCfg) -> tuple[QuadInt, ...]:
     if n == 0:
         return (cfg.el(0),)
+    d = cfg.d
     found = set()
-    dd = -cfg.d
-    bmax = math.isqrt(n // dd)
-    for b in range(bmax + 1):
-        r = n - dd * b * b
+    for b in range(math.isqrt(n // -d) + 1):
+        r = n + d * b * b
         a = math.isqrt(r)
-        if a * a != r:
-            continue
-        for sa in ((1, -1) if a else (1,)):
-            for sb in ((1, -1) if b else (1,)):
-                found.add(canonical_associate(cfg.el(sa * a, sb * b)))
-    return tuple(sorted(found, key=assoc_key))
+        if a * a == r:
+            # (-a, -b) and (-a, b) are associates of these two
+            found.add(_canonical_coords(a, b, d))
+            found.add(_canonical_coords(a, -b, d))
+    return tuple(QuadInt(a, b, cfg)
+                 for a, b in sorted(found, key=_coords_key))
 
 
 def elements_of_norm(n: int, cfg: RingCfg) -> tuple[QuadInt, ...]:
@@ -280,26 +296,26 @@ def elements_of_norm(n: int, cfg: RingCfg) -> tuple[QuadInt, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _divisors(n: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
+    """Sorted divisors of n >= 1, from its factorization by trial
+    division: each prime found is divided out, so the search stops at
+    the square root of what is left, not of n."""
+    out = [1]
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            power = out
+            while n % p == 0:
+                n //= p
+                power = [t * p for t in power]
+                out += power
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out += [t * n for t in out]
     return tuple(sorted(out))
 
 
 def _is_rational_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+    return n >= 2 and len(_divisors(n)) == 2
 
 
 def _require_factorable(x: QuadInt) -> None:
@@ -347,9 +363,20 @@ def is_prime(x: QuadInt) -> bool:
 def common_divisors(elems: list[QuadInt]):
     """Canonical nonunits dividing every element, by ascending norm.
 
-    A common divisor's norm divides the gcd of the norms, so the scan is
-    finite unless every element is zero; then every nonunit divides and
-    the scan runs over all norms.
+    A common divisor's norm divides the gcd g of the norms, so the scan
+    is finite unless every element is zero; then every nonunit divides
+    and the scan runs over all norms.
+
+    Each norm m | g is read from its small side.  Let x0 be a nonzero
+    element of least norm N0.  When m^2 <= N0 the candidates are the
+    classes of norm m.  Otherwise they come from the cofactors: c of
+    norm m divides x0 exactly when x0 = c*q with norm(q) = k = N0/m,
+    and then c = x0*conj(q)/k; replacing q by u*q for a unit u replaces
+    c by an associate.  So each class of divisors of x0 of norm m comes
+    from exactly one class q of norm k with x0*conj(q) = 0 mod k, and
+    the canonical c, sorted by assoc_key, are the classes of norm m the
+    first branch would have tested, less those that do not divide x0.
+    Either way elements_of_norm is asked only for norms <= sqrt(N0).
 
     Each candidate is tested with integers only, by the identity
     `try_div` rests on: c = ca + cb*w divides x = a + b*w exactly when
@@ -361,11 +388,28 @@ def common_divisors(elems: list[QuadInt]):
     cfg = elems[0].cfg
     d = cfg.d
     pairs = [(e.a, e.b) for e in elems if not e.is_zero()]
-    g = 0
+    if not pairs:
+        for m in itertools.count(2):
+            yield from elements_of_norm(m, cfg)
+    g = n0 = 0
     for a, b in pairs:
-        g = math.gcd(g, a * a - d * b * b)
-    for m in (_divisors(g)[1:] if g else itertools.count(2)):
-        for c in elements_of_norm(m, cfg):
+        n = a * a - d * b * b
+        g = math.gcd(g, n)
+        if not n0 or n < n0:
+            n0, xa, xb = n, a, b
+    for m in _divisors(g)[1:]:
+        if m * m <= n0:
+            cands = elements_of_norm(m, cfg)
+        else:
+            k = n0 // m
+            found = []
+            for q in elements_of_norm(k, cfg):
+                ta, tb = xa * q.a - d * xb * q.b, xb * q.a - xa * q.b
+                if not ta % k and not tb % k:
+                    found.append(_canonical_coords(ta // k, tb // k, d))
+            found.sort(key=_coords_key)
+            cands = [QuadInt(ca, cb, cfg) for ca, cb in found]
+        for c in cands:
             ca, cb = c.a, c.b
             for a, b in pairs:
                 if (a * ca - d * b * cb) % m or (b * ca - a * cb) % m:

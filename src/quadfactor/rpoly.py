@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError
 from .factor import FactorizationSet
 from .kpoly import (FACTOR_K_MAX_DEG, KElem, KPoly, Poly, factor_k,
                     poly_order_key)
-from .qint import (QuadInt, RingCfg, _twice_sqrt, assoc_key,
+from .qint import (QuadInt, RingCfg, _twice_sqrt,
                    canonical_associate, common_divisors,
                    common_nonunit_divisor, elements_of_norm, norm, order_key,
-                   try_div, units)
+                   try_div)
 
 MAX_DEG = FACTOR_K_MAX_DEG
 MAX_COEFF_NORM = 10 ** 6
@@ -241,15 +242,32 @@ def factorizations_rx(f: RPoly) -> FactorizationSet:
         element=f, factorizations=_poly_multisets(canonical_poly(f), ks))
 
 
-def _elements_by_norm(cfg: RingCfg, max_norm: int, with_zero: bool):
-    out = [cfg.el(0)] if with_zero else []
-    ranked = []
-    for n in range(1, max_norm + 1):
-        for rep in elements_of_norm(n, cfg):
-            for u in units(cfg):
-                ranked.append(rep * u)
-    ranked = sorted(set(ranked), key=lambda z: (norm(z), assoc_key(z)))
-    return out + ranked
+def _witness_coeffs(cfg: RingCfg, max_norm: int, limit: int) -> list:
+    """Coordinates of 0 and the nonzero elements of norm <= max_norm in
+    (norm, assoc_key) order, only the first `limit` of them.  One walk
+    covers norm <= m, m <= max_norm the least bound that holds `limit`
+    points; it visits them in assoc_key order, which the stable sort by
+    norm keeps among equal norms."""
+    dd = -cfg.d
+
+    def signed(k):
+        # 1..k, 0, -1..-k: the assoc_key order of one coordinate
+        return [*range(1, k + 1), 0, *range(-1, -k - 1, -1)]
+
+    # norm <= 2*dd*limit holds the points with |a| <= sqrt(dd*limit) and
+    # |b| <= sqrt(limit), at least `limit` of them
+    lo, hi = 0, min(max_norm, 2 * dd * limit)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sum(2 * math.isqrt((mid - a * a) // dd) + 1
+               for a in signed(math.isqrt(mid))) >= limit:
+            hi = mid
+        else:
+            lo = mid + 1
+    points = [(a, b) for a in signed(math.isqrt(lo))
+              for b in signed(math.isqrt((lo - a * a) // dd))]
+    points.sort(key=lambda p: p[0] * p[0] + dd * p[1] * p[1])
+    return points[:limit]
 
 
 def _linear_leads(c2: QuadInt) -> list[tuple[QuadInt, QuadInt]]:
@@ -303,29 +321,32 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
     if max_deg < 2:
         return None
     d = cfg.d
-    # already in (norm, assoc_key) order: norms ascend, and each
-    # elements_of_norm tuple is sorted by assoc_key
-    leads = [z for n in range(1, max_norm + 1)
-             for z in elements_of_norm(n, cfg)]
-    inner = _elements_by_norm(cfg, max_norm, with_zero=True)
-    # the discriminant c1^2 - 4*lead*c0 in coordinates: c1^2 once per
-    # call, 4*lead*c0 and the split divisors once per lead
-    squares = [(c1, c1.a * c1.a + d * c1.b * c1.b, 2 * c1.a * c1.b)
-               for c1 in inner]
+    # leads in (norm, assoc_key) order: norms ascend, and each
+    # elements_of_norm tuple is sorted by assoc_key; they are drawn only
+    # as far as the budget lets the search go
+    leads = (z for n in range(1, max_norm + 1)
+             for z in elements_of_norm(n, cfg))
+    # past WITNESS_MAX_CANDIDATES coefficients only the first row (lead 1,
+    # c1 = 0) is tried before the budget runs out, and it reads no more
+    inner = _witness_coeffs(cfg, max_norm, WITNESS_MAX_CANDIDATES + 1)
+    # the discriminant c1^2 - 4*lead*c0 in coordinates: 4*lead*c0 and
+    # the split divisors once per lead, c1^2 once per row
     tried = 0
     for lead in leads:
         la, lb = 4 * lead.a, 4 * lead.b
-        prods = [(c0, la * c0.a + d * lb * c0.b, la * c0.b + lb * c0.a)
-                 for c0 in inner]
+        prods = [(a, b, la * a + d * lb * b, la * b + lb * a)
+                 for a, b in inner]
         lams = _linear_leads(lead)
-        for c1, sa, sb in squares:
+        for c1a, c1b in inner:
+            sa, sb = c1a * c1a + d * c1b * c1b, 2 * c1a * c1b
             room = WITNESS_MAX_CANDIDATES - tried
             row = prods if room >= len(prods) else prods[:room]
             tried += len(row)
-            for c0, pa, pb in row:
+            for a, b, pa, pb in row:
                 t = _twice_sqrt(sa - pa, sb - pb, d)
                 if t is None:
                     continue
+                c0, c1 = QuadInt(a, b, cfg), QuadInt(c1a, c1b, cfg)
                 if common_nonunit_divisor([c0, c1, lead]) is not None:
                     continue
                 if _quad_splits_in_rx(lead, c1, QuadInt(*t, cfg), lams):

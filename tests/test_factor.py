@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -116,3 +118,17 @@ def test_reference_oracle_pinned(d, classes_, total):
     from quadfactor.suite import naive_factorization_oracle
     oracle = naive_factorization_oracle(d, 2000)
     assert (len(oracle), sum(map(len, oracle.values()))) == (classes_, total)
+
+
+def test_cli_factor_large_norms_pinned(capsys):
+    # stdout of factor/elasticity on 61 seeded elements, one per ring,
+    # norms log-uniform in [10^3, 10^8] and many of them products of two
+    # or three factors, as the scan that read every divisor's norm
+    # directly printed it
+    from quadfactor.cli import main
+    path = pathlib.Path(__file__).with_name("factor_norm1e8.jsonl")
+    cases = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(cases) == 61
+    for case in cases:
+        assert main(case["argv"]) == 0
+        assert capsys.readouterr().out == case["stdout"], case["argv"]

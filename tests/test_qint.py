@@ -1,9 +1,14 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from quadfactor.errors import DomainError
-from quadfactor.qint import (QuadInt, canonical_associate, common_divisors,
+from quadfactor.kpoly import KElem
+from quadfactor.qint import (QuadInt, _associate_coords, _coords_key,
+                             _divisors, _is_rational_prime,
+                             canonical_associate, common_divisors,
                              common_nonunit_divisor, conj, elements_of_norm,
                              irreducible_common_divisors, is_irreducible,
                              is_prime, norm, ring, try_div, units)
@@ -235,3 +240,112 @@ def test_str_parse_forms():
     assert str(cfg.el(0, 0)) == "0"
     assert str(cfg.el(0, 2)) == "2*w"
     assert str(cfg.el(-1, 1)) == "-1+w"
+
+
+def test_divisors_match_trial_division():
+    # every n <= 10^5 against a sieve, then 300 seeded n log-uniform up
+    # to 10^12 against trial division up to sqrt(n); the cache is
+    # bypassed so the test leaves no 10^5 entries behind
+    divisors = _divisors.__wrapped__
+    top = 10 ** 5
+    sieve = [[] for _ in range(top + 1)]
+    for i in range(1, top + 1):
+        for j in range(i, top + 1, i):
+            sieve[j].append(i)
+    for n in range(1, top + 1):
+        assert divisors(n) == tuple(sieve[n]), n
+    rng = random.Random(12)
+    for _ in range(300):
+        n = int(math.exp(rng.uniform(0, math.log(10 ** 12))))
+        small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
+        assert divisors(n) == tuple(sorted({*small, *(n // i for i in small)}))
+    assert not _is_rational_prime(1) and _is_rational_prime(2)
+    assert [n for n in range(60) if _is_rational_prime(n)] == \
+        [n for n in range(2, 60) if len(sieve[n]) == 2]
+
+
+def _orbit_min(a, b, d):
+    # the canonical coordinates by definition: the least unit multiple
+    return min(_associate_coords(a, b, d), key=_coords_key)
+
+
+def test_canonical_closed_form_matches_orbit_min():
+    # zero, both axes and |a| = |b| (at d = -1) lie in the grid
+    for d in (-1, -2, -5):
+        cfg = ring(d)
+        for a in range(-15, 16):
+            for b in range(-15, 16):
+                z = canonical_associate(cfg.el(a, b))
+                assert (z.a, z.b) == _orbit_min(a, b, d), (a, b, d)
+                for den in (1, 2, 3):
+                    k = canonical_associate(
+                        KElem.of(Fraction(a, den), Fraction(b, den), cfg))
+                    assert isinstance(k, KElem)
+                    assert k.coords() == _orbit_min(
+                        Fraction(a, den), Fraction(b, den), d), (a, b, den)
+
+
+def test_elements_of_norm_matches_lattice_walk():
+    top = 2000
+    for d in (-1, -3, -5, -89):
+        classes = {}
+        for b in range(-math.isqrt(top // -d), math.isqrt(top // -d) + 1):
+            for a in range(-math.isqrt(top), math.isqrt(top) + 1):
+                n = a * a - d * b * b
+                if n <= top:
+                    classes.setdefault(n, set()).add(_orbit_min(a, b, d))
+        cfg = ring(d)
+        for n in range(top + 1):
+            want = sorted(classes.get(n, ()), key=_coords_key)
+            assert [(z.a, z.b) for z in elements_of_norm(n, cfg)] == want
+
+
+def _seeded_large_elements(rng, count):
+    ds = (-1, -2, -3, -5, -6, -14, -21, -26, -89)
+    out = []
+    while len(out) < count:
+        cfg = ring(rng.choice(ds))
+        target = int(math.exp(rng.uniform(math.log(2), math.log(10 ** 8))))
+        b = rng.randint(0, math.isqrt(target // -cfg.d))
+        x = cfg.el(math.isqrt(target + cfg.d * b * b) * rng.choice((1, -1)),
+                   b * rng.choice((1, -1)))
+        if 1 < x.norm() <= 10 ** 8:
+            out.append(x)
+    return out
+
+
+def test_divisor_scan_matches_oracle_large_norms():
+    # single elements with norms up to 10^8, where most divisors are
+    # reached as cofactors, then lists whose least-norm element is not
+    # first (a multiple of it and its conjugate come before it)
+    rng = random.Random(13)
+    xs = _seeded_large_elements(rng, 60)
+    for x in xs:
+        _assert_scans_match([x])
+    for x in xs[:30]:
+        y = x.cfg.el(rng.randint(1, 9), rng.randint(-3, 3))
+        _assert_scans_match([x * y, x * conj(y), x])
+        _assert_scans_match([x * x, x.cfg.el(0), x * y])
+
+
+def test_divisor_scan_reads_only_small_norms(monkeypatch):
+    # the scan asks elements_of_norm only for n <= isqrt(norm(x)): a
+    # divisor of larger norm is reached through its cofactor
+    import quadfactor.qint as qint
+    asked = []
+
+    def recorder(n, cfg):
+        asked.append(n)
+        return elements_of_norm(n, cfg)
+
+    monkeypatch.setattr(qint, "elements_of_norm", recorder)
+    rng = random.Random(14)
+    for x in _seeded_large_elements(rng, 60):
+        asked.clear()
+        assert irreducible_common_divisors([x])
+        assert asked and max(asked) <= math.isqrt(x.norm()), x
+        # in a list, the bound is set by the element of least norm
+        asked.clear()
+        y = x.cfg.el(rng.randint(2, 9), rng.randint(-3, 3))
+        assert irreducible_common_divisors([x * y, x])
+        assert asked and max(asked) <= math.isqrt(x.norm()), x

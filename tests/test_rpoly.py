@@ -12,9 +12,10 @@ from quadfactor.errors import DomainError, ResourceLimitError
 from quadfactor.ideals import is_primitive
 from quadfactor.kpoly import KElem, factor_k
 from quadfactor.parse import parse_rpoly
-from quadfactor.qint import (_is_squarefree, _twice_sqrt, elements_of_norm,
-                             ring)
+from quadfactor.qint import (_coords_key, _is_squarefree, _twice_sqrt,
+                             elements_of_norm, ring)
 from quadfactor.rpoly import (RPoly, _linear_leads, _quad_splits_in_rx,
+                              _witness_coeffs,
                               canonical_poly, factorizations_rx,
                               is_irreducible_rx, lambda_candidates,
                               property_p_witness)
@@ -286,7 +287,9 @@ def test_witness_budget(monkeypatch):
     from quadfactor import rpoly
     cfg = ring(-1)
     leads = sum(len(elements_of_norm(n, cfg)) for n in range(1, 11))
-    total = leads * len(rpoly._elements_by_norm(cfg, 10, True)) ** 2
+    coeffs = sum(a * a + b * b <= 10
+                 for a in range(-3, 4) for b in range(-3, 4))
+    total = leads * coeffs ** 2
     monkeypatch.setattr(rpoly, "WITNESS_MAX_CANDIDATES", total)
     assert property_p_witness(cfg, 10, 2) is None
     monkeypatch.setattr(rpoly, "WITNESS_MAX_CANDIDATES", total - 1)
@@ -309,6 +312,36 @@ def test_cli_witness_budget(capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert json.loads(err)["error"]["type"] == "resource"
+
+
+def test_witness_coeffs_order_and_cap():
+    # 0 and the nonzero elements by (norm, assoc_key), cut at the limit
+    # without walking the lattice up to the norm bound
+    for d in (-1, -5, -97):
+        points = sorted(((a, b) for a in range(-30, 31)
+                         for b in range(-30, 31)
+                         if a * a - d * b * b <= 900),
+                        key=lambda p: (p[0] * p[0] - d * p[1] * p[1],
+                                       _coords_key(p)))
+        assert _witness_coeffs(ring(d), 900, 10 ** 6) == points
+        for limit in (1, 2, 37, 200):
+            assert _witness_coeffs(ring(d), 10 ** 30, limit) == \
+                points[:limit]
+
+
+def test_cli_witness_large_bounds(capsys):
+    # the budget, not the norm bound, sets the work: both exit 4, and a
+    # witness found early is found as before
+    from quadfactor.cli import main
+    for d, bound in ((-5, 10 ** 8), (-97, 3 * 10 ** 6)):
+        assert main(["--d", str(d), "--norm-bound", str(bound),
+                     "witness-p"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"]["type"] == "resource"
+    assert main(["--d", "-3", "--norm-bound", "10000", "witness-p"]) == 0
+    assert capsys.readouterr().out == (
+        '{"d": -3, "norm_bound": 10000, "deg_bound": 2, '
+        '"witness": "x^2+x+1"}\n')
 
 
 def test_cli_witness_p_pinned(capsys):
