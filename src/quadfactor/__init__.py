@@ -5,9 +5,9 @@ from .errors import (DomainError, ParseError, ResourceLimitError,
                      VerificationError)
 from .factor import FactorizationSet, factorizations
 from .ideals import (FracIdeal, colon, content_ideal, gamma_check,
-                     gauss_product_check, gcd_distributivity_check, gcd_v,
-                     ideal_from_gens, ideal_from_quadints, is_primitive,
-                     is_principal, is_superprimitive, v_closure)
+                     gauss_product_check, gcd_v, ideal_from_gens,
+                     ideal_from_quadints, is_primitive, is_principal,
+                     is_superprimitive, v_closure)
 from .kpoly import KElem, KPoly, factor_k, factor_q, poly_gcd, sqrt_in_field
 from .qint import (QuadInt, RingCfg, canonical_associate, conj,
                    elements_of_norm, is_irreducible, is_prime, norm, ring,
@@ -26,8 +26,7 @@ __all__ = [
     "KElem", "KPoly", "poly_gcd", "factor_q", "factor_k", "sqrt_in_field",
     "FracIdeal", "ideal_from_gens", "ideal_from_quadints", "colon",
     "v_closure", "is_principal", "content_ideal", "is_primitive",
-    "is_superprimitive", "gcd_v", "gcd_distributivity_check",
-    "gauss_product_check", "gamma_check",
+    "is_superprimitive", "gcd_v", "gauss_product_check", "gamma_check",
     "FactorizationSet", "factorizations",
     "RPoly", "GroupingCertificate", "lambda_candidates",
     "is_irreducible_rx", "factorizations_rx", "property_p_witness",

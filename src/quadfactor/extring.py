@@ -126,7 +126,7 @@ def d1_factorizations(g: ExtElem) -> FactorizationSet:
         raise DomainError("units have no factorizations")
     tail = KPoly(p.coeffs[v:], p.cfg).scale(c.inv())
     atoms = []
-    atoms.extend([KPoly([KElem.of(0, 0, p.cfg), KElem.of(1, 0, p.cfg)],
+    atoms.extend([KPoly([KElem(0, 0, p.cfg), KElem(1, 0, p.cfg)],
                         p.cfg)] * v)
     if tail.degree() >= 1:
         atoms.extend(_one_plus_tail_factors(tail))
@@ -213,10 +213,10 @@ def d2_witness_verify(pi: QuadInt, n: int) -> D2WitnessReport:
     cfg = pi.cfg
     pn = KElem.from_quadint(pi ** n)
     p2n = KElem.from_quadint(pi ** (2 * n))
-    one = KElem.of(1, 0, cfg)
+    one = KElem(1, 0, cfg)
     f1 = KPoly([pn, one], cfg)
     f2 = KPoly([pn, -one], cfg)
-    tail = KPoly([one, KElem.of(0, 0, cfg), -p2n.inv()], cfg)
+    tail = KPoly([one, KElem(0, 0, cfg), -p2n.inv()], cfg)
     lhs = f1 * f2
     rhs = tail.scale(p2n)
     identity = lhs == rhs

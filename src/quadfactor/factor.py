@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ResourceLimitError
-from .qint import (QuadInt, _is_irreducible_canonical, _require_factorable,
-                   canonical_associate, irreducible_common_divisors,
-                   order_key, try_div)
+from .qint import (QuadInt, _require_factorable, canonical_associate,
+                   irreducible_common_divisors, order_key, try_div)
 
 NORM_LIMIT = 10 ** 8
 
@@ -68,18 +67,3 @@ def factorizations(x: QuadInt) -> FactorizationSet:
     return FactorizationSet(
         element=x,
         factorizations=_factor_multisets(canonical_associate(x)))
-
-
-def verify_factorization_set(fs: FactorizationSet) -> bool:
-    """Each multiset multiplies back to an associate of the element and
-    consists of irreducibles; used as a self-check in tests."""
-    x = fs.element
-    for m in fs.factorizations:
-        prod = x.cfg.el(1)
-        for y in m:
-            if not _is_irreducible_canonical(canonical_associate(y)):
-                return False
-            prod = prod * y
-        if canonical_associate(prod) != canonical_associate(x):
-            return False
-    return True

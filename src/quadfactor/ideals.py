@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .errors import DomainError, VerificationError
 from .kpoly import KElem
-from .qint import (QuadInt, RingCfg, assoc_key, canonical_associate,
-                   common_nonunit_divisor)
+from .qint import (QuadInt, RingCfg, _canonical_coords, _coords_key,
+                   canonical_associate, common_nonunit_divisor)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -125,15 +125,13 @@ class FracIdeal:
 
     def generators(self) -> list[KElem]:
         m = self.denom
-        return [KElem.of(Fraction(self.a, m), 0, self.cfg),
-                KElem.of(Fraction(self.b, m), Fraction(self.c, m), self.cfg)]
+        return [KElem(self.a, 0, self.cfg, m),
+                KElem(self.b, self.c, self.cfg, m)]
 
     def contains(self, z: KElem) -> bool:
-        t_u = z.u * self.denom
-        t_v = z.v * self.denom
-        if t_u.denominator != 1 or t_v.denominator != 1:
-            return False
-        return self._lattice_member(int(t_u), int(t_v))
+        # z*denom must be integral: as gcd(a, b, den) = 1, den | denom
+        q, r = divmod(self.denom, z.den)
+        return not r and self._lattice_member(z.a * q, z.b * q)
 
     def norm(self) -> Fraction:
         """Index-based norm a*c / denom^2 (the module index [R : I],
@@ -161,12 +159,10 @@ def ideal_from_gens(gens: list[KElem]) -> FracIdeal:
     if not gens:
         raise DomainError("the zero ideal is not representable")
     cfg = gens[0].cfg
-    m = 1
-    for g in gens:
-        m = math.lcm(m, math.lcm(g.u.denominator, g.v.denominator))
+    m = math.lcm(*(g.den for g in gens))
     vecs = []
     for g in gens:
-        x, y = int(g.u * m), int(g.v * m)
+        x, y = g.a * (m // g.den), g.b * (m // g.den)
         vecs.append((x, y))
         vecs.append((cfg.d * y, x))  # w * g
     return _make(vecs, m, cfg)
@@ -251,20 +247,21 @@ def is_principal(I: FracIdeal) -> KElem | None:
 
     gR = I forces normk(g) to equal the index norm of I, so candidates
     are the finitely many lattice points of that norm; each is checked by
-    exact ideal equality, so a None answer is definitive.
+    exact ideal equality, so a None answer is definitive.  The canonical
+    generator least by _coords_key is returned, read off the numerators
+    (x, y) over denom: a positive scale changes neither.
     """
     target = I.a * I.c  # normk(g) * denom^2 must equal a*c
-    dd = -I.cfg.d
+    d = I.cfg.d
     best = None
     for x, y in _points_up_to(I, target):
-        if x * x + dd * y * y != target:
+        if x * x - d * y * y != target:
             continue
-        g = KElem.of(Fraction(x, I.denom), Fraction(y, I.denom), I.cfg)
-        if ideal_from_gens([g]) == I:
-            g = canonical_associate(g)
-            if best is None or assoc_key(g) < assoc_key(best):
+        if _make([(x, y), (d * y, x)], I.denom, I.cfg) == I:
+            g = _canonical_coords(x, y, d)
+            if best is None or _coords_key(g) < _coords_key(best):
                 best = g
-    return best
+    return None if best is None else KElem(*best, I.cfg, I.denom)
 
 
 # ---------------------------------------------------------------------------
@@ -297,19 +294,21 @@ def is_superprimitive(f) -> tuple[bool, KElem | None]:
     reduced basis is non-integral, and its norm bounds the least norm
     of a non-integral point, so scanning the points up to that norm is
     exhaustive.  The witness is the smallest offender: among the
-    canonical associates of least normk, the one minimizing (|u|, v).
+    canonical associates of least normk, the one minimizing (|u|, v),
+    i.e. (x^2 + |d|*y^2, |x|, y) on the numerators (x, y) over denom.
     """
     C = colon(content_ideal(f))
     if C.denom == 1:
         return True, None
     m = C.denom
-    dd = -C.cfg.d
-    bound = min(x * x + dd * y * y for x, y in _reduced_basis(C)
+    d = C.cfg.d
+    bound = min(x * x - d * y * y for x, y in _reduced_basis(C)
                 if x % m or y % m)
-    cands = (canonical_associate(
-        KElem.of(Fraction(x, m), Fraction(y, m), C.cfg))
-        for x, y in _points_up_to(C, bound) if x % m or y % m)
-    return False, min(cands, key=lambda z: (z.normk(), abs(z.u), z.v))
+    cands = (_canonical_coords(x, y, d)
+             for x, y in _points_up_to(C, bound) if x % m or y % m)
+    x, y = min(cands, key=lambda p: (p[0] * p[0] - d * p[1] * p[1],
+                                     abs(p[0]), p[1]))
+    return False, KElem(x, y, C.cfg, m)
 
 
 def gcd_v(elems: list[QuadInt]) -> QuadInt | None:
@@ -324,24 +323,6 @@ def gcd_v(elems: list[QuadInt]) -> QuadInt | None:
     if g is None:
         return None
     return canonical_associate(g.to_quadint())
-
-
-def gcd_distributivity_check(elems: list[QuadInt], b: QuadInt) -> bool | None:
-    """Instance check of [b*a1, ..., b*an] = b * [a1, ..., an].
-
-    Returns None when [a1, ..., an] does not exist (the identity is then
-    inapplicable rather than false); otherwise True/False.  Any False
-    certifies that primitive polynomials with non-superprimitive behavior
-    exist over this ring."""
-    if b.is_zero():
-        raise DomainError("scaling by zero")
-    g = gcd_v(elems)
-    if g is None:
-        return None
-    scaled = gcd_v([b * e for e in elems if not e.is_zero()])
-    if scaled is None:
-        return False
-    return canonical_associate(b * g) == scaled
 
 
 def gauss_product_check(f, g) -> bool:

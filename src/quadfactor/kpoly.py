@@ -1,9 +1,11 @@
 """Exact arithmetic in K = Q(sqrt(d)) and factorization in K[x].
 
-Scalars are u + v*w with rational u, v (`KElem`); polynomials (`KPoly`)
-keep coefficients low-to-high.  Everything runs on `fractions.Fraction`,
-so results are exact.  `Poly` holds the ring arithmetic that K[x] shares
-with R[x] (`rpoly.RPoly`).
+A scalar (`KElem`) is (a + b*w)/den: integers a, b over one common
+denominator den > 0, reduced so that gcd(a, b, den) = 1.  Arithmetic
+runs on those integers with one gcd per result, so it is exact, and the
+reduced form is unique.  Polynomials (`KPoly`) keep coefficients
+low-to-high.  `Poly` holds the ring arithmetic that K[x] shares with
+R[x] (`rpoly.RPoly`).
 
 Rational polynomials are factored over Z by the Zassenhaus method
 (`zpoly.zassenhaus`: Berlekamp mod p, Hensel lifting, recombination)
@@ -19,7 +21,6 @@ factorization is checked by multiplying back before it is returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError, VerificationError
@@ -32,100 +33,128 @@ _SHIFT_LIMIT = 20
 _SHIFTS = tuple(s for k in range(1, _SHIFT_LIMIT + 1) for s in (k, -k))
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-@dataclass(frozen=True)
 class KElem:
-    """A field element u + v*w of Q(sqrt(d))."""
+    """A field element (a + b*w)/den of Q(sqrt(d)).
 
-    u: Fraction
-    v: Fraction
-    cfg: RingCfg
+    a, b and den are integers with den > 0 and gcd(a, b, den) = 1, the
+    form the constructor reduces to.  The form is unique, so equality
+    and hashing compare the integers."""
+
+    __slots__ = ("a", "b", "den", "cfg")
+
+    def __init__(self, a: int, b: int, cfg: RingCfg, den: int = 1):
+        if den != 1:
+            if den <= 0:
+                if den == 0:
+                    raise DomainError("division by zero in K")
+                a, b, den = -a, -b, -den
+            g = math.gcd(a, b, den)
+            a, b, den = a // g, b // g, den // g
+        self.a, self.b, self.den, self.cfg = a, b, den, cfg
 
     @staticmethod
     def of(u, v, cfg: RingCfg) -> "KElem":
-        return KElem(_frac(u), _frac(v), cfg)
+        """u + v*w for integers or exact rationals u, v."""
+        a, da = u.as_integer_ratio()
+        b, db = v.as_integer_ratio()
+        return KElem(a * db, b * da, cfg, da * db)
 
     @staticmethod
     def from_quadint(x: QuadInt) -> "KElem":
-        return KElem(Fraction(x.a), Fraction(x.b), x.cfg)
+        return KElem(x.a, x.b, x.cfg)
 
-    def coords(self) -> tuple[Fraction, Fraction]:
-        return self.u, self.v
-
-    def normk(self) -> Fraction:
-        return self.u * self.u - self.cfg.d * self.v * self.v
+    def coords(self):
+        """(u, v) with self = u + v*w: integers when den = 1, else exact
+        rationals, so that qint's keys compare elements of any den."""
+        if self.den == 1:
+            return self.a, self.b
+        return Fraction(self.a, self.den), Fraction(self.b, self.den)
 
     def conj(self) -> "KElem":
-        return KElem(self.u, -self.v, self.cfg)
+        return KElem(self.a, -self.b, self.cfg, self.den)
 
     def is_zero(self) -> bool:
-        return self.u == 0 and self.v == 0
+        return self.a == 0 and self.b == 0
 
     def is_rational(self) -> bool:
-        return self.v == 0
+        return self.b == 0
 
     def is_integral(self) -> bool:
         """Whether the element lies in the order Z[w]."""
-        return self.u.denominator == 1 and self.v.denominator == 1
+        return self.den == 1
 
     def to_quadint(self) -> QuadInt:
-        if not self.is_integral():
+        if self.den != 1:
             raise DomainError(f"{self} is not in Z[w]")
-        return QuadInt(int(self.u), int(self.v), self.cfg)
+        return QuadInt(self.a, self.b, self.cfg)
 
     def __add__(self, o: "KElem") -> "KElem":
-        return KElem(self.u + o.u, self.v + o.v, self.cfg)
+        if self.den == o.den:
+            return KElem(self.a + o.a, self.b + o.b, self.cfg, self.den)
+        return KElem(self.a * o.den + o.a * self.den,
+                     self.b * o.den + o.b * self.den, self.cfg,
+                     self.den * o.den)
 
     def __sub__(self, o: "KElem") -> "KElem":
-        return KElem(self.u - o.u, self.v - o.v, self.cfg)
+        if self.den == o.den:
+            return KElem(self.a - o.a, self.b - o.b, self.cfg, self.den)
+        return KElem(self.a * o.den - o.a * self.den,
+                     self.b * o.den - o.b * self.den, self.cfg,
+                     self.den * o.den)
 
     def __neg__(self) -> "KElem":
-        return KElem(-self.u, -self.v, self.cfg)
+        return KElem(-self.a, -self.b, self.cfg, self.den)
 
     def __mul__(self, o: "KElem") -> "KElem":
-        d = self.cfg.d
-        return KElem(self.u * o.u + d * self.v * o.v,
-                     self.u * o.v + self.v * o.u, self.cfg)
+        a, b, c, e = self.a, self.b, o.a, o.b
+        return KElem(a * c + self.cfg.d * b * e, a * e + b * c, self.cfg,
+                     self.den * o.den)
 
     def inv(self) -> "KElem":
-        n = self.normk()
-        if n == 0:
-            raise DomainError("division by zero in K")
-        return KElem(self.u / n, -self.v / n, self.cfg)
+        # den/(a + b*w) = den*(a - b*w)/N, N = a^2 - d*b^2 > 0 as d < 0
+        a, b = self.a, self.b
+        return KElem(self.den * a, -self.den * b, self.cfg,
+                     a * a - self.cfg.d * b * b)
 
     def __truediv__(self, o: "KElem") -> "KElem":
-        return self * o.inv()
+        # den2*(a + b*w)*(c - e*w) / (den1*(c^2 - d*e^2)), one gcd
+        a, b, c, e, d = self.a, self.b, o.a, o.b, self.cfg.d
+        return KElem(o.den * (a * c - d * b * e), o.den * (b * c - a * e),
+                     self.cfg, self.den * (c * c - d * e * e))
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, KElem) and self.a == other.a
+                and self.b == other.b and self.den == other.den
+                and self.cfg.d == other.cfg.d)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.den, self.cfg.d))
 
     def __str__(self) -> str:
-        den = math.lcm(self.u.denominator, self.v.denominator)
-        inner = format_coords(int(self.u * den), int(self.v * den))
-        if den == 1:
+        inner = format_coords(self.a, self.b)
+        if self.den == 1:
             return inner
         if any(ch in inner[1:] for ch in "+-"):
-            return f"({inner})/{den}"
-        return f"{inner}/{den}"
+            return f"({inner})/{self.den}"
+        return f"{inner}/{self.den}"
 
     def __repr__(self) -> str:
-        return f"KElem({self.u}, {self.v}, d={self.cfg.d})"
+        return f"KElem({self}, d={self.cfg.d})"
 
 
 def sqrt_in_field(z: KElem) -> KElem | None:
     """A square root of z inside K = Q(sqrt(d)), or None.
 
-    With den the common denominator of z's coordinates, z*den^2 lies in
-    Z[w], and qint._twice_sqrt gives t = 2*den*sqrt(z) in integers, so
-    the root is t/(2*den): the one with positive rational part, or with
-    rational part 0 and nonnegative w-part."""
+    z*den^2 = (a + b*w)*den lies in Z[w], and qint._twice_sqrt gives
+    t = 2*den*sqrt(z) in integers, so the root is t/(2*den): the one
+    with positive rational part, or with rational part 0 and
+    nonnegative w-part."""
     if z.is_zero():
         return z
-    den = math.lcm(z.u.denominator, z.v.denominator)
-    t = _twice_sqrt(int(z.u * den * den), int(z.v * den * den), z.cfg.d)
+    t = _twice_sqrt(z.a * z.den, z.b * z.den, z.cfg.d)
     if t is None:
         return None
-    return KElem(Fraction(t[0], 2 * den), Fraction(t[1], 2 * den), z.cfg)
+    return KElem(t[0], t[1], z.cfg, 2 * z.den)
 
 
 class Poly:
@@ -214,16 +243,16 @@ class KPoly(Poly):
         return KPoly([KElem.of(v, 0, cfg) for v in vals], cfg)
 
     def zero_elem(self) -> KElem:
-        return KElem(Fraction(0), Fraction(0), self.cfg)
+        return KElem(0, 0, self.cfg)
 
     def one_elem(self) -> KElem:
-        return KElem(Fraction(1), Fraction(0), self.cfg)
+        return KElem(1, 0, self.cfg)
 
     def is_unit(self) -> bool:
         return self.degree() == 0
 
     def is_rational(self) -> bool:
-        return all(c.v == 0 for c in self.coeffs)
+        return all(c.b == 0 for c in self.coeffs)
 
     def monic(self) -> "KPoly":
         return self.scale(self.lc().inv())
@@ -246,7 +275,7 @@ class KPoly(Poly):
         return KPoly(q, self.cfg), KPoly(rem, self.cfg)
 
     def derivative(self) -> "KPoly":
-        return KPoly([KElem.of(i, 0, self.cfg) * c
+        return KPoly([KElem(i, 0, self.cfg) * c
                       for i, c in enumerate(self.coeffs)][1:], self.cfg)
 
     def conj_coeffs(self) -> "KPoly":
@@ -304,15 +333,15 @@ def poly_gcd(f: KPoly, g: KPoly) -> KPoly:
     return f.monic()
 
 
-def _integer_form(p: KPoly) -> tuple[Fraction, list[int]]:
+def _integer_form(p: KPoly) -> tuple[KElem, list[int]]:
     """(c, F) with rational p = c * F, F primitive in Z[x] with lc > 0."""
-    den = math.lcm(*(c.u.denominator for c in p.coeffs))
-    ints = [int(c.u * den) for c in p.coeffs]
+    den = math.lcm(*(c.den for c in p.coeffs))
+    ints = [c.a * (den // c.den) for c in p.coeffs]
     g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
-    return Fraction(g, den), [c // g for c in ints]
+    return KElem(g, 0, p.cfg, den), [c // g for c in ints]
 
 
-def _rational_factors(p: KPoly) -> tuple[Fraction, list[KPoly]]:
+def _rational_factors(p: KPoly) -> tuple[KElem, list[KPoly]]:
     """content * product-of-primitive-integer-irreducibles for rational p,
     each factor repeated by its multiplicity."""
     content, F = _integer_form(p)
@@ -358,7 +387,7 @@ def factor_q(f: KPoly) -> tuple[KElem, list[KPoly]]:
         raise ResourceLimitError(
             f"degree {f.degree()} exceeds factor_q guard {FACTOR_Q_MAX_DEG}")
     content, factors = _rational_factors(f)
-    return _checked(f, KElem.of(content, 0, f.cfg), factors)
+    return _checked(f, content, factors)
 
 
 def _trager(h: KPoly) -> list[KPoly]:
@@ -389,7 +418,7 @@ def _descent(h: KPoly, shifts: tuple[int, ...]) -> list[KPoly]:
     if h.degree() <= 1:
         return [h]
     for s in shifts:
-        g = h.shifted(KElem.of(0, -s, cfg))  # g(x) = h(x - s*w)
+        g = h.shifted(KElem(0, -s, cfg))  # g(x) = h(x - s*w)
         normpoly = g * g.conj_coeffs()
         if not normpoly.is_rational():
             raise VerificationError(f"norm of {g} is not rational")
@@ -397,7 +426,7 @@ def _descent(h: KPoly, shifts: tuple[int, ...]) -> list[KPoly]:
             continue
         gcds = (poly_gcd(g, KPoly.from_rationals(n, cfg))
                 for n in zassenhaus(_integer_form(normpoly)[1]))
-        out = [q.shifted(KElem.of(0, s, cfg)).monic() for q in gcds]
+        out = [q.shifted(KElem(0, s, cfg)).monic() for q in gcds]
         if sum(q.degree() for q in out) != h.degree():
             raise VerificationError(f"norm descent lost factors of {h}")
         return sorted(out, key=poly_order_key)
@@ -409,10 +438,10 @@ def _quadratic_factors(h: KPoly) -> list[KPoly]:
     h = x^2 + b*x + c: x - r for the roots r = (-b +- s)/2 when the
     discriminant b^2 - 4c has a square root s in K, else h itself."""
     b, c = h.coeff(1), h.coeff(0)
-    s = sqrt_in_field(b * b - c * KElem.of(4, 0, h.cfg))
+    s = sqrt_in_field(b * b - c * KElem(4, 0, h.cfg))
     if s is None:
         return [h]
-    half = KElem.of(Fraction(1, 2), 0, h.cfg)
+    half = KElem(1, 0, h.cfg, 2)
     return sorted((KPoly([(b + t) * half, h.one_elem()], h.cfg)
                    for t in (s, -s)), key=poly_order_key)
 

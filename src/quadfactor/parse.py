@@ -8,7 +8,9 @@ typed entry points then narrow the result (element, K-element, R[x]
 polynomial) with errors naming the offending coefficient.
 
 Work and output stay bounded: a literal has at most MAX_DIGITS digits;
-a product or power is refused before it is computed when its degree
+parentheses, unary signs and exponents nest at most MAX_NESTING deep, so
+the recursive descent stays far inside Python's recursion limit; a
+product or power is refused before it is computed when its degree
 would pass MAX_EXPONENT or the bit lengths of its factors' largest
 integers sum past _MAX_BITS, the bit length of a MAX_DIGITS-digit
 number; and a sum or quotient is refused once its own largest integer
@@ -17,7 +19,6 @@ passes _MAX_BITS.
 
 from __future__ import annotations
 
-import math
 import re
 
 from .errors import DomainError, ParseError
@@ -27,6 +28,7 @@ from .rpoly import RPoly
 
 MAX_EXPONENT = 64
 MAX_DIGITS = 4000
+MAX_NESTING = 200
 _MAX_BITS = (10 ** MAX_DIGITS - 1).bit_length()
 
 _TOKEN = re.compile(r"(\d+)|([wx])|([-+*/^()])|(\S)")
@@ -53,16 +55,9 @@ def _tokenize(text: str):
 
 def _bits(p: KPoly) -> int:
     """Bit length of the largest integer in p's printed form: each
-    coefficient's common denominator and the numerators over it."""
-    out = 0
-    for c in p.coeffs:
-        a, du = c.u.as_integer_ratio()
-        b, dv = c.v.as_integer_ratio()
-        if du != dv:
-            den = math.lcm(du, dv)
-            a, b, du = a * (den // du), b * (den // dv), den
-        out = max(out, du.bit_length(), a.bit_length(), b.bit_length())
-    return out
+    coefficient's numerators and its denominator."""
+    return max((max(abs(c.a), abs(c.b), c.den).bit_length()
+                for c in p.coeffs), default=0)
 
 
 _BINARY_BP = {"+": (10, 11), "-": (10, 11), "*": (20, 21), "/": (20, 21),
@@ -88,35 +83,40 @@ class _Parser:
         return ParseError(f"{msg} at position {tok[2]}")
 
     def parse(self) -> KPoly:
-        result = self.expr(0)
+        result = self.expr(0, 1)
         tok = self.peek()
         if tok[0] != "end":
             raise self.fail(f"unexpected {tok[1]!r}", tok)
         return result
 
-    def atom(self) -> KPoly:
+    def atom(self, depth: int) -> KPoly:
         kind, val, _ = tok = self.advance()
         cfg = self.cfg
         if kind == "int":
-            return KPoly.const(KElem.of(val, 0, cfg))
+            return KPoly.const(KElem(val, 0, cfg))
         if kind == "name":
             if val == "w":
-                return KPoly.const(KElem.of(0, 1, cfg))
-            return KPoly([KElem.of(0, 0, cfg), KElem.of(1, 0, cfg)], cfg)
+                return KPoly.const(KElem(0, 1, cfg))
+            return KPoly([KElem(0, 0, cfg), KElem(1, 0, cfg)], cfg)
         if kind == "op" and val == "(":
-            inner = self.expr(0)
+            inner = self.expr(0, depth + 1)
             closing = self.advance()
             if closing[:2] != ("op", ")"):
                 raise self.fail("expected ')'", closing)
             return inner
         if kind == "op" and val == "-":
-            return -self.expr(_UNARY_BP)
+            return -self.expr(_UNARY_BP, depth + 1)
         if kind == "op" and val == "+":
-            return self.expr(_UNARY_BP)
+            return self.expr(_UNARY_BP, depth + 1)
         raise self.fail(f"expected a value, found {val!r}", tok)
 
-    def expr(self, min_bp: int) -> KPoly:
-        lhs = self.atom()
+    def expr(self, min_bp: int, depth: int) -> KPoly:
+        """An expression binding tighter than min_bp; depth counts the
+        expressions open around it, the top level being 1."""
+        if depth > MAX_NESTING:
+            raise self.fail(f"nesting exceeds {MAX_NESTING} levels",
+                            self.peek())
+        lhs = self.atom(depth)
         while True:
             kind, op, _ = tok = self.peek()
             if kind != "op" or op not in _BINARY_BP:
@@ -125,7 +125,7 @@ class _Parser:
             if lbp < min_bp:
                 return lhs
             self.advance()
-            rhs = self.expr(rbp)
+            rhs = self.expr(rbp, depth + 1)
             if op == "^":
                 lhs = self._power(lhs, rhs, tok)
             elif op == "*":
@@ -145,15 +145,14 @@ class _Parser:
 
     def _power(self, base: KPoly, exp: KPoly, tok) -> KPoly:
         e = exp.coeff(0)
-        if exp.degree() > 0 or not e.is_rational() or \
-                e.u.denominator != 1 or e.u < 0:
+        if exp.degree() > 0 or e.b or e.den != 1 or e.a < 0:
             raise self.fail("exponent must be a nonnegative integer", tok)
-        k = int(e.u)
+        k = e.a
         if k > MAX_EXPONENT:
             raise self.fail(f"exponent exceeds {MAX_EXPONENT}", tok)
         self._bound(k * base.degree(), k * _bits(base), tok)
         if k == 0:
-            return KPoly.const(KElem.of(1, 0, self.cfg))
+            return KPoly.const(KElem(1, 0, self.cfg))
         out = base
         for bit in bin(k)[3:]:  # square and multiply
             out = out * out

@@ -11,8 +11,8 @@ Associate classes get a canonical representative: the unit multiple
 minimizing (-sign(a), |a|, -sign(b), |b|) lexicographically, i.e. positive
 rational part preferred, then small, then positive w-part.  The same
 rule, and the same order key, serve the field elements of kpoly: both
-scalar types expose their coordinates through `coords()` and are built
-from them as `type(x)(a, b, cfg)`.
+scalar types hold integer numerators a, b over a denominator den > 0
+(den = 1 for QuadInt) and are built as `type(x)(a, b, cfg[, den])`.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DomainError, VerificationError
 
@@ -81,6 +82,7 @@ class QuadInt:
     """An element a + b*w of Z[w], w = sqrt(d)."""
 
     __slots__ = ("a", "b", "cfg")
+    den = 1  # the denominator kpoly.KElem carries, always 1 here
 
     def __init__(self, a: int, b: int, cfg: RingCfg):
         self.a = a
@@ -228,16 +230,11 @@ def units(cfg: RingCfg) -> list[QuadInt]:
 
 
 def _coords_key(p):
+    """Order key on coordinates realizing the canonical-representative rule."""
     a, b = p
     sa = 0 if a > 0 else (1 if a == 0 else 2)
     sb = 0 if b > 0 else (1 if b == 0 else 2)
     return (sa, abs(a), sb, abs(b))
-
-
-def assoc_key(x):
-    """Order key realizing the canonical-representative rule, for an
-    element of Z[w] or of K."""
-    return _coords_key(x.coords())
 
 
 def _canonical_coords(a, b, d: int):
@@ -259,15 +256,25 @@ def _canonical_coords(a, b, d: int):
 
 
 def canonical_associate(x):
-    """The unit multiple of x (in Z[w] or in K) minimizing assoc_key."""
-    return type(x)(*_canonical_coords(*x.coords(), x.cfg.d), x.cfg)
+    """The unit multiple of x (in Z[w] or in K) minimizing _coords_key.
+
+    _canonical_coords reads only the signs of a, b and a - b, which a
+    positive den leaves alone, so it serves the numerators of
+    (a + b*w)/den directly; a unit multiple keeps den and gcd(a, b, den)."""
+    a, b = _canonical_coords(x.a, x.b, x.cfg.d)
+    if x.den == 1:
+        return type(x)(a, b, x.cfg)
+    return type(x)(a, b, x.cfg, x.den)
 
 
 def order_key(x):
     """Deterministic total order on elements of Z[w] or of K (used to
-    sort multisets): norm, then coordinates."""
-    a, b = x.coords()
-    return (a * a - x.cfg.d * b * b, a, b)
+    sort multisets): norm, then coordinates, as exact rationals."""
+    a, b, den = x.a, x.b, x.den
+    n = a * a - x.cfg.d * b * b
+    if den == 1:
+        return (n, a, b)
+    return (Fraction(n, den * den), Fraction(a, den), Fraction(b, den))
 
 
 @functools.lru_cache(maxsize=None)
@@ -374,7 +381,7 @@ def common_divisors(elems: list[QuadInt]):
     and then c = x0*conj(q)/k; replacing q by u*q for a unit u replaces
     c by an associate.  So each class of divisors of x0 of norm m comes
     from exactly one class q of norm k with x0*conj(q) = 0 mod k, and
-    the canonical c, sorted by assoc_key, are the classes of norm m the
+    the canonical c, sorted by _coords_key, are the classes of norm m the
     first branch would have tested, less those that do not divide x0.
     Either way elements_of_norm is asked only for norms <= sqrt(N0).
 

@@ -163,7 +163,7 @@ def _grouped(ks: list, unit_k: KElem, subset: tuple):
     """(g0, h0) for a subset: g0 monic subproduct, h0 the cofactor with
     the K[x] unit folded in, so g0 * h0 is the original polynomial."""
     cfg = unit_k.cfg
-    g0 = KPoly.const(KElem.of(1, 0, cfg))
+    g0 = KPoly.const(KElem(1, 0, cfg))
     h0 = KPoly.const(unit_k)
     chosen = set(subset)
     for i, q in enumerate(ks):
@@ -244,14 +244,14 @@ def factorizations_rx(f: RPoly) -> FactorizationSet:
 
 def _witness_coeffs(cfg: RingCfg, max_norm: int, limit: int) -> list:
     """Coordinates of 0 and the nonzero elements of norm <= max_norm in
-    (norm, assoc_key) order, only the first `limit` of them.  One walk
+    (norm, _coords_key) order, only the first `limit` of them.  One walk
     covers norm <= m, m <= max_norm the least bound that holds `limit`
-    points; it visits them in assoc_key order, which the stable sort by
+    points; it visits them in _coords_key order, which the stable sort by
     norm keeps among equal norms."""
     dd = -cfg.d
 
     def signed(k):
-        # 1..k, 0, -1..-k: the assoc_key order of one coordinate
+        # 1..k, 0, -1..-k: the _coords_key order of one coordinate
         return [*range(1, k + 1), 0, *range(-1, -k - 1, -1)]
 
     # norm <= 2*dd*limit holds the points with |a| <= sqrt(dd*limit) and
@@ -321,8 +321,8 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
     if max_deg < 2:
         return None
     d = cfg.d
-    # leads in (norm, assoc_key) order: norms ascend, and each
-    # elements_of_norm tuple is sorted by assoc_key; they are drawn only
+    # leads in (norm, _coords_key) order: norms ascend, and each
+    # elements_of_norm tuple is sorted by _coords_key; they are drawn only
     # as far as the budget lets the search go
     leads = (z for n in range(1, max_norm + 1)
              for z in elements_of_norm(n, cfg))

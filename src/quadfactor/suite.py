@@ -296,7 +296,7 @@ def check_psp_witness_z5(seed: int = 0) -> CheckResult:
         f = RPoly([cfg.el(2), cfg.el(1, 1)], cfg)
         prim = ideals.is_primitive(f)
         sup, wit = ideals.is_superprimitive(f)
-        expected = KElem.of(Fraction(1, 2), Fraction(-1, 2), cfg)
+        expected = KElem(1, -1, cfg, 2)
         scaled_in = all((wit * KElem.from_quadint(c)).is_integral()
                         for c in f.coeffs) if wit else False
         ok = (prim and not sup and wit == expected
@@ -381,12 +381,13 @@ def check_d1_elasticity(seed: int = 0) -> CheckResult:
             if c.is_zero() or c.is_unit():
                 continue
             v = rng.randint(0, 2)
-            coeffs = [KElem.of(0, 0, cfg)] * v
+            coeffs = [KElem(0, 0, cfg)] * v
             coeffs.append(KElem.from_quadint(c))
             for _ in range(rng.randint(0, 2)):
-                coeffs.append(KElem.of(
-                    Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-                    Fraction(rng.randint(-2, 2), rng.randint(1, 3)), cfg))
+                # u/du + (v/dv)*w, drawn in that order
+                u, du, v, dv = (rng.randint(-3, 3), rng.randint(1, 3),
+                                rng.randint(-2, 2), rng.randint(1, 3))
+                coeffs.append(KElem(u * dv, v * du, cfg, du * dv))
             p = KPoly(coeffs, cfg)
             if p.degree() < v or p.coeff(v).is_zero():
                 continue
@@ -396,8 +397,8 @@ def check_d1_elasticity(seed: int = 0) -> CheckResult:
                 return False, f"elasticity {el} for {p}"
             count += 1
         cfg14 = ring(-14)
-        p = KPoly([KElem.of(81, 0, cfg14), KElem.of(0, 0, cfg14),
-                   KElem.of(1, 0, cfg14)], cfg14)
+        p = KPoly([KElem(81, 0, cfg14), KElem(0, 0, cfg14),
+                   KElem(1, 0, cfg14)], cfg14)
         fs = extring.d1_factorizations(extring.ExtElem(p, "D1"))
         el = fs.elasticity()
         ok = fs.lengths() == [3, 5] and el == Fraction(5, 3)
@@ -450,13 +451,12 @@ def check_ideal_laws(seed: int = 0) -> CheckResult:
             return False, f"gauss {gauss}, content {content}"
         B = ideals.ideal_from_quadints([cfg5.el(2), cfg5.el(1, 1)])
         C = ideals.ideal_from_gens([
-            KElem.of(1, 0, cfg5),
-            KElem.of(Fraction(1, 2), Fraction(-1, 2), cfg5)])
+            KElem(1, 0, cfg5), KElem(1, -1, cfg5, 2)])
         gamma_bad = ideals.gamma_check(B, C).holds
         cfg1 = ring(-1)
         B1 = ideals.ideal_from_quadints([cfg1.el(1, 1)])
         C1 = ideals.ideal_from_gens(
-            [KElem.of(Fraction(1, 2), Fraction(-1, 2), cfg1)])
+            [KElem(1, -1, cfg1, 2)])
         gamma_good = ideals.gamma_check(B1, C1).holds
         ok = (not gamma_bad) and gamma_good
         return ok, (f"{rounds} ideal rounds; gauss fails with content 2; "

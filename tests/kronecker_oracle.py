@@ -10,7 +10,7 @@ exponential in the degree; use it on degree <= 4."""
 import math
 from fractions import Fraction
 
-from quadfactor.kpoly import KPoly, poly_order_key
+from quadfactor.kpoly import KElem, KPoly, poly_order_key
 from quadfactor.qint import _divisors
 
 
@@ -149,19 +149,20 @@ def kronecker(F: list[int]) -> list[list[int]]:
     return [F[:]]
 
 
-def rational_factors(p: KPoly) -> tuple[Fraction, list[KPoly]]:
+def rational_factors(p: KPoly) -> tuple[KElem, list[KPoly]]:
     """content * product-of-primitive-integer-irreducibles for rational p,
     as kpoly._rational_factors returned it with Kronecker's method."""
+    us = [c.coords()[0] for c in p.coeffs]
     denl = 1
-    for c in p.coeffs:
-        denl = math.lcm(denl, c.u.denominator)
-    ints = [int(c.u * denl) for c in p.coeffs]
+    for u in us:
+        denl = math.lcm(denl, u.denominator)
+    ints = [int(u * denl) for u in us]
     g = 0
     for c in ints:
         g = math.gcd(g, c)
     sign = 1 if ints[-1] > 0 else -1
     F = [c // (g * sign) for c in ints]
-    content = Fraction(g * sign, denl)
+    content = KElem.of(Fraction(g * sign, denl), 0, p.cfg)
     if len(F) == 1:
         return content, []
     factors = [KPoly.from_rationals(h, p.cfg) for h in kronecker(F)]

@@ -6,8 +6,8 @@ E*normk(C)/m^2, so its cost grows with the size of the coefficients.
 Use it on small coefficients."""
 
 from fractions import Fraction
-from math import lcm
 
+from kelem_oracle import normk
 from quadfactor.errors import DomainError
 from quadfactor.kpoly import KElem, KPoly
 from quadfactor.qint import (canonical_associate, elements_of_norm, norm,
@@ -34,9 +34,9 @@ def lambda_candidates(g0: KPoly, h0: KPoly) -> list[KElem]:
         raise DomainError("product of the groups must lie in R[x]")
     cfg = g0.cfg
     c = g0.lc()
-    m = lcm(c.u.denominator, c.v.denominator)
-    big_c = KElem.of(c.u * m, c.v * m, cfg).to_quadint()
-    e_min = min(e.normk() for e in h0.coeffs if not e.is_zero())
+    m = c.den
+    big_c = KElem(c.a, c.b, cfg).to_quadint()
+    e_min = min(normk(e) for e in h0.coeffs if not e.is_zero())
     bound = Fraction(norm(big_c)) * e_min / (m * m)
     k_m = KElem.of(m, 0, cfg)
     k_c = KElem.from_quadint(big_c)
@@ -51,7 +51,7 @@ def lambda_candidates(g0: KPoly, h0: KPoly) -> list[KElem]:
             if g0.scale(lam).is_integral() and \
                     h0.scale(lam.inv()).is_integral():
                 best = canonical_associate(lam)
-                key = (best.u, best.v)
+                key = best.coords()
                 if key not in seen:
                     seen.add(key)
                     out.append(best)

@@ -7,6 +7,7 @@ field norm, with one branch for rational z and one for the rest."""
 import math
 from fractions import Fraction
 
+from kelem_oracle import normk
 from quadfactor.errors import VerificationError
 from quadfactor.kpoly import KElem
 
@@ -31,22 +32,23 @@ def sqrt_in_field(z: KElem) -> KElem | None:
     cfg = z.cfg
     if z.is_zero():
         return z
-    if z.v == 0:
-        r = _rat_sqrt(z.u)
+    u, v = (Fraction(t) for t in z.coords())
+    if v == 0:
+        r = _rat_sqrt(u)
         if r is not None:
-            return KElem(r, Fraction(0), cfg)
-        r = _rat_sqrt(z.u / cfg.d)  # (t*w)^2 = t^2 * d
+            return KElem.of(r, 0, cfg)
+        r = _rat_sqrt(u / cfg.d)  # (t*w)^2 = t^2 * d
         if r is not None:
-            return KElem(Fraction(0), r, cfg)
+            return KElem.of(0, r, cfg)
         return None
-    s = _rat_sqrt(z.normk())
+    s = _rat_sqrt(normk(z))
     if s is None:
         return None
-    for p2 in ((z.u + s) / 2, (z.u - s) / 2):
+    for p2 in ((u + s) / 2, (u - s) / 2):
         if p2 > 0:
             p = _rat_sqrt(p2)
             if p is not None:
-                root = KElem(p, z.v / (2 * p), cfg)
+                root = KElem.of(p, v / (2 * p), cfg)
                 if root * root != z:
                     raise VerificationError(f"{root} is no square root of {z}")
                 return root

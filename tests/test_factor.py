@@ -6,8 +6,24 @@ from fractions import Fraction
 import pytest
 
 from quadfactor.errors import DomainError, ResourceLimitError
-from quadfactor.factor import factorizations, verify_factorization_set
-from quadfactor.qint import ring
+from quadfactor.factor import FactorizationSet, factorizations
+from quadfactor.qint import (_is_irreducible_canonical, canonical_associate,
+                             ring)
+
+
+def verify_factorization_set(fs: FactorizationSet) -> bool:
+    """Each multiset multiplies back to an associate of the element and
+    consists of irreducibles."""
+    x = fs.element
+    for m in fs.factorizations:
+        prod = x.cfg.el(1)
+        for y in m:
+            if not _is_irreducible_canonical(canonical_associate(y)):
+                return False
+            prod = prod * y
+        if canonical_associate(prod) != canonical_associate(x):
+            return False
+    return True
 
 
 def classes(x):

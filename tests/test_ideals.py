@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from kelem_oracle import normk
 
 from quadfactor.errors import DomainError, VerificationError
 from quadfactor.ideals import (colon, content_ideal, gamma_check,
-                               gauss_product_check, gcd_distributivity_check,
-                               gcd_v, ideal_from_gens, ideal_from_quadints,
-                               is_primitive, is_principal, is_superprimitive,
-                               mul, unit_ideal, v_closure)
+                               gauss_product_check, gcd_v, ideal_from_gens,
+                               ideal_from_quadints, is_primitive,
+                               is_principal, is_superprimitive, mul,
+                               unit_ideal, v_closure)
 from quadfactor.kpoly import KElem
 from quadfactor.qint import canonical_associate, ring
 from quadfactor.rpoly import RPoly
@@ -202,7 +203,7 @@ def _superprimitive_oracle(f):
     if C.denom == 1:
         return True, None
     m = C.denom
-    bound = min(z.normk() for z in
+    bound = min(normk(z) for z in
                 (KElem.of(Fraction(x, m), Fraction(y, m), C.cfg)
                  for x, y in C.basis()) if not z.is_integral())
     cands = set()
@@ -211,7 +212,8 @@ def _superprimitive_oracle(f):
             z = KElem.of(Fraction(x, m), Fraction(y, m), C.cfg)
             if not z.is_integral():
                 cands.add(canonical_associate(z))
-    return False, min(cands, key=lambda z: (z.normk(), abs(z.u), z.v))
+    return False, min(cands, key=lambda z: (normk(z), abs(z.coords()[0]),
+                                            z.coords()[1]))
 
 
 def test_superprimitive_matches_full_search():
@@ -255,6 +257,24 @@ def test_gcd_v():
     assert gcd_v([cfg1.el(1, 1), cfg1.el(2)]) == cfg1.el(1, 1)
     with pytest.raises(DomainError):
         gcd_v([cfg.el(0)])
+
+
+def gcd_distributivity_check(elems, b):
+    """Instance check of [b*a1, ..., b*an] = b * [a1, ..., an].
+
+    Returns None when [a1, ..., an] does not exist (the identity is then
+    inapplicable rather than false); otherwise True/False.  Any False
+    certifies that primitive polynomials with non-superprimitive behavior
+    exist over this ring."""
+    if b.is_zero():
+        raise DomainError("scaling by zero")
+    g = gcd_v(elems)
+    if g is None:
+        return None
+    scaled = gcd_v([b * e for e in elems if not e.is_zero()])
+    if scaled is None:
+        return False
+    return canonical_associate(b * g) == scaled
 
 
 def test_gcd_distributivity():

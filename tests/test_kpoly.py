@@ -1,14 +1,19 @@
+import json
+import math
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadfactor.errors import DomainError, ResourceLimitError
 from quadfactor.kpoly import (KElem, KPoly, factor_k, factor_q, poly_gcd,
                               sqrt_in_field)
 from quadfactor.parse import parse_kpoly
 from quadfactor.qint import (MAX_ABS_D, _is_squarefree, canonical_associate,
-                             ring)
+                             order_key, ring)
 
 
 def P(text, d):
@@ -25,7 +30,7 @@ def test_kelem_arithmetic():
     assert x + y == E(Fraction(5, 2), Fraction(1, 2), -5)
     assert x * y == E(Fraction(1, 2) * 2 + 5 * Fraction(1, 2),
                       Fraction(1, 2) - 1, -5)
-    assert x.normk() == Fraction(1, 4) + 5 * Fraction(1, 4)
+    assert x * x.conj() == E(Fraction(1, 4) + 5 * Fraction(1, 4), 0, -5)
     assert (x * x.inv()) == E(1, 0, -5)
     assert (y / y) == E(1, 0, -5)
     assert x.conj() == E(Fraction(1, 2), Fraction(1, 2), -5)
@@ -97,7 +102,7 @@ def test_sqrt_in_field_fractional_matches_oracle():
             elif i % 4 == 1:
                 r = E(*rng.choice([(q(), 0), (0, q())]), d)
             z = r * r if i % 4 < 2 else E(q(), q() if i % 4 == 2 else 0, d)
-            if z.u.denominator == z.v.denominator == 1:
+            if z.is_integral():
                 continue
             got = sqrt_in_field(z)
             assert got == oracle(z), (d, z)
@@ -250,8 +255,9 @@ def test_factor_k_matches_sympy():
     def monic_factors(f, d):
         """sympy's monic K[x]-factors of f, with multiplicity, each as its
         (u, v) coefficient pairs from the top down."""
-        expr = sum((sympy.Rational(c.u) + sympy.Rational(c.v)
-                    * sympy.sqrt(d)) * x ** i for i, c in enumerate(f.coeffs))
+        expr = sum((sympy.Rational(c.a) + sympy.Rational(c.b)
+                    * sympy.sqrt(d)) / c.den * x ** i
+                   for i, c in enumerate(f.coeffs))
         _, fl = sympy.Poly(expr, x, extension=sympy.sqrt(d)).factor_list()
         # a coefficient of QQ<sqrt(d)> lists its coordinates in sqrt(d)
         # from the top down: [v, u], [u] or []
@@ -311,3 +317,79 @@ def test_quadratics_match_trager():
         assert got == _trager(h), h
         split += len(got) == 2
     assert split > 6
+
+
+ALL_DS = [d for d in range(-1, -MAX_ABS_D - 1, -1) if _is_squarefree(-d)]
+
+
+def test_kelem_matches_fraction_oracle():
+    # the integer (a, b, den) form against the Fraction-based class it
+    # replaced, on every ring: arithmetic, printing, canonical associates
+    # and the sort order, with denominators mixed freely
+    import kelem_oracle as old
+    rng = random.Random(61)
+    assert len(ALL_DS) == 61
+
+    def coord():
+        return Fraction(rng.randint(-30, 30),
+                        rng.choice((1, 1, 2, 3, 4, 6, 12)))
+
+    def same(got, want):
+        a, b, den = got.a, got.b, got.den
+        assert den > 0 and math.gcd(a, b, den) == 1, repr(got)
+        assert got.coords() == want.coords() and str(got) == str(want)
+        assert got.is_integral() == want.is_integral()
+        # one reduced form per element: equality and hash are structural
+        rebuilt = KElem.of(*want.coords(), got.cfg)
+        assert got == rebuilt and hash(got) == hash(rebuilt)
+
+    for d in ALL_DS:
+        cfg = ring(d)
+        pairs = []
+        for _ in range(40):
+            u, v = coord(), coord() if rng.random() < 0.8 else 0
+            pairs.append((KElem.of(u, v, cfg), old.KElem.of(u, v, cfg)))
+        for (x, ox), (y, oy) in zip(pairs, pairs[1:]):
+            same(x, ox)
+            same(x + y, ox + oy)
+            same(x - y, ox - oy)
+            same(x * y, ox * oy)
+            same(-x, -ox)
+            same(x.conj(), ox.conj())
+            same(canonical_associate(x), old.canonical_associate(ox))
+            assert (x * x.conj()).coords() == (ox.normk(), 0)
+            if not y.is_zero():
+                same(y.inv(), oy.inv())
+                same(x / y, ox / oy)
+        news = [z for p in pairs for z in (p[0], canonical_associate(p[0]))]
+        olds = [z for p in pairs
+                for z in (p[1], old.canonical_associate(p[1]))]
+        assert [order_key(z) for z in news] == \
+            [old.order_key(z) for z in olds]
+        assert sorted(range(len(news)), key=lambda i: order_key(news[i])) \
+            == sorted(range(len(olds)), key=lambda i: old.order_key(olds[i]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_DS),
+       st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60),
+                          st.integers(1, 40)), max_size=6))
+def test_parse_round_trip_fractional(d, coeffs):
+    cfg = ring(d)
+    f = KPoly([KElem(a, b, cfg, den) for a, b, den in coeffs], cfg)
+    assert parse_kpoly(str(f), cfg) == f
+
+
+def test_cli_fractional_output_pinned(capsys):
+    # kfactor, poly-factor, poly-elasticity, irr, d1, d2-demo, gamma-check
+    # and psp-check on inputs or outputs with denominators, stdout and
+    # stderr recorded before KElem held integers over one denominator
+    from quadfactor.cli import main
+    path = pathlib.Path(__file__).with_name("kpoly_pinned.jsonl")
+    cases = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(cases) == 103
+    for case in cases:
+        assert main(case["argv"]) == case["code"], case["argv"]
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (case["stdout"], case["stderr"]), \
+            case["argv"]

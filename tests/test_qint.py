@@ -6,7 +6,8 @@ import pytest
 
 from quadfactor.errors import DomainError
 from quadfactor.kpoly import KElem
-from quadfactor.qint import (QuadInt, _associate_coords, _coords_key,
+from quadfactor.qint import (QuadInt, _associate_coords, _canonical_coords,
+                             _coords_key,
                              _divisors, _is_rational_prime,
                              canonical_associate, common_divisors,
                              common_nonunit_divisor, conj, elements_of_norm,
@@ -349,3 +350,17 @@ def test_divisor_scan_reads_only_small_norms(monkeypatch):
         y = x.cfg.el(rng.randint(2, 9), rng.randint(-3, 3))
         assert irreducible_common_divisors([x * y, x])
         assert asked and max(asked) <= math.isqrt(x.norm()), x
+
+
+def test_canonical_coords_scale_invariant():
+    # canonical_associate reads a KElem's numerators over den directly:
+    # a positive scale of (a, b) must pick the same unit multiple, for
+    # every unit multiple of every element of the grid
+    for d in (-1, -5):
+        for a in range(-12, 13):
+            for b in range(-12, 13):
+                for ua, ub in _associate_coords(a, b, d):
+                    ca, cb = _canonical_coords(ua, ub, d)
+                    for k in (2, 3, 7, 10 ** 20 + 1):
+                        assert _canonical_coords(k * ua, k * ub, d) == \
+                            (k * ca, k * cb), (ua, ub, k, d)

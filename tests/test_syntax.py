@@ -8,8 +8,8 @@ import pytest
 
 from quadfactor.cli import main
 from quadfactor.errors import DomainError, ParseError
-from quadfactor.parse import (parse_element, parse_ideal_gens, parse_kelem,
-                              parse_kpoly, parse_rpoly)
+from quadfactor.parse import (MAX_NESTING, parse_element, parse_ideal_gens,
+                              parse_kelem, parse_kpoly, parse_rpoly)
 from quadfactor.qint import ring
 
 
@@ -33,7 +33,7 @@ def test_round_trip(text):
 
 def test_precedence():
     assert str(parse_kpoly("2*x^2+1", CFG)) == "2*x^2+1"
-    assert parse_kpoly("2^3^2", CFG).coeff(0).u == 512
+    assert parse_kpoly("2^3^2", CFG).coeff(0).coords() == (512, 0)
     assert str(parse_kpoly("-x^2", CFG)) == "-x^2"
     assert str(parse_kpoly("-2*x", CFG)) == "-2*x"
     assert str(parse_kpoly("x*x*x", CFG)) == "x^3"
@@ -75,7 +75,7 @@ def test_parse_error_position():
 
 
 def test_typed_entry_points():
-    assert parse_kelem("(1-w)/2", CFG).u.denominator == 2
+    assert parse_kelem("(1-w)/2", CFG).den == 2
     with pytest.raises(ParseError):
         parse_kelem("x+1", CFG)
     z = parse_element("3-w", CFG)
@@ -295,6 +295,29 @@ def test_cli_oversized_input_exits_2(capsys, cmd, text):
     assert code == 2 and out == ""
     assert err.count("\n") == 1
     assert json.loads(err)["error"]["type"] == "parse"
+
+
+@pytest.mark.parametrize("args", [
+    ("factor", "(" * 800 + "1" + ")" * 800),
+    ("factor", "--", "-" * 5000 + "6"),
+    ("kfactor", "2^" * 3000 + "1"),
+])
+def test_cli_deep_nesting_exits_2(capsys, args):
+    # refused at MAX_NESTING levels, not a RecursionError (exit 1)
+    code, out, err = invoke(capsys, "--d", "-5", *args)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"].startswith(
+        f"nesting exceeds {MAX_NESTING} levels")
+
+
+def test_nesting_bound_itself_accepted():
+    # MAX_NESTING - 1 parentheses or signs around a literal, plus the
+    # top level, are MAX_NESTING levels
+    k = MAX_NESTING - 1
+    assert parse_kelem("(" * k + "6" + ")" * k, CFG) == parse_kelem("6", CFG)
+    assert parse_kelem("-" * k + "6", CFG) == parse_kelem("-6", CFG)
+    with pytest.raises(ParseError):
+        parse_kelem("(" * (k + 1) + "6" + ")" * (k + 1), CFG)
 
 
 def test_largest_inputs_within_bounds(capsys):
