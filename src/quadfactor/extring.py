@@ -15,7 +15,6 @@ pi^(2n) * (1 - x^2/pi^(2n)), which is what d2_witness_verify checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError, VerificationError
@@ -32,23 +31,22 @@ D2_MAX_POWER = 6
 LEVELS = {"D1": 1, "D2": 2}
 
 
-@dataclass(frozen=True)
 class ExtElem:
     """Element of D1 or D2, carried as the underlying K[x] polynomial."""
 
-    poly: KPoly
-    level: str
+    __slots__ = ("poly", "level")
 
-    def __post_init__(self):
-        depth = LEVELS.get(self.level)
+    def __init__(self, poly: KPoly, level: str):
+        depth = LEVELS.get(level)
         if depth is None:
-            raise DomainError(f"unknown ring level {self.level!r}")
+            raise DomainError(f"unknown ring level {level!r}")
         for i in range(depth):
-            c = self.poly.coeff(i)
+            c = poly.coeff(i)
             if not c.is_integral():
                 raise DomainError(
                     f"coefficient of x^{i} is {c}, not in Z[w]; "
-                    f"element lies outside {self.level}")
+                    f"element lies outside {level}")
+        self.poly, self.level = poly, level
 
     def __str__(self) -> str:
         return str(self.poly)
@@ -184,17 +182,22 @@ def d2_is_irreducible(g: ExtElem) -> bool:
     return is_irreducible_rx(RPoly.from_kpoly(p))[0]
 
 
-@dataclass(frozen=True)
 class D2WitnessReport:
     """Outcome of the pi^(2n) length-jump construction in D2."""
 
-    pi: QuadInt
-    n: int
-    identity_holds: bool
-    factors_irreducible: bool
-    lengths: tuple[int, int]
-    elasticity_lower_bound: Fraction
-    observed_lengths: tuple[int, ...]
+    __slots__ = ("pi", "n", "identity_holds", "factors_irreducible",
+                 "lengths", "elasticity_lower_bound", "observed_lengths")
+
+    def __init__(self, pi: QuadInt, n: int, identity_holds: bool,
+                 factors_irreducible: bool, lengths: tuple[int, int],
+                 elasticity_lower_bound: Fraction,
+                 observed_lengths: tuple[int, ...]):
+        self.pi, self.n = pi, n
+        self.identity_holds = identity_holds
+        self.factors_irreducible = factors_irreducible
+        self.lengths = lengths
+        self.elasticity_lower_bound = elasticity_lower_bound
+        self.observed_lengths = observed_lengths
 
     def ok(self) -> bool:
         return self.identity_holds and self.factors_irreducible

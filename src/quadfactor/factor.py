@@ -13,7 +13,6 @@ associates and order.  Results are memoized on canonical representatives
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ResourceLimitError
@@ -23,15 +22,16 @@ from .qint import (QuadInt, _require_factorable, canonical_associate,
 NORM_LIMIT = 10 ** 8
 
 
-@dataclass(frozen=True)
 class FactorizationSet:
     """All factorizations of one element, up to associates and order.
 
     `factorizations` is a frozenset of tuples; tuple entries are
     canonical representatives sorted by (norm, a, b)."""
 
-    element: object
-    factorizations: frozenset
+    __slots__ = ("element", "factorizations")
+
+    def __init__(self, element, factorizations: frozenset):
+        self.element, self.factorizations = element, factorizations
 
     def lengths(self) -> list[int]:
         return sorted({len(m) for m in self.factorizations})

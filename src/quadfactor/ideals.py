@@ -15,7 +15,6 @@ ideals are not invertible, and (R : I) must still come out right there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, VerificationError
@@ -97,23 +96,34 @@ def _int_kernel(rows: list[list[int]]) -> list[list[int]]:
     return [U[i] for i in range(rank, n)]
 
 
-@dataclass(frozen=True)
 class FracIdeal:
-    """Fractional ideal (1/denom) * (Z*(a,0) + Z*(b,c)) of Z[w]."""
+    """Fractional ideal (1/denom) * (Z*(a,0) + Z*(b,c)) of Z[w]; the
+    reduced form is unique, so equality compares the fields."""
 
-    a: int
-    b: int
-    c: int
-    denom: int
-    cfg: RingCfg
+    __slots__ = ("a", "b", "c", "denom", "cfg")
 
-    def __post_init__(self):
+    def __init__(self, a: int, b: int, c: int, denom: int, cfg: RingCfg):
+        self.a, self.b, self.c, self.denom, self.cfg = a, b, c, denom, cfg
         # reduced Hermite form, closed under the w-action (x, y) -> (d*y, x)
-        if not (0 <= self.b < self.a and self.c > 0 and self.denom > 0
-                and math.gcd(self.a, self.b, self.c, self.denom) == 1
-                and self._lattice_member(0, self.a)
-                and self._lattice_member(self.cfg.d * self.c, self.b)):
+        if not (0 <= b < a and c > 0 and denom > 0
+                and math.gcd(a, b, c, denom) == 1
+                and self._lattice_member(0, a)
+                and self._lattice_member(cfg.d * c, b)):
             raise VerificationError(f"{self!r} is not a reduced ideal lattice")
+
+    def _fields(self) -> tuple:
+        return self.a, self.b, self.c, self.denom, self.cfg.d
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, FracIdeal)
+                and self._fields() == other._fields())
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"FracIdeal(a={self.a}, b={self.b}, c={self.c}, "
+                f"denom={self.denom}, cfg={self.cfg!r})")
 
     def _lattice_member(self, x: int, y: int) -> bool:
         if y % self.c:
@@ -335,13 +345,15 @@ def gauss_product_check(f, g) -> bool:
     return common_nonunit_divisor(list((f * g).coeffs)) is None
 
 
-@dataclass(frozen=True)
 class GammaReport:
     """One instance of the implication (B*C)_v = R  ==>  B_v principal:
     whether the premise holds, and a generator of B_v if it has one."""
 
-    product_v_trivial: bool
-    b_v_generator: KElem | None
+    __slots__ = ("product_v_trivial", "b_v_generator")
+
+    def __init__(self, product_v_trivial: bool, b_v_generator: KElem | None):
+        self.product_v_trivial = product_v_trivial
+        self.b_v_generator = b_v_generator
 
     @property
     def holds(self) -> bool:

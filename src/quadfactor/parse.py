@@ -108,7 +108,8 @@ class _Parser:
             return -self.expr(_UNARY_BP, depth + 1)
         if kind == "op" and val == "+":
             return self.expr(_UNARY_BP, depth + 1)
-        raise self.fail(f"expected a value, found {val!r}", tok)
+        found = "end of input" if kind == "end" else repr(val)
+        raise self.fail(f"expected a value, found {found}", tok)
 
     def expr(self, min_bp: int, depth: int) -> KPoly:
         """An expression binding tighter than min_bp; depth counts the

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, VerificationError
@@ -45,14 +44,16 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class RingCfg:
-    """Immutable description of one order Z[sqrt(d)]."""
+    """Description of one order Z[sqrt(d)].  ring() makes exactly one
+    per d, so equality and hashing are by identity."""
 
-    d: int
-    is_maximal: bool
-    class_number: int | None
-    is_ufd: bool
+    __slots__ = ("d", "is_maximal", "class_number", "is_ufd")
+
+    def __init__(self, d: int, is_maximal: bool, class_number: int | None,
+                 is_ufd: bool):
+        self.d, self.is_maximal = d, is_maximal
+        self.class_number, self.is_ufd = class_number, is_ufd
 
     def el(self, a: int, b: int = 0) -> "QuadInt":
         return QuadInt(a, b, self)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError
 from .factor import FactorizationSet
@@ -79,7 +78,6 @@ def canonical_poly(f: RPoly) -> RPoly:
     return f.scale(try_div(canonical_associate(f.lc()), f.lc()))
 
 
-@dataclass(frozen=True)
 class GroupingCertificate:
     """Witness that f is reducible: f = g * h with g, h nonunits of R[x].
 
@@ -87,10 +85,20 @@ class GroupingCertificate:
     (empty for a constant split), lam the rescaling constant with
     g = lam * g0."""
 
-    subset: tuple
-    lam: KElem
-    g: RPoly
-    h: RPoly
+    __slots__ = ("subset", "lam", "g", "h")
+
+    def __init__(self, subset: tuple, lam: KElem, g: RPoly, h: RPoly):
+        self.subset, self.lam, self.g, self.h = subset, lam, g, h
+
+    def _fields(self) -> tuple:
+        return self.subset, self.lam, self.g, self.h
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, GroupingCertificate)
+                and self._fields() == other._fields())
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 def lambda_candidates(g0: KPoly, h0: KPoly) -> list[KElem]:

@@ -14,9 +14,9 @@ ranges is strong evidence both are right.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import extring, factor, ideals, rpoly
@@ -28,13 +28,13 @@ from .rpoly import RPoly
 CORE_RINGS = (-1, -2, -3, -5, -14)
 
 
-@dataclass
 class CheckResult:
-    name: str
-    claim: str
-    ok: bool
-    detail: str
-    seconds: float = 0.0
+    __slots__ = ("name", "claim", "ok", "detail", "seconds")
+
+    def __init__(self, name: str, claim: str, ok: bool, detail: str,
+                 seconds: float = 0.0):
+        self.name, self.claim, self.ok = name, claim, ok
+        self.detail, self.seconds = detail, seconds
 
 
 # ---------------------------------------------------------------- oracle
@@ -122,348 +122,311 @@ def _as_triples(fs: factor.FactorizationSet) -> set:
 
 # ---------------------------------------------------------------- checks
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    ok, detail = fn()
-    return ok, detail, time.perf_counter() - t0
+def _check(name: str, claim: str, budget: float | None = None):
+    """Turn body(seed) -> (ok, detail) into a check(seed=0) returning a
+    timed CheckResult; with a budget in seconds, the check also fails
+    when the body takes longer."""
+    def decorate(body):
+        @functools.wraps(body)
+        def check(seed: int = 0) -> CheckResult:
+            t0 = time.perf_counter()
+            ok, detail = body(seed)
+            dt = time.perf_counter() - t0
+            if budget is not None:
+                ok = ok and dt < budget
+            return CheckResult(name, claim, ok, detail, dt)
+        return check
+    return decorate
 
 
-def check_factor_81(seed: int = 0) -> CheckResult:
-    claim = ("81 in Z[sqrt(-14)] has exactly the factorizations "
-             "{3,3,3,3} and {5+2w, 5-2w}; elasticity 2; under 1s")
-
-    def body():
-        cfg = ring(-14)
-        fs = factor.factorizations(cfg.el(81))
-        expected = frozenset({
-            tuple([cfg.el(3)] * 4),
-            (cfg.el(5, -2), cfg.el(5, 2)),
-        })
-        el = fs.elasticity()
-        ok = fs.factorizations == expected and el == Fraction(2)
-        return ok, f"{len(fs.factorizations)} classes, elasticity {el}"
-
-    ok, detail, dt = _timed(body)
-    return CheckResult("factor-81", claim, ok and dt < 1.0, detail, dt)
+@_check("factor-81",
+        "81 in Z[sqrt(-14)] has exactly the factorizations "
+        "{3,3,3,3} and {5+2w, 5-2w}; elasticity 2; under 1s", budget=1.0)
+def check_factor_81(seed: int):
+    cfg = ring(-14)
+    fs = factor.factorizations(cfg.el(81))
+    expected = frozenset({
+        tuple([cfg.el(3)] * 4),
+        (cfg.el(5, -2), cfg.el(5, 2)),
+    })
+    el = fs.elasticity()
+    ok = fs.factorizations == expected and el == Fraction(2)
+    return ok, f"{len(fs.factorizations)} classes, elasticity {el}"
 
 
-def check_poly_factor_81x(seed: int = 0) -> CheckResult:
-    claim = ("81x over Z[sqrt(-14)][x] has length set {3, 5} and "
-             "elasticity 5/3; under 5s")
-
-    def body():
-        cfg = ring(-14)
-        f = RPoly([0, 81], cfg)
-        fs = rpoly.factorizations_rx(f)
-        el = fs.elasticity()
-        ok = fs.lengths() == [3, 5] and el == Fraction(5, 3)
-        return ok, f"lengths {fs.lengths()}, elasticity {el}"
-
-    ok, detail, dt = _timed(body)
-    return CheckResult("poly-factor-81x", claim, ok and dt < 5.0, detail, dt)
+@_check("poly-factor-81x",
+        "81x over Z[sqrt(-14)][x] has length set {3, 5} and "
+        "elasticity 5/3; under 5s", budget=5.0)
+def check_poly_factor_81x(seed: int):
+    cfg = ring(-14)
+    f = RPoly([0, 81], cfg)
+    fs = rpoly.factorizations_rx(f)
+    el = fs.elasticity()
+    ok = fs.lengths() == [3, 5] and el == Fraction(5, 3)
+    return ok, f"lengths {fs.lengths()}, elasticity {el}"
 
 
-def check_rx_split_z3(seed: int = 0) -> CheckResult:
-    claim = ("over Z[sqrt(-3)][x]: (2)(2)(x^2+x+1) = (2x+1+w)(2x+1-w), "
-             "all five factors irreducible; 4x^2+4x+4 has length set "
-             "{2, 3} and elasticity 3/2")
-
-    def body():
-        cfg = ring(-3)
-        two = RPoly([2], cfg)
-        quad = RPoly([1, 1, 1], cfg)
-        l1 = RPoly([cfg.el(1, 1), cfg.el(2)], cfg)
-        l2 = RPoly([cfg.el(1, -1), cfg.el(2)], cfg)
-        target = RPoly([4, 4, 4], cfg)
-        identity = (two * two * quad == target and l1 * l2 == target)
-        irr = all(rpoly.is_irreducible_rx(g)[0]
-                  for g in (two, quad, l1, l2))
-        fs = rpoly.factorizations_rx(target)
-        ok = (identity and irr and fs.lengths() == [2, 3]
-              and fs.elasticity() == Fraction(3, 2))
-        return ok, (f"identity {identity}, irreducible {irr}, lengths "
-                    f"{fs.lengths()}, {len(fs.factorizations)} classes")
-
-    ok, detail, dt = _timed(body)
-    return CheckResult("rx-split-z3", claim, ok, detail, dt)
+@_check("rx-split-z3",
+        "over Z[sqrt(-3)][x]: (2)(2)(x^2+x+1) = (2x+1+w)(2x+1-w), "
+        "all five factors irreducible; 4x^2+4x+4 has length set "
+        "{2, 3} and elasticity 3/2")
+def check_rx_split_z3(seed: int):
+    cfg = ring(-3)
+    two = RPoly([2], cfg)
+    quad = RPoly([1, 1, 1], cfg)
+    l1 = RPoly([cfg.el(1, 1), cfg.el(2)], cfg)
+    l2 = RPoly([cfg.el(1, -1), cfg.el(2)], cfg)
+    target = RPoly([4, 4, 4], cfg)
+    identity = (two * two * quad == target and l1 * l2 == target)
+    irr = all(rpoly.is_irreducible_rx(g)[0]
+              for g in (two, quad, l1, l2))
+    fs = rpoly.factorizations_rx(target)
+    ok = (identity and irr and fs.lengths() == [2, 3]
+          and fs.elasticity() == Fraction(3, 2))
+    return ok, (f"identity {identity}, irreducible {irr}, lengths "
+                f"{fs.lengths()}, {len(fs.factorizations)} classes")
 
 
-def check_rx_split_z5(seed: int = 0) -> CheckResult:
-    claim = ("over Z[sqrt(-5)][x]: (2)(2x^2+2x+3) = (2x+1+w)(2x+1-w), "
-             "all four factors irreducible; 4x^2+4x+6 has exactly two "
-             "factorizations, both of length 2, elasticity 1")
-
-    def body():
-        cfg = ring(-5)
-        two = RPoly([2], cfg)
-        quad = RPoly([3, 2, 2], cfg)
-        l1 = RPoly([cfg.el(1, 1), cfg.el(2)], cfg)
-        l2 = RPoly([cfg.el(1, -1), cfg.el(2)], cfg)
-        target = RPoly([6, 4, 4], cfg)
-        identity = (two * quad == target and l1 * l2 == target)
-        irr = all(rpoly.is_irreducible_rx(g)[0]
-                  for g in (two, quad, l1, l2))
-        fs = rpoly.factorizations_rx(target)
-        lens = sorted(len(m) for m in fs.factorizations)
-        ok = (identity and irr and lens == [2, 2]
-              and fs.elasticity() == Fraction(1))
-        return ok, (f"identity {identity}, irreducible {irr}, "
-                    f"class lengths {lens}")
-
-    ok, detail, dt = _timed(body)
-    return CheckResult("rx-split-z5", claim, ok, detail, dt)
+@_check("rx-split-z5",
+        "over Z[sqrt(-5)][x]: (2)(2x^2+2x+3) = (2x+1+w)(2x+1-w), "
+        "all four factors irreducible; 4x^2+4x+6 has exactly two "
+        "factorizations, both of length 2, elasticity 1")
+def check_rx_split_z5(seed: int):
+    cfg = ring(-5)
+    two = RPoly([2], cfg)
+    quad = RPoly([3, 2, 2], cfg)
+    l1 = RPoly([cfg.el(1, 1), cfg.el(2)], cfg)
+    l2 = RPoly([cfg.el(1, -1), cfg.el(2)], cfg)
+    target = RPoly([6, 4, 4], cfg)
+    identity = (two * quad == target and l1 * l2 == target)
+    irr = all(rpoly.is_irreducible_rx(g)[0]
+              for g in (two, quad, l1, l2))
+    fs = rpoly.factorizations_rx(target)
+    lens = sorted(len(m) for m in fs.factorizations)
+    ok = (identity and irr and lens == [2, 2]
+          and fs.elasticity() == Fraction(1))
+    return ok, (f"identity {identity}, irreducible {irr}, "
+                f"class lengths {lens}")
 
 
-def check_hfd_z5(seed: int = 0) -> CheckResult:
-    claim = ("every element of Z[sqrt(-5)] with norm <= 5000 has a "
-             "one-length factorization set, and some element has two "
-             "distinct factorizations; under 60s")
-
-    def body():
-        cfg = ring(-5)
-        multi = None
-        for n in range(2, 5001):
-            for x in elements_of_norm(n, cfg):
-                fs = factor.factorizations(x)
-                if len({len(m) for m in fs.factorizations}) != 1:
-                    return False, f"length set of {x} is not a singleton"
-                if multi is None and len(fs.factorizations) > 1:
-                    multi = x
-        return multi is not None, f"first multi-class element: {multi}"
-
-    ok, detail, dt = _timed(body)
-    return CheckResult("hfd-z5", claim, ok and dt < 60.0, detail, dt)
+@_check("hfd-z5",
+        "every element of Z[sqrt(-5)] with norm <= 5000 has a "
+        "one-length factorization set, and some element has two "
+        "distinct factorizations; under 60s", budget=60.0)
+def check_hfd_z5(seed: int):
+    cfg = ring(-5)
+    multi = None
+    for n in range(2, 5001):
+        for x in elements_of_norm(n, cfg):
+            fs = factor.factorizations(x)
+            if len({len(m) for m in fs.factorizations}) != 1:
+                return False, f"length set of {x} is not a singleton"
+            if multi is None and len(fs.factorizations) > 1:
+                multi = x
+    return multi is not None, f"first multi-class element: {multi}"
 
 
-def check_factor_oracle(seed: int = 0) -> CheckResult:
-    claim = ("factorizations match an independent raw-integer divisor "
-             "oracle for every class of norm <= 2000, d in "
-             "{-1, -2, -3, -5, -14}")
-
-    def body():
-        total = 0
-        for d in CORE_RINGS:
-            cfg = ring(d)
-            oracle = naive_factorization_oracle(d, 2000)
-            for (a, b), expected in oracle.items():
-                got = _as_triples(factor.factorizations(cfg.el(a, b)))
-                if got != expected:
-                    return False, f"mismatch at d={d}, element {(a, b)}"
-                total += 1
-        return True, f"{total} elements agree across {len(CORE_RINGS)} rings"
-
-    ok, detail, dt = _timed(body)
-    return CheckResult("factor-oracle", claim, ok, detail, dt)
+@_check("factor-oracle",
+        "factorizations match an independent raw-integer divisor "
+        "oracle for every class of norm <= 2000, d in "
+        "{-1, -2, -3, -5, -14}")
+def check_factor_oracle(seed: int):
+    total = 0
+    for d in CORE_RINGS:
+        cfg = ring(d)
+        oracle = naive_factorization_oracle(d, 2000)
+        for (a, b), expected in oracle.items():
+            got = _as_triples(factor.factorizations(cfg.el(a, b)))
+            if got != expected:
+                return False, f"mismatch at d={d}, element {(a, b)}"
+            total += 1
+    return True, f"{total} elements agree across {len(CORE_RINGS)} rings"
 
 
-def check_elasticity_shrink(seed: int = 0) -> CheckResult:
-    claim = ("attaching a prime factor never raises elasticity: "
-             "rho(a) >= rho(a*p) on 200 seeded pairs across the rings")
+@_check("elasticity-shrink",
+        "attaching a prime factor never raises elasticity: "
+        "rho(a) >= rho(a*p) on 200 seeded pairs across the rings")
+def check_elasticity_shrink(seed: int):
+    rng = random.Random(seed)
+    ds = (-1, -2, -3, -5, -6, -10, -14)
+    pools = {}
+    for d in ds:
+        cfg = ring(d)
+        pools[d] = [x for n in range(2, 61)
+                    for x in elements_of_norm(n, cfg) if is_prime(x)]
+    checked = 0
+    while checked < 200:
+        d = ds[checked % len(ds)]
+        cfg = ring(d)
+        a = cfg.el(rng.randint(-6, 6), rng.randint(-3, 3))
+        if a.is_zero() or a.is_unit() or a.norm() > 300:
+            continue
+        p = rng.choice(pools[d])
+        ea = factor.factorizations(a).elasticity()
+        eap = factor.factorizations(a * p).elasticity()
+        if ea < eap:
+            return False, f"rho grew from {ea} to {eap} at d={d}, a={a}"
+        checked += 1
+    return True, f"{checked} pairs verified"
 
-    def body():
-        rng = random.Random(seed)
-        ds = (-1, -2, -3, -5, -6, -10, -14)
-        pools = {}
-        for d in ds:
-            cfg = ring(d)
-            pools[d] = [x for n in range(2, 61)
-                        for x in elements_of_norm(n, cfg) if is_prime(x)]
-        checked = 0
-        while checked < 200:
-            d = ds[checked % len(ds)]
-            cfg = ring(d)
-            a = cfg.el(rng.randint(-6, 6), rng.randint(-3, 3))
-            if a.is_zero() or a.is_unit() or a.norm() > 300:
+
+@_check("psp-witness-z5",
+        "2+(1+w)x over Z[sqrt(-5)] is primitive but not "
+        "superprimitive, with witness (1-w)/2")
+def check_psp_witness_z5(seed: int):
+    cfg = ring(-5)
+    f = RPoly([cfg.el(2), cfg.el(1, 1)], cfg)
+    prim = ideals.is_primitive(f)
+    sup, wit = ideals.is_superprimitive(f)
+    expected = KElem(1, -1, cfg, 2)
+    scaled_in = all((wit * KElem.from_quadint(c)).is_integral()
+                    for c in f.coeffs) if wit else False
+    ok = (prim and not sup and wit == expected
+          and scaled_in and not wit.is_integral())
+    return ok, f"primitive {prim}, superprimitive {sup}, witness {wit}"
+
+
+@_check("property-p",
+        "an R[x]-irreducible polynomial splitting in K[x] exists "
+        "within degree 2 and norm 20 for d in {-3,-5,-6,-10,-14} "
+        "(first witness for -3 is x^2+x+1) and does not exist for "
+        "d in {-1, -2}")
+def check_property_p(seed: int):
+    notes = []
+    for d in (-3, -5, -6, -10, -14):
+        cfg = ring(d)
+        wit = rpoly.property_p_witness(cfg, 20, 2)
+        if wit is None:
+            return False, f"no witness found for d={d}"
+        if not rpoly.is_irreducible_rx(wit)[0]:
+            return False, f"witness for d={d} is reducible"
+        if len(factor_k(wit.to_kpoly())[1]) < 2:
+            return False, f"witness for d={d} does not split over K"
+        if d == -3 and wit != RPoly([1, 1, 1], cfg):
+            return False, f"first witness for d=-3 was {wit}"
+        notes.append(f"d={d}: {wit}")
+    for d in (-1, -2):
+        cfg = ring(d)
+        wit = rpoly.property_p_witness(cfg, 20, 2)
+        if wit is not None:
+            return False, f"unexpected witness {wit} for d={d}"
+        notes.append(f"d={d}: none")
+    return True, "; ".join(notes)
+
+
+@_check("d2-length-jump",
+        "for pi=2 over Z[sqrt(-5)] and n=1..5, "
+        "pi^(2n)(1 - x^2/pi^(2n)) = (pi^n+x)(pi^n-x) holds in D2 "
+        "with irreducible factors; lengths (2, 2n+1) push the "
+        "elasticity lower bound (2n+1)/2 without limit")
+def check_d2_length_jump(seed: int):
+    cfg = ring(-5)
+    pi = cfg.el(2)
+    bounds = []
+    for n in range(1, 6):
+        rep = extring.d2_witness_verify(pi, n)
+        if not rep.ok():
+            return False, f"construction failed at n={n}"
+        if rep.lengths != (2, 2 * n + 1):
+            return False, f"lengths {rep.lengths} at n={n}"
+        if rep.elasticity_lower_bound != Fraction(2 * n + 1, 2):
+            return False, f"bound {rep.elasticity_lower_bound} at n={n}"
+        if 2 not in rep.observed_lengths or \
+                2 * n + 1 not in rep.observed_lengths:
+            return False, f"observed {rep.observed_lengths} at n={n}"
+        bounds.append(str(rep.elasticity_lower_bound))
+    return True, "bounds " + ", ".join(bounds)
+
+
+@_check("d1-elasticity",
+        "50 seeded D1 elements over Z[sqrt(-5)] all have "
+        "elasticity 1 (half-factoriality lifts to D1); 81+x^2 over "
+        "Z[sqrt(-14)] has length set {3, 5} and elasticity 5/3")
+def check_d1_elasticity(seed: int):
+    cfg = ring(-5)
+    rng = random.Random(seed)
+    count = 0
+    while count < 50:
+        c = cfg.el(rng.randint(-9, 9), rng.randint(-4, 4))
+        if c.is_zero() or c.is_unit():
+            continue
+        v = rng.randint(0, 2)
+        coeffs = [KElem(0, 0, cfg)] * v
+        coeffs.append(KElem.from_quadint(c))
+        for _ in range(rng.randint(0, 2)):
+            # u/du + (v/dv)*w, drawn in that order
+            u, du, v, dv = (rng.randint(-3, 3), rng.randint(1, 3),
+                            rng.randint(-2, 2), rng.randint(1, 3))
+            coeffs.append(KElem(u * dv, v * du, cfg, du * dv))
+        p = KPoly(coeffs, cfg)
+        if p.degree() < v or p.coeff(v).is_zero():
+            continue
+        g = extring.ExtElem(p, "D1")
+        el = extring.d1_factorizations(g).elasticity()
+        if el != Fraction(1):
+            return False, f"elasticity {el} for {p}"
+        count += 1
+    cfg14 = ring(-14)
+    p = KPoly([KElem(81, 0, cfg14), KElem(0, 0, cfg14),
+               KElem(1, 0, cfg14)], cfg14)
+    fs = extring.d1_factorizations(extring.ExtElem(p, "D1"))
+    el = fs.elasticity()
+    ok = fs.lengths() == [3, 5] and el == Fraction(5, 3)
+    return ok, (f"{count} samples at elasticity 1; 81+x^2 lengths "
+                f"{fs.lengths()}, elasticity {el}")
+
+
+@_check("ideal-laws",
+        "on seeded fractional ideals: v-closure is idempotent and "
+        "contains the ideal, colon reverses inclusions; the Gauss "
+        "product (2+(1+w)x)(2+(1-w)x) over Z[sqrt(-5)] fails "
+        "primitivity with content divisible by 2; the pair "
+        "B=(2,1+w), C=(2,1-w)/2 over Z[sqrt(-5)] breaks the "
+        "product-closure implication while Z[i] instances satisfy it")
+def check_ideal_laws(seed: int):
+    rng = random.Random(seed)
+
+    def contain(big, small):
+        return all(big.contains(g) for g in small.generators())
+
+    rounds = 0
+    for d in (-1, -3, -5, -14):
+        cfg = ring(d)
+        for _ in range(50):
+            gens = [cfg.el(rng.randint(-9, 9), rng.randint(-4, 4))
+                    for _ in range(2)]
+            if all(g.is_zero() for g in gens):
                 continue
-            p = rng.choice(pools[d])
-            ea = factor.factorizations(a).elasticity()
-            eap = factor.factorizations(a * p).elasticity()
-            if ea < eap:
-                return False, f"rho grew from {ea} to {eap} at d={d}, a={a}"
-            checked += 1
-        return True, f"{checked} pairs verified"
-
-    ok, detail, dt = _timed(body)
-    return CheckResult("elasticity-shrink", claim, ok, detail, dt)
-
-
-def check_psp_witness_z5(seed: int = 0) -> CheckResult:
-    claim = ("2+(1+w)x over Z[sqrt(-5)] is primitive but not "
-             "superprimitive, with witness (1-w)/2")
-
-    def body():
-        cfg = ring(-5)
-        f = RPoly([cfg.el(2), cfg.el(1, 1)], cfg)
-        prim = ideals.is_primitive(f)
-        sup, wit = ideals.is_superprimitive(f)
-        expected = KElem(1, -1, cfg, 2)
-        scaled_in = all((wit * KElem.from_quadint(c)).is_integral()
-                        for c in f.coeffs) if wit else False
-        ok = (prim and not sup and wit == expected
-              and scaled_in and not wit.is_integral())
-        return ok, f"primitive {prim}, superprimitive {sup}, witness {wit}"
-
-    ok, detail, dt = _timed(body)
-    return CheckResult("psp-witness-z5", claim, ok, detail, dt)
-
-
-def check_property_p(seed: int = 0) -> CheckResult:
-    claim = ("an R[x]-irreducible polynomial splitting in K[x] exists "
-             "within degree 2 and norm 20 for d in {-3,-5,-6,-10,-14} "
-             "(first witness for -3 is x^2+x+1) and does not exist for "
-             "d in {-1, -2}")
-
-    def body():
-        notes = []
-        for d in (-3, -5, -6, -10, -14):
-            cfg = ring(d)
-            wit = rpoly.property_p_witness(cfg, 20, 2)
-            if wit is None:
-                return False, f"no witness found for d={d}"
-            if not rpoly.is_irreducible_rx(wit)[0]:
-                return False, f"witness for d={d} is reducible"
-            if len(factor_k(wit.to_kpoly())[1]) < 2:
-                return False, f"witness for d={d} does not split over K"
-            if d == -3 and wit != RPoly([1, 1, 1], cfg):
-                return False, f"first witness for d=-3 was {wit}"
-            notes.append(f"d={d}: {wit}")
-        for d in (-1, -2):
-            cfg = ring(d)
-            wit = rpoly.property_p_witness(cfg, 20, 2)
-            if wit is not None:
-                return False, f"unexpected witness {wit} for d={d}"
-            notes.append(f"d={d}: none")
-        return True, "; ".join(notes)
-
-    ok, detail, dt = _timed(body)
-    return CheckResult("property-p", claim, ok, detail, dt)
-
-
-def check_d2_length_jump(seed: int = 0) -> CheckResult:
-    claim = ("for pi=2 over Z[sqrt(-5)] and n=1..5, "
-             "pi^(2n)(1 - x^2/pi^(2n)) = (pi^n+x)(pi^n-x) holds in D2 "
-             "with irreducible factors; lengths (2, 2n+1) push the "
-             "elasticity lower bound (2n+1)/2 without limit")
-
-    def body():
-        cfg = ring(-5)
-        pi = cfg.el(2)
-        bounds = []
-        for n in range(1, 6):
-            rep = extring.d2_witness_verify(pi, n)
-            if not rep.ok():
-                return False, f"construction failed at n={n}"
-            if rep.lengths != (2, 2 * n + 1):
-                return False, f"lengths {rep.lengths} at n={n}"
-            if rep.elasticity_lower_bound != Fraction(2 * n + 1, 2):
-                return False, f"bound {rep.elasticity_lower_bound} at n={n}"
-            if 2 not in rep.observed_lengths or \
-                    2 * n + 1 not in rep.observed_lengths:
-                return False, f"observed {rep.observed_lengths} at n={n}"
-            bounds.append(str(rep.elasticity_lower_bound))
-        return True, "bounds " + ", ".join(bounds)
-
-    ok, detail, dt = _timed(body)
-    return CheckResult("d2-length-jump", claim, ok, detail, dt)
-
-
-def check_d1_elasticity(seed: int = 0) -> CheckResult:
-    claim = ("50 seeded D1 elements over Z[sqrt(-5)] all have "
-             "elasticity 1 (half-factoriality lifts to D1); 81+x^2 over "
-             "Z[sqrt(-14)] has length set {3, 5} and elasticity 5/3")
-
-    def body():
-        cfg = ring(-5)
-        rng = random.Random(seed)
-        count = 0
-        while count < 50:
-            c = cfg.el(rng.randint(-9, 9), rng.randint(-4, 4))
-            if c.is_zero() or c.is_unit():
-                continue
-            v = rng.randint(0, 2)
-            coeffs = [KElem(0, 0, cfg)] * v
-            coeffs.append(KElem.from_quadint(c))
-            for _ in range(rng.randint(0, 2)):
-                # u/du + (v/dv)*w, drawn in that order
-                u, du, v, dv = (rng.randint(-3, 3), rng.randint(1, 3),
-                                rng.randint(-2, 2), rng.randint(1, 3))
-                coeffs.append(KElem(u * dv, v * du, cfg, du * dv))
-            p = KPoly(coeffs, cfg)
-            if p.degree() < v or p.coeff(v).is_zero():
-                continue
-            g = extring.ExtElem(p, "D1")
-            el = extring.d1_factorizations(g).elasticity()
-            if el != Fraction(1):
-                return False, f"elasticity {el} for {p}"
-            count += 1
-        cfg14 = ring(-14)
-        p = KPoly([KElem(81, 0, cfg14), KElem(0, 0, cfg14),
-                   KElem(1, 0, cfg14)], cfg14)
-        fs = extring.d1_factorizations(extring.ExtElem(p, "D1"))
-        el = fs.elasticity()
-        ok = fs.lengths() == [3, 5] and el == Fraction(5, 3)
-        return ok, (f"{count} samples at elasticity 1; 81+x^2 lengths "
-                    f"{fs.lengths()}, elasticity {el}")
-
-    ok, detail, dt = _timed(body)
-    return CheckResult("d1-elasticity", claim, ok, detail, dt)
-
-
-def check_ideal_laws(seed: int = 0) -> CheckResult:
-    claim = ("on seeded fractional ideals: v-closure is idempotent and "
-             "contains the ideal, colon reverses inclusions; the Gauss "
-             "product (2+(1+w)x)(2+(1-w)x) over Z[sqrt(-5)] fails "
-             "primitivity with content divisible by 2; the pair "
-             "B=(2,1+w), C=(2,1-w)/2 over Z[sqrt(-5)] breaks the "
-             "product-closure implication while Z[i] instances satisfy it")
-
-    def body():
-        rng = random.Random(seed)
-
-        def contain(big, small):
-            return all(big.contains(g) for g in small.generators())
-
-        rounds = 0
-        for d in (-1, -3, -5, -14):
-            cfg = ring(d)
-            for _ in range(50):
-                gens = [cfg.el(rng.randint(-9, 9), rng.randint(-4, 4))
-                        for _ in range(2)]
-                if all(g.is_zero() for g in gens):
-                    continue
-                I = ideals.ideal_from_quadints(
-                    [g for g in gens if not g.is_zero()])
-                V = ideals.v_closure(I)
-                if ideals.v_closure(V) != V or not contain(V, I):
-                    return False, f"v-closure misbehaves at d={d}, I={I}"
-                z = cfg.el(rng.randint(1, 5), rng.randint(0, 2))
-                J = ideals.mul(I, ideals.ideal_from_quadints([z]))
-                if not contain(ideals.colon(J), ideals.colon(I)):
-                    return False, f"colon not antitone at d={d}"
-                rounds += 1
-        cfg5 = ring(-5)
-        f = RPoly([cfg5.el(2), cfg5.el(1, 1)], cfg5)
-        g = RPoly([cfg5.el(2), cfg5.el(1, -1)], cfg5)
-        gauss = ideals.gauss_product_check(f, g)
-        prod = f * g
-        content = common_nonunit_divisor(list(prod.coeffs))
-        if gauss or content != cfg5.el(2):
-            return False, f"gauss {gauss}, content {content}"
-        B = ideals.ideal_from_quadints([cfg5.el(2), cfg5.el(1, 1)])
-        C = ideals.ideal_from_gens([
-            KElem(1, 0, cfg5), KElem(1, -1, cfg5, 2)])
-        gamma_bad = ideals.gamma_check(B, C).holds
-        cfg1 = ring(-1)
-        B1 = ideals.ideal_from_quadints([cfg1.el(1, 1)])
-        C1 = ideals.ideal_from_gens(
-            [KElem(1, -1, cfg1, 2)])
-        gamma_good = ideals.gamma_check(B1, C1).holds
-        ok = (not gamma_bad) and gamma_good
-        return ok, (f"{rounds} ideal rounds; gauss fails with content 2; "
-                    f"gamma instance false at d=-5, true at d=-1")
-
-    ok, detail, dt = _timed(body)
-    return CheckResult("ideal-laws", claim, ok, detail, dt)
+            I = ideals.ideal_from_quadints(
+                [g for g in gens if not g.is_zero()])
+            V = ideals.v_closure(I)
+            if ideals.v_closure(V) != V or not contain(V, I):
+                return False, f"v-closure misbehaves at d={d}, I={I}"
+            z = cfg.el(rng.randint(1, 5), rng.randint(0, 2))
+            J = ideals.mul(I, ideals.ideal_from_quadints([z]))
+            if not contain(ideals.colon(J), ideals.colon(I)):
+                return False, f"colon not antitone at d={d}"
+            rounds += 1
+    cfg5 = ring(-5)
+    f = RPoly([cfg5.el(2), cfg5.el(1, 1)], cfg5)
+    g = RPoly([cfg5.el(2), cfg5.el(1, -1)], cfg5)
+    gauss = ideals.gauss_product_check(f, g)
+    prod = f * g
+    content = common_nonunit_divisor(list(prod.coeffs))
+    if gauss or content != cfg5.el(2):
+        return False, f"gauss {gauss}, content {content}"
+    B = ideals.ideal_from_quadints([cfg5.el(2), cfg5.el(1, 1)])
+    C = ideals.ideal_from_gens([
+        KElem(1, 0, cfg5), KElem(1, -1, cfg5, 2)])
+    gamma_bad = ideals.gamma_check(B, C).holds
+    cfg1 = ring(-1)
+    B1 = ideals.ideal_from_quadints([cfg1.el(1, 1)])
+    C1 = ideals.ideal_from_gens(
+        [KElem(1, -1, cfg1, 2)])
+    gamma_good = ideals.gamma_check(B1, C1).holds
+    ok = (not gamma_bad) and gamma_good
+    return ok, (f"{rounds} ideal rounds; gauss fails with content 2; "
+                f"gamma instance false at d=-5, true at d=-1")
 
 
 ALL_CHECKS = (

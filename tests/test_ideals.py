@@ -48,10 +48,28 @@ def test_frac_ideal_invariants_raise():
     # Z*(2,0) + Z*(0,1) is not closed under w at d = -5: the check is
     # explicit, so it also runs under python -O
     from quadfactor.ideals import FracIdeal
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError) as exc:
         FracIdeal(2, 0, 1, 1, ring(-5))
+    assert str(exc.value) == ("FracIdeal(a=2, b=0, c=1, denom=1, "
+                              "cfg=RingCfg(d=-5)) is not a reduced ideal "
+                              "lattice")
     with pytest.raises(VerificationError):
         FracIdeal(2, 0, 1, 0, ring(-5))
+
+
+def test_frac_ideal_equality_is_by_ideal():
+    # one ideal from three generator lists: equal, hashing equal, one
+    # element of a set; a different ideal stays apart
+    cfg = ring(-5)
+    I = ideal_from_quadints([cfg.el(2), cfg.el(1, 1)])
+    J = ideal_from_quadints([cfg.el(1, 1), cfg.el(2), cfg.el(3, 1)])
+    K = ideal_from_gens([E(1, -1, -5), E(2, 0, -5)])
+    assert I == J == K
+    assert hash(I) == hash(J) == hash(K)
+    assert len({I, J, K}) == 1
+    assert I != ideal_from_quadints([cfg.el(2)])
+    # the same lattice (a, b, c) = (2, 1, 1) in another ring
+    assert I != ideal_from_quadints([ring(-3).el(2), ring(-3).el(1, 1)])
 
 
 def test_ideal_from_gens_rejects_zero():

@@ -29,6 +29,14 @@ def test_ring_flags():
     assert ring(-97).is_maximal
 
 
+def test_ring_is_one_object_per_d():
+    # equality and hashing are by identity, so ring() must not make two
+    assert ring(-5) is ring(-5)
+    assert repr(ring(-5)) == "RingCfg(d=-5)"
+    assert ring(-5) != ring(-6)
+    assert len({ring(-5), ring(-5), ring(-6)}) == 2
+
+
 @pytest.mark.parametrize("bad", [0, 1, -4, -9, -12, -101, -100])
 def test_ring_rejects(bad):
     with pytest.raises(DomainError):

@@ -5,6 +5,7 @@ its expected stdout, up to the next blank line or the end of the block.
 Output must match byte for byte, except that a line reading `...`
 stands for any number of output lines."""
 
+import ast
 import pathlib
 import re
 import shlex
@@ -47,6 +48,29 @@ def expected_pattern(lines) -> str:
 
 def test_readme_has_examples():
     assert len(EXAMPLES) >= 14
+
+
+def library_block() -> str:
+    """The python code block of the README's Library section."""
+    section = README.read_text().split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example():
+    # a `# value` comment line gives the repr of the expression above it
+    source = library_block()
+    lines = source.splitlines()
+    namespace = {}
+    checked = 0
+    for node in ast.parse(source).body:
+        code = ast.get_source_segment(source, node)
+        below = lines[node.end_lineno] if node.end_lineno < len(lines) else ""
+        if below.startswith("# "):
+            assert repr(eval(code, namespace)) == below[2:], code
+            checked += 1
+        else:
+            exec(code, namespace)
+    assert checked == sum(line.startswith("# ") for line in lines) == 3
 
 
 @pytest.mark.parametrize("command,expected", EXAMPLES,

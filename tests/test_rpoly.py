@@ -136,6 +136,9 @@ def test_is_irreducible_rx():
     ok, cert = is_irreducible_rx(RP("x^2+5", -5))
     assert not ok
     assert cert.g * cert.h == RP("x^2+5", -5)
+    # certificates compare and hash by their fields
+    again = is_irreducible_rx(RP("x^2+5", -5))[1]
+    assert again is not cert and again == cert and len({cert, again}) == 1
     assert is_irreducible_rx(RP("x^2+x+1", -5)) == (True, None)
     assert is_irreducible_rx(RP("x", -5)) == (True, None)
     assert is_irreducible_rx(RP("2*x^2+2+w", -5)) == (True, None)

@@ -310,6 +310,17 @@ def test_cli_deep_nesting_exits_2(capsys, args):
         f"nesting exceeds {MAX_NESTING} levels")
 
 
+@pytest.mark.parametrize("cmd, text, pos", [
+    ("factor", "", 0), ("factor", "1+", 2), ("factor", "2*", 2),
+    ("kfactor", "x^", 2), ("factor", "(", 1),
+])
+def test_cli_truncated_input_names_end_of_input(capsys, cmd, text, pos):
+    code, out, err = invoke(capsys, "--d", "-5", cmd, text)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == (
+        f"expected a value, found end of input at position {pos}")
+
+
 def test_nesting_bound_itself_accepted():
     # MAX_NESTING - 1 parentheses or signs around a literal, plus the
     # top level, are MAX_NESTING levels
@@ -366,6 +377,12 @@ def test_package_surface():
     import quadfactor
     assert all(hasattr(quadfactor, n) for n in quadfactor.__all__)
     assert quadfactor.__version__
+    namespace = {}
+    exec("from quadfactor import *", namespace)
+    assert all(namespace[n] is getattr(quadfactor, n)
+               for n in quadfactor.__all__)
+    with pytest.raises(AttributeError):
+        quadfactor.no_such_name
 
 
 def test_cli_installed_script():
