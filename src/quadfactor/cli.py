@@ -5,14 +5,19 @@ is byte-identical across runs for a fixed argv and seed.  Errors are
 JSON objects on stderr with exit codes: 2 for syntax and usage, 3 for
 domain violations, 4 for resource guards, 5 for a result that failed its
 own check.  paper-suite exits 1 when any check fails.
+
+Global options come before the command, as `--opt v` or `--opt=v`,
+under any unambiguous prefix (`--d` is exact); the last repeat wins.
+A string that looks like a negative number is a value, and after `--`
+every string is one.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from . import extring, factor, ideals, rpoly, suite
 from .errors import (DomainError, ParseError, ResourceLimitError,
@@ -24,328 +29,323 @@ from .qint import ring, units
 from .rpoly import is_irreducible_rx
 
 
-def _emit_error(kind: str, message: str) -> None:
-    sys.stderr.write(
-        json.dumps({"error": {"type": kind, "message": message}}) + "\n")
+class _Usage(Exception):
+    """argv that the command table does not accept (exit 2)."""
 
 
-class _CliParser(argparse.ArgumentParser):
-    def error(self, message):
-        _emit_error("usage", message)
-        raise SystemExit(2)
+class _Help(Exception):
+    """-h or --help was read (usage on stdout, exit 0)."""
 
 
-def _tsv_cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    return json.dumps(v)
-
-
-def _emit(payload, fmt: str) -> None:
-    if fmt == "tsv":
-        if isinstance(payload, list):
-            rows = ["\t".join(_tsv_cell(v) for v in row.values())
-                    for row in payload]
-        else:
-            rows = [f"{k}\t{_tsv_cell(v)}" for k, v in payload.items()]
-        sys.stdout.write("\n".join(rows) + "\n")
-    else:
-        sys.stdout.write(json.dumps(payload) + "\n")
-
-
-def _need_ring(args):
-    if args.d is None:
-        raise ParseError("--d is required for this command")
-    return ring(args.d)
+# global option -> default; the option string is "--" + dest with "-"
+_DEFAULTS = {"d": None, "norm_bound": 20, "deg_bound": 2, "format": "json",
+             "seed": 0}
+_HELP = ("-h", "--help")
+_GLOBAL = _HELP + tuple("--" + k.replace("_", "-") for k in _DEFAULTS)
+_INTS = ("d", "norm_bound", "deg_bound", "seed", "n")
+# error -> (type reported on stderr, exit code)
+_FAILURES = {_Usage: ("usage", 2), ParseError: ("parse", 2),
+             DomainError: ("domain", 3), ResourceLimitError: ("resource", 4),
+             VerificationError: ("verification", 5)}
+# argparse reads these as values, not as options
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def _ratio(q) -> dict:
     return {"num": q.numerator, "den": q.denominator}
 
 
-def _classes(fs, to_str) -> list[list[str]]:
-    rendered = [[to_str(z) for z in m] for m in fs.factorizations]
-    return sorted(rendered, key=lambda m: (len(m), m))
+def _lengths(fs) -> dict:
+    """Factorizations (shortest first), length set and elasticity."""
+    rendered = [[str(z) for z in m] for m in fs.factorizations]
+    return {"factorizations": sorted(rendered, key=lambda m: (len(m), m)),
+            "length_set": fs.lengths(),
+            "elasticity": _ratio(fs.elasticity())}
 
 
-def _cmd_ring_info(args) -> int:
-    cfg = _need_ring(args)
-    _emit({
-        "d": cfg.d,
-        "is_maximal": cfg.is_maximal,
-        "class_number": cfg.class_number,
-        "is_ufd": cfg.is_ufd,
-        "units": [str(u) for u in units(cfg)],
-    }, args.format)
-    return 0
+def _ring_info(a, cfg) -> dict:
+    return {"d": cfg.d, "is_maximal": cfg.is_maximal,
+            "class_number": cfg.class_number, "is_ufd": cfg.is_ufd,
+            "units": [str(u) for u in units(cfg)]}
 
 
-def _cmd_factor(args) -> int:
-    cfg = _need_ring(args)
-    x = parse_element(args.element, cfg)
-    fs = factor.factorizations(x)
-    _emit({
-        "element": str(x),
-        "d": cfg.d,
-        "factorizations": _classes(fs, str),
-        "length_set": fs.lengths(),
-        "elasticity": _ratio(fs.elasticity()),
-    }, args.format)
-    return 0
+def _factor(a, cfg) -> dict:
+    x = parse_element(a.element, cfg)
+    return {"element": str(x), "d": cfg.d,
+            **_lengths(factor.factorizations(x))}
 
 
-def _cmd_elasticity(args) -> int:
-    cfg = _need_ring(args)
-    x = parse_element(args.element, cfg)
-    _emit({
-        "element": str(x),
-        "d": cfg.d,
-        "elasticity": _ratio(factor.factorizations(x).elasticity()),
-    }, args.format)
-    return 0
+def _elasticity(a, cfg) -> dict:
+    x = parse_element(a.element, cfg)
+    return {"element": str(x), "d": cfg.d,
+            "elasticity": _ratio(factor.factorizations(x).elasticity())}
 
 
-def _cmd_poly_factor(args) -> int:
-    cfg = _need_ring(args)
-    f = parse_rpoly(args.poly, cfg)
-    fs = rpoly.factorizations_rx(f)
-    _emit({
-        "poly": str(f),
-        "d": cfg.d,
-        "factorizations": _classes(fs, str),
-        "length_set": fs.lengths(),
-        "elasticity": _ratio(fs.elasticity()),
-    }, args.format)
-    return 0
+def _poly_factor(a, cfg) -> dict:
+    f = parse_rpoly(a.poly, cfg)
+    return {"poly": str(f), "d": cfg.d,
+            **_lengths(rpoly.factorizations_rx(f))}
 
 
-def _cmd_poly_elasticity(args) -> int:
-    cfg = _need_ring(args)
-    f = parse_rpoly(args.poly, cfg)
-    _emit({
-        "poly": str(f),
-        "d": cfg.d,
-        "elasticity": _ratio(rpoly.factorizations_rx(f).elasticity()),
-    }, args.format)
-    return 0
+def _poly_elasticity(a, cfg) -> dict:
+    f = parse_rpoly(a.poly, cfg)
+    return {"poly": str(f), "d": cfg.d,
+            "elasticity": _ratio(rpoly.factorizations_rx(f).elasticity())}
 
 
-def _cmd_irr(args) -> int:
-    cfg = _need_ring(args)
-    f = parse_rpoly(args.poly, cfg)
+def _irr(a, cfg) -> dict:
+    f = parse_rpoly(a.poly, cfg)
     flag, cert = is_irreducible_rx(f)
-    payload = {
-        "poly": str(f),
-        "d": cfg.d,
-        "irreducible": flag,
-        "certificate": None,
-    }
-    if cert is not None:
-        payload["certificate"] = {
-            "subset": list(cert.subset),
-            "lambda": str(cert.lam),
-            "g": str(cert.g),
-            "h": str(cert.h),
-        }
-    _emit(payload, args.format)
-    return 0
+    return {"poly": str(f), "d": cfg.d, "irreducible": flag,
+            "certificate": None if cert is None else {
+                "subset": list(cert.subset), "lambda": str(cert.lam),
+                "g": str(cert.g), "h": str(cert.h)}}
 
 
-def _cmd_kfactor(args) -> int:
-    cfg = _need_ring(args)
-    f = parse_kpoly(args.poly, cfg)
+def _kfactor(a, cfg) -> dict:
+    f = parse_kpoly(a.poly, cfg)
     unit, factors = factor_k(f)
-    _emit({
-        "poly": str(f),
-        "d": cfg.d,
-        "unit": str(unit),
-        "factors": [str(q) for q in factors],
-    }, args.format)
-    return 0
+    return {"poly": str(f), "d": cfg.d, "unit": str(unit),
+            "factors": [str(q) for q in factors]}
 
 
-def _cmd_psp_check(args) -> int:
-    cfg = _need_ring(args)
-    f = parse_rpoly(args.poly, cfg)
+def _psp_check(a, cfg) -> dict:
+    f = parse_rpoly(a.poly, cfg)
     prim = ideals.is_primitive(f)
     sup, wit = ideals.is_superprimitive(f)
-    _emit({
-        "poly": str(f),
-        "d": cfg.d,
-        "primitive": prim,
-        "superprimitive": sup,
-        "witness": None if wit is None else str(wit),
-    }, args.format)
-    return 0
+    return {"poly": str(f), "d": cfg.d, "primitive": prim,
+            "superprimitive": sup,
+            "witness": None if wit is None else str(wit)}
 
 
-def _cmd_gcd_v(args) -> int:
-    cfg = _need_ring(args)
-    elems = [parse_element(e, cfg) for e in args.elements]
+def _gcd_v(a, cfg) -> dict:
+    elems = [parse_element(e, cfg) for e in a.elements]
     g = ideals.gcd_v(elems)
-    _emit({
-        "elements": [str(e) for e in elems],
-        "d": cfg.d,
-        "exists": g is not None,
-        "gcd": None if g is None else str(g),
-    }, args.format)
-    return 0
+    return {"elements": [str(e) for e in elems], "d": cfg.d,
+            "exists": g is not None, "gcd": None if g is None else str(g)}
 
 
-def _cmd_gamma_check(args) -> int:
-    cfg = _need_ring(args)
-    B = ideals.ideal_from_gens(parse_ideal_gens(args.b, cfg))
-    C = ideals.ideal_from_gens(parse_ideal_gens(args.c, cfg))
+def _gamma_check(a, cfg) -> dict:
+    B = ideals.ideal_from_gens(parse_ideal_gens(a.b, cfg))
+    C = ideals.ideal_from_gens(parse_ideal_gens(a.c, cfg))
     rep = ideals.gamma_check(B, C)
     gen = rep.b_v_generator
-    _emit({
-        "b": str(B),
-        "c": str(C),
-        "d": cfg.d,
-        "product_v_trivial": rep.product_v_trivial,
-        "b_v_principal": None if gen is None else str(gen),
-        "holds": rep.holds,
-    }, args.format)
-    return 0
+    return {"b": str(B), "c": str(C), "d": cfg.d,
+            "product_v_trivial": rep.product_v_trivial,
+            "b_v_principal": None if gen is None else str(gen),
+            "holds": rep.holds}
 
 
-def _cmd_witness_p(args) -> int:
-    cfg = _need_ring(args)
-    wit = rpoly.property_p_witness(cfg, args.norm_bound, args.deg_bound)
-    _emit({
-        "d": cfg.d,
-        "norm_bound": args.norm_bound,
-        "deg_bound": args.deg_bound,
-        "witness": None if wit is None else str(wit),
-    }, args.format)
-    return 0
+def _witness_p(a, cfg) -> dict:
+    wit = rpoly.property_p_witness(cfg, a.norm_bound, a.deg_bound)
+    return {"d": cfg.d, "norm_bound": a.norm_bound,
+            "deg_bound": a.deg_bound,
+            "witness": None if wit is None else str(wit)}
 
 
-def _cmd_d1(args) -> int:
-    cfg = _need_ring(args)
-    p = parse_kpoly(args.poly, cfg)
+def _d1(a, cfg) -> dict:
+    p = parse_kpoly(a.poly, cfg)
     g = extring.ExtElem(p, "D1")
     label = extring.d1_classify(g)
-    payload = {
-        "poly": str(p),
-        "d": cfg.d,
-        "classification": label,
-        "factorizations": None,
-        "length_set": None,
-        "elasticity": None,
-        "note": None,
-    }
+    payload = {"poly": str(p), "d": cfg.d, "classification": label,
+               "factorizations": None, "length_set": None,
+               "elasticity": None, "note": None}
     if label != "unit":
         try:
-            fs = extring.d1_factorizations(g)
-            payload["factorizations"] = _classes(fs, str)
-            payload["length_set"] = fs.lengths()
-            payload["elasticity"] = _ratio(fs.elasticity())
+            payload.update(_lengths(extring.d1_factorizations(g)))
         except DomainError as e:
             payload["note"] = str(e)
-    _emit(payload, args.format)
-    return 0
+    return payload
 
 
-def _cmd_d2_demo(args) -> int:
-    cfg = _need_ring(args)
-    pi = parse_element(args.pi, cfg)
-    rep = extring.d2_witness_verify(pi, args.n)
-    _emit({
-        "d": cfg.d,
-        "pi": str(pi),
-        "n": args.n,
-        "identity_holds": rep.identity_holds,
-        "factors_irreducible": rep.factors_irreducible,
-        "lengths": list(rep.lengths),
-        "elasticity_lower_bound": _ratio(rep.elasticity_lower_bound),
-        "observed_lengths": list(rep.observed_lengths),
-    }, args.format)
-    return 0
+def _d2_demo(a, cfg) -> dict:
+    pi = parse_element(a.pi, cfg)
+    rep = extring.d2_witness_verify(pi, a.n)
+    return {"d": cfg.d, "pi": str(pi), "n": a.n,
+            "identity_holds": rep.identity_holds,
+            "factors_irreducible": rep.factors_irreducible,
+            "lengths": list(rep.lengths),
+            "elasticity_lower_bound": _ratio(rep.elasticity_lower_bound),
+            "observed_lengths": list(rep.observed_lengths)}
 
 
-def _cmd_paper_suite(args) -> int:
-    results = suite.run_all(args.seed)
-    payload = [{
-        "name": r.name,
-        "ok": r.ok,
-        "claim": r.claim,
-        "detail": r.detail,
-    } for r in results]
-    if args.format == "tsv":
-        _emit([{"status": "PASS" if r.ok else "FAIL",
-                "name": r.name, "detail": r.detail}
-               for r in results], "tsv")
-    else:
-        _emit({
-            "results": payload,
+def _paper_suite(a, cfg) -> dict:
+    results = suite.run_all(a.seed)
+    return {"results": [{"name": r.name, "ok": r.ok, "claim": r.claim,
+                         "detail": r.detail} for r in results],
             "passed": sum(r.ok for r in results),
             "total": len(results),
-            "ok": all(r.ok for r in results),
-        }, "json")
-    return 0 if all(r.ok for r in results) else 1
+            "ok": all(r.ok for r in results)}
 
 
-@functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it
-    unchanged, so every main() call shares it."""
-    p = _CliParser(prog="quadfactor", description=__doc__)
-    p.add_argument("--d", type=int, default=None,
-                   help="squarefree d < 0 defining Z[sqrt(d)]")
-    p.add_argument("--norm-bound", type=int, default=20)
-    p.add_argument("--deg-bound", type=int, default=2)
-    p.add_argument("--format", choices=("json", "tsv"), default="json")
-    p.add_argument("--seed", type=int, default=0)
-    sub = p.add_subparsers(dest="command", required=True)
+# One table drives reading argv, dispatch and exit codes.  command ->
+# (positionals, needs --d, handler returning the payload); a positional
+# "name..." takes one or more values, and one named in _INTS an int
+_COMMANDS = {
+    "ring-info": ((), True, _ring_info),
+    "factor": (("element",), True, _factor),
+    "elasticity": (("element",), True, _elasticity),
+    "poly-factor": (("poly",), True, _poly_factor),
+    "poly-elasticity": (("poly",), True, _poly_elasticity),
+    "irr": (("poly",), True, _irr),
+    "kfactor": (("poly",), True, _kfactor),
+    "psp-check": (("poly",), True, _psp_check),
+    "gcd-v": (("elements...",), True, _gcd_v),
+    "gamma-check": (("b", "c"), True, _gamma_check),
+    "witness-p": ((), True, _witness_p),
+    "d1": (("poly",), True, _d1),
+    "d2-demo": (("pi", "n"), True, _d2_demo),
+    "paper-suite": ((), False, _paper_suite),
+}
 
-    def cmd(name, fn, **arguments):
-        sp = sub.add_parser(name)
-        for arg, kw in arguments.items():
-            sp.add_argument(arg, **kw)
-        sp.set_defaults(func=fn)
-        return sp
 
-    cmd("ring-info", _cmd_ring_info)
-    cmd("factor", _cmd_factor, element={})
-    cmd("elasticity", _cmd_elasticity, element={})
-    cmd("poly-factor", _cmd_poly_factor, poly={})
-    cmd("poly-elasticity", _cmd_poly_elasticity, poly={})
-    cmd("irr", _cmd_irr, poly={})
-    cmd("kfactor", _cmd_kfactor, poly={})
-    cmd("psp-check", _cmd_psp_check, poly={})
-    cmd("gcd-v", _cmd_gcd_v, elements={"nargs": "+"})
-    cmd("gamma-check", _cmd_gamma_check, b={}, c={})
-    cmd("witness-p", _cmd_witness_p)
-    cmd("d1", _cmd_d1, poly={})
-    sp = sub.add_parser("d2-demo")
-    sp.add_argument("pi")
-    sp.add_argument("n", type=int)
-    sp.set_defaults(func=_cmd_d2_demo)
-    cmd("paper-suite", _cmd_paper_suite)
-    return p
+def _usage() -> str:
+    lines = ["usage: quadfactor [--d D] [--norm-bound N] [--deg-bound N]"
+             " [--format {json,tsv}] [--seed N] COMMAND [ARG ...]", "",
+             "commands (all but paper-suite need --d):"]
+    lines += ["  " + " ".join([name] + [x.upper() for x in args])
+              for name, (args, _, _) in _COMMANDS.items()]
+    return "\n".join(lines) + "\n\n" + (__doc__ or "").partition("\n\n")[2]
+
+
+def _value(dest: str, text: str):
+    if dest == "format" and text not in ("json", "tsv"):
+        raise _Usage(f"argument --format: invalid choice: {text!r} "
+                     "(choose from 'json', 'tsv')")
+    try:
+        return int(text) if dest in _INTS else text
+    except ValueError:
+        raise _Usage(f"argument {dest}: invalid int value: {text!r}") from None
+
+
+def _option(arg: str, names):
+    """How argparse reads one string before any `--` against the option
+    strings `names`: None for a value, else (option string, or None for
+    an unknown option; the text after `=` or after `-h`, or None)."""
+    if arg in names:
+        return arg, None
+    if len(arg) < 2 or arg[0] != "-":
+        return None
+    head, eq, tail = arg.partition("=")
+    if eq and head in names:
+        return head, tail
+    if arg[1] == "-":
+        hits = [n for n in names if n.startswith(head)]
+        if len(hits) > 1:
+            raise _Usage(f"ambiguous option: {arg} could match "
+                         + ", ".join(hits))
+        if hits:
+            return hits[0], tail if eq else None
+    elif arg[1] == "h":
+        return "-h", arg[2:]
+    if _NEGATIVE.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _help(opt: str, text) -> None:
+    # "-hh" reads as -h -h; any other text after a help option is an error
+    if text is None or opt == "-h" and text and not text.strip("h"):
+        raise _Help
+    raise _Usage(f"argument {opt}: ignored explicit argument {text!r}")
+
+
+def _bind(a, names, vals) -> list:
+    """Sets the command's positionals from vals, converting each as it is
+    bound; returns the values left over."""
+    for k, name in enumerate(names):
+        if name.endswith("..."):
+            setattr(a, name[:-3], vals[k:])
+            return []
+        if k < len(vals):
+            setattr(a, name, _value(name, vals[k]))
+    return vals[len(names):]
+
+
+def _read_argv(argv) -> SimpleNamespace:
+    """The global options, the command and its positionals, read in
+    argparse's order so that an error before a help option wins and an
+    unknown option fails only at the end.  Raises _Help or _Usage."""
+    argv = list(argv)
+    a = SimpleNamespace(**_DEFAULTS)
+    stop = argv.index("--") if "--" in argv else len(argv)
+    # every string up to `--` is read as a global option before any is
+    # used, so an ambiguous prefix anywhere there fails first
+    kinds = [_option(s, _GLOBAL) for s in argv[:stop]]
+    unread, i = [], 0
+    while i < stop and kinds[i] is not None:
+        opt, text = kinds[i]
+        i += 1
+        if opt is None:
+            unread.append(argv[i - 1])
+        elif opt in _HELP:
+            _help(opt, text)
+        else:
+            if text is None:
+                if i == stop or kinds[i] is not None:
+                    raise _Usage(f"argument {opt}: expected one argument")
+                text, i = argv[i], i + 1
+            dest = opt[2:].replace("-", "_")
+            setattr(a, dest, _value(dest, text))
+    if i == stop:
+        raise _Usage("a command is required before any '--'")
+    a.command = argv[i]
+    if a.command not in _COMMANDS:
+        raise _Usage(f"invalid command {a.command!r} (choose from "
+                     + ", ".join(_COMMANDS) + ")")
+    names = _COMMANDS[a.command][0]
+    vals = []
+    rest = argv[i + 1:]
+    for j, s in enumerate(rest):
+        if s == "--":
+            vals += rest[j + 1:]
+            if not names:
+                unread.append(s)
+            break
+        kind = _option(s, _HELP)
+        if kind is None:
+            vals.append(s)
+        elif kind[0] is None:
+            unread.append(s)
+        else:
+            _bind(a, names, vals)  # a bad value before the help fails
+            _help(*kind)
+    unread += _bind(a, names, vals)
+    if len(vals) < len(names):
+        raise _Usage("the following arguments are required: "
+                     + ", ".join(names[len(vals):]))
+    if unread:
+        raise _Usage("unrecognized arguments: " + " ".join(unread))
+    return a
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 0
-    try:
-        return args.func(args)
-    except ParseError as e:
-        _emit_error("parse", str(e))
-        return 2
-    except DomainError as e:
-        _emit_error("domain", str(e))
-        return 3
-    except ResourceLimitError as e:
-        _emit_error("resource", str(e))
-        return 4
-    except VerificationError as e:
-        _emit_error("verification", str(e))
-        return 5
+        a = _read_argv(sys.argv[1:] if argv is None else argv)
+        _, needs_d, handler = _COMMANDS[a.command]
+        if needs_d and a.d is None:
+            raise ParseError("--d is required for this command")
+        payload = handler(a, ring(a.d) if needs_d else None)
+    except _Help:
+        sys.stdout.write(_usage())
+        return 0
+    except tuple(_FAILURES) as e:
+        kind, code = next(v for k, v in _FAILURES.items() if isinstance(e, k))
+        sys.stderr.write(json.dumps(
+            {"error": {"type": kind, "message": str(e)}}) + "\n")
+        return code
+    suite_run = a.command == "paper-suite"
+    if a.format == "json":
+        sys.stdout.write(json.dumps(payload) + "\n")
+    else:
+        # paper-suite prints one status/name/detail row per check
+        rows = ([("PASS" if r["ok"] else "FAIL", r["name"], r["detail"])
+                 for r in payload["results"]] if suite_run
+                else payload.items())
+        sys.stdout.write(
+            "\n".join("\t".join(v if isinstance(v, str) else json.dumps(v)
+                                for v in row) for row in rows) + "\n")
+    return 1 if suite_run and not payload["ok"] else 0
 
 
 def run() -> None:

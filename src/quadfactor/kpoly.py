@@ -65,7 +65,8 @@ class KElem:
 
     def coords(self):
         """(u, v) with self = u + v*w: integers when den = 1, else exact
-        rationals, so that qint's keys compare elements of any den."""
+        rationals.  Library API of the exported KElem; the package itself
+        does not call it."""
         if self.den == 1:
             return self.a, self.b
         return Fraction(self.a, self.den), Fraction(self.b, self.den)

@@ -2,8 +2,9 @@
 
 A short CLI call is mostly interpreter start-up and imports.  So the
 package keeps `dataclasses` (which pulls in `inspect`, `ast`, `dis` and
-`tokenize`) out of its import graph, and the package root imports a
-layer only when one of that layer's public names is first used.
+`tokenize`) and `argparse` (which pulls in `gettext`) out of its import
+graph, and the package root imports a layer only when one of that
+layer's public names is first used.
 `quadfactor.cli` still imports every layer at module level: the batch
 benchmark's tracer expects them all in sys.modules after importing it."""
 
@@ -35,12 +36,19 @@ def test_detector_sees_both_import_forms():
     assert list(_imported_modules(tree)) == ["dataclasses", "dataclasses"]
 
 
-def test_package_does_not_import_dataclasses():
+def _modules_importing(name: str) -> list[str]:
     files = sorted(SRC.glob("*.py"))
     assert files
-    found = [path.name for path in files
-             if "dataclasses" in _imported_modules(ast.parse(path.read_text()))]
-    assert found == []
+    return [path.name for path in files
+            if name in _imported_modules(ast.parse(path.read_text()))]
+
+
+def test_package_does_not_import_dataclasses():
+    assert _modules_importing("dataclasses") == []
+
+
+def test_package_does_not_import_argparse():
+    assert _modules_importing("argparse") == []
 
 
 def _modules_loaded_by(code: str) -> set[str]:
@@ -62,7 +70,7 @@ def _modules_loaded_by(code: str) -> set[str]:
 def test_cli_import_loads_every_layer_but_not_dataclasses():
     loaded = _modules_loaded_by("import quadfactor.cli")
     assert {f"quadfactor.{m}" for m in LAYERS} <= loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & {"dataclasses", "inspect", "argparse", "gettext"}
 
 
 def test_package_root_loads_only_what_is_used():

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from quadfactor.cli import main
+from quadfactor.cli import _COMMANDS, main, run
 from quadfactor.errors import DomainError, ParseError
 from quadfactor.parse import (MAX_NESTING, parse_element, parse_ideal_gens,
                               parse_kelem, parse_kpoly, parse_rpoly)
@@ -351,7 +351,8 @@ def test_cli_verification_failure_exits_5(capsys, monkeypatch):
 
 
 def test_cli_consecutive_calls_share_no_flags(capsys):
-    # main() reuses one parser; no flag of one call may leak into the next
+    # every main() call reads argv afresh from the option defaults; no
+    # flag of one call may leak into the next
     code, out, _ = invoke(capsys, "--format", "tsv", "--d", "-5",
                           "factor", "6")
     assert code == 0 and out.startswith("element\t6\n")
@@ -385,7 +386,17 @@ def test_package_surface():
         quadfactor.no_such_name
 
 
-def test_cli_installed_script():
+def _run_entry_point(capsys, monkeypatch, *argv):
+    """cli.run() as the installed script calls it: argv from sys.argv,
+    the exit code through SystemExit."""
+    monkeypatch.setattr(sys, "argv", ["quadfactor", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        run()
+    cap = capsys.readouterr()
+    return exit_info.value.code, cap.out, cap.err
+
+
+def test_cli_installed_script(capsys, monkeypatch):
     script = shutil.which("quadfactor")
     cmd = [script] if script else [sys.executable, "-m", "quadfactor"]
     proc = subprocess.run(cmd + ["--d", "-5", "factor", "6"],
@@ -393,3 +404,35 @@ def test_cli_installed_script():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["factorizations"] == [["1-w", "1+w"], ["2", "3"]]
+
+    spaced = _run_entry_point(capsys, monkeypatch,
+                              "--d", "-5", "--format", "tsv", "factor", "6")
+    joined = _run_entry_point(capsys, monkeypatch,
+                              "--d=-5", "--format=tsv", "factor", "6")
+    assert spaced == joined
+    assert joined[0] == 0 and joined[1].startswith("element\t6\n")
+    code, out, _ = _run_entry_point(capsys, monkeypatch,
+                                    "--norm", "30", "--d", "-5", "witness-p")
+    assert code == 0 and json.loads(out)["norm_bound"] == 30
+    code, out, err = _run_entry_point(capsys, monkeypatch, "-h")
+    assert code == 0 and out.startswith("usage: ") and err == ""
+
+
+def test_cli_help_lists_every_command(capsys):
+    code, out, err = invoke(capsys, "--help")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith("usage: quadfactor [--d D]")
+    assert all(any(line.split()[:1] == [name] for line in lines)
+               for name in _COMMANDS)
+    assert "gcd-v ELEMENTS..." in out and "d2-demo PI N" in out
+    # help after the command, a prefix of --help and -hh all print it;
+    # an error read before the help option still wins
+    for argv in (["--d", "-5", "factor", "-h"], ["--he"], ["-hh"],
+                 ["--bogus", "-h"]):
+        assert invoke(capsys, *argv) == (0, out, "")
+    for argv in (["-hx"], ["--help=x"], ["--d", "x", "-h"],
+                 ["--d", "-5", "d2-demo", "1+w", "x", "-h"]):
+        code, out2, err = invoke(capsys, *argv)
+        assert code == 2 and out2 == ""
+        assert json.loads(err)["error"]["type"] == "usage"
