@@ -12,13 +12,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("DomainError", "ParseError", "ResourceLimitError",
                "VerificationError"),
-    "qint": ("QuadInt", "RingCfg", "ring", "norm", "conj", "try_div", "units",
+    "qint": ("KElem", "RingCfg", "ring", "norm", "conj", "try_div", "units",
              "canonical_associate", "elements_of_norm", "is_irreducible",
              "is_prime"),
-    "kpoly": ("KElem", "KPoly", "poly_gcd", "factor_q", "factor_k",
-              "sqrt_in_field"),
-    "ideals": ("FracIdeal", "ideal_from_gens", "ideal_from_quadints", "colon",
-               "v_closure", "is_principal", "content_ideal", "is_primitive",
+    "kpoly": ("KPoly", "poly_gcd", "factor_q", "factor_k", "sqrt_in_field"),
+    "ideals": ("FracIdeal", "ideal_from_gens", "colon", "v_closure",
+               "is_principal", "content_ideal", "is_primitive",
                "is_superprimitive", "gcd_v", "gauss_product_check",
                "gamma_check"),
     "factor": ("FactorizationSet", "factorizations"),

@@ -18,9 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError, VerificationError
-from .factor import FactorizationSet, factorizations, _factor_multisets
-from .kpoly import KElem, KPoly, factor_k, poly_order_key
-from .qint import (QuadInt, canonical_associate, common_nonunit_divisor,
+from .factor import NORM_LIMIT, FactorizationSet, factorizations
+from .kpoly import KPoly, factor_k, poly_order_key
+from .qint import (KElem, canonical_associate, common_nonunit_divisor,
                    is_irreducible)
 from .rpoly import RPoly, is_irreducible_rx
 
@@ -72,15 +72,14 @@ def d1_classify(g: ExtElem) -> str:
     if p.is_zero():
         raise DomainError("zero is not classified")
     if p.degree() == 0:
-        return "unit" if p.coeff(0).to_quadint().is_unit() else "constant"
+        return "unit" if p.coeff(0).is_unit() else "constant"
     r = p.coeff(0)
     if r.is_zero():
-        if p.degree() == 1 and p.coeff(1).is_integral() and \
-                p.coeff(1).to_quadint().is_unit():
+        if p.degree() == 1 and p.coeff(1).is_unit():
             return "associate_of_x"
         # g = x * (g/x) and g/x is a nonunit of D1
         return "reducible"
-    if not r.to_quadint().is_unit():
+    if not r.is_unit():
         return "reducible"
     tail = p.scale(r.inv())
     if len(factor_k(tail)[1]) == 1:
@@ -104,7 +103,8 @@ def _one_plus_tail_factors(u: KPoly) -> list[KPoly]:
 def d1_factorizations(g: ExtElem) -> FactorizationSet:
     """All factorizations of g in D1 under the normal form
     g = c * x^v * u(x), u(0) = 1: the x^v and tail atoms are rigid, and
-    the constant part contributes its Z[w] factorizations.
+    the constant part contributes its Z[w] factorizations, under the
+    norm guard of factor.factorizations.
 
     Requires the constant part c to lie in R (it always does when v = 0;
     for v > 0 membership of g in D1 does not force it)."""
@@ -119,8 +119,7 @@ def d1_factorizations(g: ExtElem) -> FactorizationSet:
         raise DomainError(
             f"constant part {c} of the normal form is not in Z[w]; "
             "factorizations are not enumerable for this element")
-    cq = c.to_quadint()
-    if v == 0 and p.degree() == 0 and cq.is_unit():
+    if v == 0 and p.degree() == 0 and c.is_unit():
         raise DomainError("units have no factorizations")
     tail = KPoly(p.coeffs[v:], p.cfg).scale(c.inv())
     atoms = []
@@ -128,12 +127,11 @@ def d1_factorizations(g: ExtElem) -> FactorizationSet:
                         p.cfg)] * v)
     if tail.degree() >= 1:
         atoms.extend(_one_plus_tail_factors(tail))
-    if cq.is_unit():
+    if c.is_unit():
         consts = [()]
     else:
-        consts = [
-            tuple(KPoly.const(KElem.from_quadint(z)) for z in m)
-            for m in _factor_multisets(canonical_associate(cq))]
+        consts = [tuple(KPoly.const(z) for z in m)
+                  for m in factorizations(c).factorizations]
     out = set()
     for cm in consts:
         out.add(tuple(sorted(cm + tuple(atoms), key=poly_order_key)))
@@ -159,10 +157,9 @@ def d2_is_irreducible(g: ExtElem) -> bool:
     if p.degree() > 2:
         raise DomainError("test supports degree <= 2 only")
     g0, g1 = p.coeff(0), p.coeff(1)
-    if p.degree() == 0 and g0.to_quadint().is_unit():
+    if p.degree() == 0 and g0.is_unit():
         raise DomainError("units are not classified")
-    low = [z.to_quadint() for z in (g0, g1)]
-    nonzero = [z for z in low if not z.is_zero()]
+    nonzero = [z for z in (g0, g1) if not z.is_zero()]
     if not nonzero:
         # g = a*x^2 splits as c * (a/c)*x^2 for any nonunit constant c
         return False
@@ -171,7 +168,7 @@ def d2_is_irreducible(g: ExtElem) -> bool:
         # cofactor low coefficients are low/c, still in R; higher
         # coefficients are unconstrained for D2 membership
         if p.degree() == 0:
-            return is_irreducible(low[0])
+            return is_irreducible(g0)
         return False
     if p.degree() <= 1:
         return True
@@ -188,7 +185,7 @@ class D2WitnessReport:
     __slots__ = ("pi", "n", "identity_holds", "factors_irreducible",
                  "lengths", "elasticity_lower_bound", "observed_lengths")
 
-    def __init__(self, pi: QuadInt, n: int, identity_holds: bool,
+    def __init__(self, pi: KElem, n: int, identity_holds: bool,
                  factors_irreducible: bool, lengths: tuple[int, int],
                  elasticity_lower_bound: Fraction,
                  observed_lengths: tuple[int, ...]):
@@ -203,19 +200,26 @@ class D2WitnessReport:
         return self.identity_holds and self.factors_irreducible
 
 
-def d2_witness_verify(pi: QuadInt, n: int) -> D2WitnessReport:
+def d2_witness_verify(pi: KElem, n: int) -> D2WitnessReport:
     """Check pi^(2n) * (1 - x^2/pi^(2n)) = (pi^n + x) * (pi^n - x) in D2
     and that the three non-constant pieces plus pi are irreducible,
-    giving the element factorization lengths 2 and 2n+1."""
-    if not is_irreducible(pi):
-        raise DomainError(f"{pi} is not irreducible in Z[w]")
+    giving the element factorization lengths 2 and 2n+1.
+
+    n, and the norm of pi^(2n) against factor.NORM_LIMIT, are checked
+    before the irreducibility scan of pi, whose cost grows with the norm
+    of pi."""
     if n < 1:
         raise DomainError(f"power must be between 1 and {D2_MAX_POWER}")
     if n > D2_MAX_POWER:
         raise ResourceLimitError(f"power must be between 1 and {D2_MAX_POWER}")
+    p2n = pi ** (2 * n)
+    if p2n.norm() > NORM_LIMIT:
+        raise ResourceLimitError(
+            f"norm {p2n.norm()} exceeds guard {NORM_LIMIT}")
+    if not is_irreducible(pi):
+        raise DomainError(f"{pi} is not irreducible in Z[w]")
     cfg = pi.cfg
-    pn = KElem.from_quadint(pi ** n)
-    p2n = KElem.from_quadint(pi ** (2 * n))
+    pn = pi ** n
     one = KElem(1, 0, cfg)
     f1 = KPoly([pn, one], cfg)
     f2 = KPoly([pn, -one], cfg)
@@ -226,7 +230,7 @@ def d2_witness_verify(pi: QuadInt, n: int) -> D2WitnessReport:
     factors_ok = (d2_is_irreducible(ExtElem(f1, "D2"))
                   and d2_is_irreducible(ExtElem(f2, "D2"))
                   and d2_is_irreducible(ExtElem(tail, "D2")))
-    fs = factorizations(pi ** (2 * n))
+    fs = factorizations(p2n)
     power = tuple([canonical_associate(pi)] * (2 * n))
     if power not in fs.factorizations:
         factors_ok = False

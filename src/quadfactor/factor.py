@@ -16,7 +16,7 @@ import functools
 from fractions import Fraction
 
 from .errors import ResourceLimitError
-from .qint import (QuadInt, _require_factorable, canonical_associate,
+from .qint import (KElem, _require_factorable, canonical_associate,
                    irreducible_common_divisors, order_key, try_div)
 
 NORM_LIMIT = 10 ** 8
@@ -46,7 +46,7 @@ class FactorizationSet:
 
 
 @functools.lru_cache(maxsize=None)
-def _factor_multisets(x: QuadInt) -> frozenset:
+def _factor_multisets(x: KElem) -> frozenset:
     """x canonical, nonzero, nonunit; returns frozenset of sorted tuples."""
     out = set()
     for y in irreducible_common_divisors([x]):
@@ -59,7 +59,7 @@ def _factor_multisets(x: QuadInt) -> frozenset:
     return frozenset(out)
 
 
-def factorizations(x: QuadInt) -> FactorizationSet:
+def factorizations(x: KElem) -> FactorizationSet:
     """Every factorization of x into irreducibles, up to associates."""
     _require_factorable(x)
     if x.norm() > NORM_LIMIT:

@@ -18,9 +18,9 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, VerificationError
-from .kpoly import KElem
-from .qint import (QuadInt, RingCfg, _canonical_coords, _coords_key,
-                   canonical_associate, common_nonunit_divisor)
+from .qint import (KElem, RingCfg, _canonical_coords, _coords_key,
+                   common_nonunit_divisor)
+from .rpoly import check_coeff_norms
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -178,10 +178,6 @@ def ideal_from_gens(gens: list[KElem]) -> FracIdeal:
     return _make(vecs, m, cfg)
 
 
-def ideal_from_quadints(gens: list[QuadInt]) -> FracIdeal:
-    return ideal_from_gens([KElem.from_quadint(g) for g in gens])
-
-
 def mul(I: FracIdeal, J: FracIdeal) -> FracIdeal:
     """Product ideal; generated by pairwise products of lattice bases
     (both factors are already w-closed, so four products suffice)."""
@@ -278,7 +274,7 @@ def is_principal(I: FracIdeal) -> KElem | None:
 # content ideals of polynomials over Z[w]
 # ---------------------------------------------------------------------------
 
-def _coeff_list(f) -> list[QuadInt]:
+def _coeff_list(f) -> list[KElem]:
     coeffs = list(f.coeffs)
     if not coeffs or all(c.is_zero() for c in coeffs):
         raise DomainError("zero polynomial has no content ideal")
@@ -287,12 +283,17 @@ def _coeff_list(f) -> list[QuadInt]:
 
 def content_ideal(f) -> FracIdeal:
     """A_f: the ideal generated by the coefficients of f over Z[w]."""
-    return ideal_from_quadints([c for c in _coeff_list(f) if not c.is_zero()])
+    return ideal_from_gens(_coeff_list(f))
 
 
 def is_primitive(f) -> bool:
-    """No single nonunit of Z[w] divides every coefficient."""
-    return common_nonunit_divisor(_coeff_list(f)) is None
+    """No single nonunit of Z[w] divides every coefficient.  The divisor
+    scan factors the gcd of the coefficient norms by trial division, so
+    a coefficient norm past rpoly.MAX_COEFF_NORM raises
+    ResourceLimitError."""
+    coeffs = _coeff_list(f)
+    check_coeff_norms(coeffs)
+    return common_nonunit_divisor(coeffs) is None
 
 
 def is_superprimitive(f) -> tuple[bool, KElem | None]:
@@ -321,18 +322,16 @@ def is_superprimitive(f) -> tuple[bool, KElem | None]:
     return False, KElem(x, y, C.cfg, m)
 
 
-def gcd_v(elems: list[QuadInt]) -> QuadInt | None:
+def gcd_v(elems: list[KElem]) -> KElem | None:
     """Greatest common divisor in the divisor-theoretic sense: g such
     that the common divisors of the input are exactly the divisors of g.
     Exists iff the divisorial closure of the generated ideal is
-    principal; None when it is not."""
-    nz = [e for e in elems if not e.is_zero()]
-    if not nz:
+    principal; None when it is not.  g is the canonical generator
+    is_principal returns; it lies in Z[w] when the elements do, since
+    the v-closure of an integral ideal is integral."""
+    if all(e.is_zero() for e in elems):
         raise DomainError("gcd of zeros is undefined")
-    g = is_principal(v_closure(ideal_from_quadints(nz)))
-    if g is None:
-        return None
-    return canonical_associate(g.to_quadint())
+    return is_principal(v_closure(ideal_from_gens(elems)))
 
 
 def gauss_product_check(f, g) -> bool:

@@ -1,11 +1,10 @@
-"""Exact arithmetic in K = Q(sqrt(d)) and factorization in K[x].
+"""Polynomials over K = Q(sqrt(d)) and factorization in K[x].
 
-A scalar (`KElem`) is (a + b*w)/den: integers a, b over one common
-denominator den > 0, reduced so that gcd(a, b, den) = 1.  Arithmetic
-runs on those integers with one gcd per result, so it is exact, and the
-reduced form is unique.  Polynomials (`KPoly`) keep coefficients
-low-to-high.  `Poly` holds the ring arithmetic that K[x] shares with
-R[x] (`rpoly.RPoly`).
+A scalar is a `qint.KElem`, (a + b*w)/den: integers a, b over one
+common denominator den > 0, reduced so that gcd(a, b, den) = 1.
+Polynomials (`KPoly`) keep coefficients low-to-high.  `Poly` holds the
+ring arithmetic and the printing that K[x] shares with R[x]
+(`rpoly.RPoly`).
 
 Rational polynomials are factored over Z by the Zassenhaus method
 (`zpoly.zassenhaus`: Berlekamp mod p, Hensel lifting, recombination)
@@ -21,126 +20,15 @@ factorization is checked by multiplying back before it is returned.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError, VerificationError
-from .qint import QuadInt, RingCfg, _twice_sqrt, format_coords, order_key
+from .qint import KElem, RingCfg, _twice_sqrt, order_key
 from .zpoly import zassenhaus
 
 FACTOR_Q_MAX_DEG = 8
 FACTOR_K_MAX_DEG = 6
 _SHIFT_LIMIT = 20
 _SHIFTS = tuple(s for k in range(1, _SHIFT_LIMIT + 1) for s in (k, -k))
-
-
-class KElem:
-    """A field element (a + b*w)/den of Q(sqrt(d)).
-
-    a, b and den are integers with den > 0 and gcd(a, b, den) = 1, the
-    form the constructor reduces to.  The form is unique, so equality
-    and hashing compare the integers."""
-
-    __slots__ = ("a", "b", "den", "cfg")
-
-    def __init__(self, a: int, b: int, cfg: RingCfg, den: int = 1):
-        if den != 1:
-            if den <= 0:
-                if den == 0:
-                    raise DomainError("division by zero in K")
-                a, b, den = -a, -b, -den
-            g = math.gcd(a, b, den)
-            a, b, den = a // g, b // g, den // g
-        self.a, self.b, self.den, self.cfg = a, b, den, cfg
-
-    @staticmethod
-    def of(u, v, cfg: RingCfg) -> "KElem":
-        """u + v*w for integers or exact rationals u, v."""
-        a, da = u.as_integer_ratio()
-        b, db = v.as_integer_ratio()
-        return KElem(a * db, b * da, cfg, da * db)
-
-    @staticmethod
-    def from_quadint(x: QuadInt) -> "KElem":
-        return KElem(x.a, x.b, x.cfg)
-
-    def coords(self):
-        """(u, v) with self = u + v*w: integers when den = 1, else exact
-        rationals.  Library API of the exported KElem; the package itself
-        does not call it."""
-        if self.den == 1:
-            return self.a, self.b
-        return Fraction(self.a, self.den), Fraction(self.b, self.den)
-
-    def conj(self) -> "KElem":
-        return KElem(self.a, -self.b, self.cfg, self.den)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def is_integral(self) -> bool:
-        """Whether the element lies in the order Z[w]."""
-        return self.den == 1
-
-    def to_quadint(self) -> QuadInt:
-        if self.den != 1:
-            raise DomainError(f"{self} is not in Z[w]")
-        return QuadInt(self.a, self.b, self.cfg)
-
-    def __add__(self, o: "KElem") -> "KElem":
-        if self.den == o.den:
-            return KElem(self.a + o.a, self.b + o.b, self.cfg, self.den)
-        return KElem(self.a * o.den + o.a * self.den,
-                     self.b * o.den + o.b * self.den, self.cfg,
-                     self.den * o.den)
-
-    def __sub__(self, o: "KElem") -> "KElem":
-        if self.den == o.den:
-            return KElem(self.a - o.a, self.b - o.b, self.cfg, self.den)
-        return KElem(self.a * o.den - o.a * self.den,
-                     self.b * o.den - o.b * self.den, self.cfg,
-                     self.den * o.den)
-
-    def __neg__(self) -> "KElem":
-        return KElem(-self.a, -self.b, self.cfg, self.den)
-
-    def __mul__(self, o: "KElem") -> "KElem":
-        a, b, c, e = self.a, self.b, o.a, o.b
-        return KElem(a * c + self.cfg.d * b * e, a * e + b * c, self.cfg,
-                     self.den * o.den)
-
-    def inv(self) -> "KElem":
-        # den/(a + b*w) = den*(a - b*w)/N, N = a^2 - d*b^2 > 0 as d < 0
-        a, b = self.a, self.b
-        return KElem(self.den * a, -self.den * b, self.cfg,
-                     a * a - self.cfg.d * b * b)
-
-    def __truediv__(self, o: "KElem") -> "KElem":
-        # den2*(a + b*w)*(c - e*w) / (den1*(c^2 - d*e^2)), one gcd
-        a, b, c, e, d = self.a, self.b, o.a, o.b, self.cfg.d
-        return KElem(o.den * (a * c - d * b * e), o.den * (b * c - a * e),
-                     self.cfg, self.den * (c * c - d * e * e))
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, KElem) and self.a == other.a
-                and self.b == other.b and self.den == other.den
-                and self.cfg.d == other.cfg.d)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.den, self.cfg.d))
-
-    def __str__(self) -> str:
-        inner = format_coords(self.a, self.b)
-        if self.den == 1:
-            return inner
-        if any(ch in inner[1:] for ch in "+-"):
-            return f"({inner})/{self.den}"
-        return f"{inner}/{self.den}"
-
-    def __repr__(self) -> str:
-        return f"KElem({self}, d={self.cfg.d})"
 
 
 def sqrt_in_field(z: KElem) -> KElem | None:
@@ -161,9 +49,8 @@ def sqrt_in_field(z: KElem) -> KElem | None:
 class Poly:
     """A polynomial over Z[w] or over K; coefficient i multiplies x^i.
 
-    The ring operations R[x] and K[x] share.  A subclass names its zero
-    scalar (zero_elem); polynomials of different subclasses are never
-    equal."""
+    The ring operations and the printing R[x] and K[x] share;
+    polynomials of different subclasses are never equal."""
 
     __slots__ = ("coeffs", "cfg")
 
@@ -188,6 +75,9 @@ class Poly:
         if self.is_zero():
             raise DomainError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
+
+    def zero_elem(self) -> KElem:
+        return KElem(0, 0, self.cfg)
 
     def coeff(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.zero_elem()
@@ -229,6 +119,37 @@ class Poly:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self}, d={self.cfg.d})"
 
+    def __str__(self) -> str:
+        if self.is_zero():
+            return "0"
+        parts = []
+        for k in range(self.degree(), -1, -1):
+            c = self.coeff(k)
+            if c.is_zero():
+                continue
+            neg = False
+            cs = str(c)
+            if cs.startswith("-"):
+                neg = True
+                cs = str(-c)
+            composite = (any(ch in cs[1:] for ch in "+-")
+                         and not cs.startswith("("))
+            if k == 0:
+                # a trailing "+a-b*w" parses the same without parens;
+                # only "-(a-b*w)" genuinely needs them
+                body = f"({cs})" if neg and composite else cs
+            else:
+                if composite:
+                    cs = f"({cs})"
+                xpow = "x" if k == 1 else f"x^{k}"
+                body = xpow if cs == "1" else f"{cs}*{xpow}"
+            parts.append(("-" if neg else "+", body))
+        sign0, body0 = parts[0]
+        out = ("-" if sign0 == "-" else "") + body0
+        for sign, body in parts[1:]:
+            out += sign + body
+        return out
+
 
 def poly_order_key(p: Poly):
     return (p.degree(), tuple(order_key(c) for c in reversed(p.coeffs)))
@@ -242,9 +163,6 @@ class KPoly(Poly):
     @staticmethod
     def from_rationals(vals, cfg: RingCfg) -> "KPoly":
         return KPoly([KElem.of(v, 0, cfg) for v in vals], cfg)
-
-    def zero_elem(self) -> KElem:
-        return KElem(0, 0, self.cfg)
 
     def one_elem(self) -> KElem:
         return KElem(1, 0, self.cfg)
@@ -292,37 +210,6 @@ class KPoly(Poly):
 
     def is_integral(self) -> bool:
         return all(c.is_integral() for c in self.coeffs)
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(self.degree(), -1, -1):
-            c = self.coeff(k)
-            if c.is_zero():
-                continue
-            neg = False
-            cs = str(c)
-            if cs.startswith("-"):
-                neg = True
-                cs = str(-c)
-            composite = (any(ch in cs[1:] for ch in "+-")
-                         and not cs.startswith("("))
-            if k == 0:
-                # a trailing "+a-b*w" parses the same without parens;
-                # only "-(a-b*w)" genuinely needs them
-                body = f"({cs})" if neg and composite else cs
-            else:
-                if composite:
-                    cs = f"({cs})"
-                xpow = "x" if k == 1 else f"x^{k}"
-                body = xpow if cs == "1" else f"{cs}*{xpow}"
-            parts.append(("-" if neg else "+", body))
-        sign0, body0 = parts[0]
-        out = ("-" if sign0 == "-" else "") + body0
-        for sign, body in parts[1:]:
-            out += sign + body
-        return out
 
 
 def poly_gcd(f: KPoly, g: KPoly) -> KPoly:

@@ -22,8 +22,8 @@ from __future__ import annotations
 import re
 
 from .errors import DomainError, ParseError
-from .kpoly import KElem, KPoly
-from .qint import QuadInt, RingCfg
+from .kpoly import KPoly
+from .qint import KElem, RingCfg
 from .rpoly import RPoly
 
 MAX_EXPONENT = 64
@@ -187,11 +187,11 @@ def parse_kelem(text: str, cfg: RingCfg) -> KElem:
     return p.coeff(0)
 
 
-def parse_element(text: str, cfg: RingCfg) -> QuadInt:
+def parse_element(text: str, cfg: RingCfg) -> KElem:
     z = parse_kelem(text, cfg)
     if not z.is_integral():
         raise DomainError(f"{z} is not in Z[w]")
-    return z.to_quadint()
+    return z
 
 
 def parse_rpoly(text: str, cfg: RingCfg) -> RPoly:

@@ -9,10 +9,12 @@ group is then finite ({1, -1}, plus {w, -w} when d = -1), which makes
 
 Associate classes get a canonical representative: the unit multiple
 minimizing (-sign(a), |a|, -sign(b), |b|) lexicographically, i.e. positive
-rational part preferred, then small, then positive w-part.  The same
-rule, and the same order key, serve the field elements of kpoly: both
-scalar types hold integer numerators a, b over a denominator den > 0
-(den = 1 for QuadInt) and are built as `type(x)(a, b, cfg[, den])`.
+rational part preferred, then small, then positive w-part.
+
+One scalar type, KElem, serves R and its field of fractions
+K = Q(sqrt(d)): integer numerators a, b over a denominator den > 0,
+with den = 1 exactly on R.  The canonical rule and the order key read
+the numerators, so they serve both.
 """
 
 from __future__ import annotations
@@ -55,8 +57,9 @@ class RingCfg:
         self.d, self.is_maximal = d, is_maximal
         self.class_number, self.is_ufd = class_number, is_ufd
 
-    def el(self, a: int, b: int = 0) -> "QuadInt":
-        return QuadInt(a, b, self)
+    def el(self, a: int, b: int = 0) -> "KElem":
+        """The element a + b*w of R."""
+        return KElem(a, b, self)
 
     def __repr__(self) -> str:
         return f"RingCfg(d={self.d})"
@@ -79,57 +82,100 @@ def ring(d: int) -> RingCfg:
                    is_ufd=maximal and h == 1)
 
 
-class QuadInt:
-    """An element a + b*w of Z[w], w = sqrt(d)."""
+class KElem:
+    """An element (a + b*w)/den of K = Q(sqrt(d)); it lies in R = Z[w]
+    exactly when den = 1.
 
-    __slots__ = ("a", "b", "cfg")
-    den = 1  # the denominator kpoly.KElem carries, always 1 here
+    a, b and den are integers with den > 0 and gcd(a, b, den) = 1, the
+    form the constructor reduces to.  The form is unique, so equality
+    and hashing compare the integers.  Elements of R take the den = 1
+    path, which stores the integers as given."""
 
-    def __init__(self, a: int, b: int, cfg: RingCfg):
+    __slots__ = ("a", "b", "den", "cfg")
+
+    def __init__(self, a: int, b: int, cfg: RingCfg, den: int = 1):
+        if den != 1:
+            if den <= 0:
+                if den == 0:
+                    raise DomainError("division by zero in K")
+                a, b, den = -a, -b, -den
+            g = math.gcd(a, b, den)
+            a, b, den = a // g, b // g, den // g
         self.a = a
         self.b = b
+        self.den = den
         self.cfg = cfg
 
-    def coords(self) -> tuple[int, int]:
-        return self.a, self.b
+    @staticmethod
+    def of(u, v, cfg: RingCfg) -> "KElem":
+        """u + v*w for integers or exact rationals u, v."""
+        a, da = u.as_integer_ratio()
+        b, db = v.as_integer_ratio()
+        return KElem(a * db, b * da, cfg, da * db)
 
-    def norm(self) -> int:
-        return self.a * self.a - self.cfg.d * self.b * self.b
+    def coords(self):
+        """(u, v) with self = u + v*w: integers when den = 1, else exact
+        rationals.  Library API; the package itself does not call it."""
+        if self.den == 1:
+            return self.a, self.b
+        return Fraction(self.a, self.den), Fraction(self.b, self.den)
 
-    def conj(self) -> "QuadInt":
-        return QuadInt(self.a, -self.b, self.cfg)
+    def norm(self):
+        """The field norm: an integer on R, an exact rational off it."""
+        n = self.a * self.a - self.cfg.d * self.b * self.b
+        return n if self.den == 1 else Fraction(n, self.den * self.den)
+
+    def conj(self) -> "KElem":
+        return KElem(self.a, -self.b, self.cfg, self.den)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
     def is_unit(self) -> bool:
-        return self.norm() == 1
+        """Whether the element is a unit of R: in R, of norm 1."""
+        return self.den == 1 and \
+            self.a * self.a - self.cfg.d * self.b * self.b == 1
 
-    def _check(self, other: "QuadInt") -> None:
-        if self.cfg.d != other.cfg.d:
+    def is_rational(self) -> bool:
+        return self.b == 0
+
+    def is_integral(self) -> bool:
+        """Whether the element lies in the order Z[w]."""
+        return self.den == 1
+
+    def __add__(self, o: "KElem") -> "KElem":
+        if self.cfg.d != o.cfg.d:
             raise DomainError("mixed rings")
+        if self.den == o.den:
+            return KElem(self.a + o.a, self.b + o.b, self.cfg, self.den)
+        return KElem(self.a * o.den + o.a * self.den,
+                     self.b * o.den + o.b * self.den, self.cfg,
+                     self.den * o.den)
 
-    def __add__(self, other: "QuadInt") -> "QuadInt":
-        self._check(other)
-        return QuadInt(self.a + other.a, self.b + other.b, self.cfg)
+    def __sub__(self, o: "KElem") -> "KElem":
+        if self.cfg.d != o.cfg.d:
+            raise DomainError("mixed rings")
+        if self.den == o.den:
+            return KElem(self.a - o.a, self.b - o.b, self.cfg, self.den)
+        return KElem(self.a * o.den - o.a * self.den,
+                     self.b * o.den - o.b * self.den, self.cfg,
+                     self.den * o.den)
 
-    def __sub__(self, other: "QuadInt") -> "QuadInt":
-        self._check(other)
-        return QuadInt(self.a - other.a, self.b - other.b, self.cfg)
+    def __neg__(self) -> "KElem":
+        return KElem(-self.a, -self.b, self.cfg, self.den)
 
-    def __neg__(self) -> "QuadInt":
-        return QuadInt(-self.a, -self.b, self.cfg)
-
-    def __mul__(self, other: "QuadInt") -> "QuadInt":
-        self._check(other)
+    def __mul__(self, o: "KElem") -> "KElem":
         d = self.cfg.d
-        return QuadInt(self.a * other.a + d * self.b * other.b,
-                       self.a * other.b + self.b * other.a, self.cfg)
+        if d != o.cfg.d:
+            raise DomainError("mixed rings")
+        a, b, c, e = self.a, self.b, o.a, o.b
+        return KElem(a * c + d * b * e, a * e + b * c, self.cfg,
+                     self.den * o.den)
 
-    def __pow__(self, n: int) -> "QuadInt":
+    def __pow__(self, n: int) -> "KElem":
         if n < 0:
             raise DomainError("negative powers leave the order")
-        out = QuadInt(1, 0, self.cfg)
+        out = KElem(1, 0, self.cfg)
         base = self
         while n:
             if n & 1:
@@ -138,22 +184,42 @@ class QuadInt:
             n >>= 1
         return out
 
+    def inv(self) -> "KElem":
+        # den/(a + b*w) = den*(a - b*w)/N, N = a^2 - d*b^2 > 0 as d < 0
+        a, b = self.a, self.b
+        return KElem(self.den * a, -self.den * b, self.cfg,
+                     a * a - self.cfg.d * b * b)
+
+    def __truediv__(self, o: "KElem") -> "KElem":
+        # den2*(a + b*w)*(c - e*w) / (den1*(c^2 - d*e^2)), one gcd
+        a, b, c, e, d = self.a, self.b, o.a, o.b, self.cfg.d
+        if d != o.cfg.d:
+            raise DomainError("mixed rings")
+        return KElem(o.den * (a * c - d * b * e), o.den * (b * c - a * e),
+                     self.cfg, self.den * (c * c - d * e * e))
+
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, QuadInt) and self.a == other.a
-                and self.b == other.b and self.cfg.d == other.cfg.d)
+        return (isinstance(other, KElem) and self.a == other.a
+                and self.b == other.b and self.den == other.den
+                and self.cfg.d == other.cfg.d)
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.cfg.d))
-
-    def __repr__(self) -> str:
-        return f"QuadInt({self.a}, {self.b}, d={self.cfg.d})"
+        return hash((self.a, self.b, self.den, self.cfg.d))
 
     def __str__(self) -> str:
-        return format_coords(self.a, self.b)
+        inner = format_coords(self.a, self.b)
+        if self.den == 1:
+            return inner
+        if any(ch in inner[1:] for ch in "+-"):
+            return f"({inner})/{self.den}"
+        return f"{inner}/{self.den}"
+
+    def __repr__(self) -> str:
+        return f"KElem({self}, d={self.cfg.d})"
 
 
 def format_coords(a, b) -> str:
-    """Render a + b*w; shared by integral and fractional scalar types."""
+    """Render a + b*w, a and b integers."""
     if b == 0:
         return str(a)
     mag = "w" if abs(b) == 1 else f"{abs(b)}*w"
@@ -163,27 +229,34 @@ def format_coords(a, b) -> str:
     return f"{a}+{mag}" if b > 0 else f"{a}-{mag}"
 
 
-def norm(x: QuadInt) -> int:
+def norm(x: KElem) -> int:
     return x.norm()
 
 
-def conj(x: QuadInt) -> QuadInt:
+def conj(x: KElem) -> KElem:
     return x.conj()
 
 
-def try_div(x: QuadInt, y: QuadInt) -> QuadInt | None:
-    """Exact quotient x / y in Z[w], or None when y does not divide x.
+def try_div(x: KElem, y: KElem) -> KElem | None:
+    """Exact quotient x / y in Z[w] of x, y in Z[w], or None when y
+    does not divide x.
 
     x / y = x * conj(y) / norm(y), so divisibility is two integer
     divisibility checks; no floating point is involved.
     """
-    if y.is_zero():
+    if x.den != 1 or y.den != 1:
+        raise DomainError(f"{x if x.den != 1 else y} is not in Z[w]")
+    d = x.cfg.d
+    if d != y.cfg.d:
+        raise DomainError("mixed rings")
+    a, b, c, e = x.a, x.b, y.a, y.b
+    n = c * c - d * e * e
+    if not n:
         raise DomainError("division by zero")
-    n = y.norm()
-    t = x * y.conj()
-    if t.a % n or t.b % n:
+    ta, tb = a * c - d * b * e, b * c - a * e
+    if ta % n or tb % n:
         return None
-    return QuadInt(t.a // n, t.b // n, x.cfg)
+    return KElem(ta // n, tb // n, x.cfg)
 
 
 def _twice_sqrt(a: int, b: int, d: int) -> tuple[int, int] | None:
@@ -225,7 +298,7 @@ def _associate_coords(a, b, d: int) -> list:
     return out
 
 
-def units(cfg: RingCfg) -> list[QuadInt]:
+def units(cfg: RingCfg) -> list[KElem]:
     """All units: exactly the elements of norm 1."""
     return [cfg.el(a, b) for a, b in _associate_coords(1, 0, cfg.d)]
 
@@ -263,9 +336,7 @@ def canonical_associate(x):
     positive den leaves alone, so it serves the numerators of
     (a + b*w)/den directly; a unit multiple keeps den and gcd(a, b, den)."""
     a, b = _canonical_coords(x.a, x.b, x.cfg.d)
-    if x.den == 1:
-        return type(x)(a, b, x.cfg)
-    return type(x)(a, b, x.cfg, x.den)
+    return KElem(a, b, x.cfg, x.den)
 
 
 def order_key(x):
@@ -279,7 +350,7 @@ def order_key(x):
 
 
 @functools.lru_cache(maxsize=None)
-def _elements_of_norm(n: int, cfg: RingCfg) -> tuple[QuadInt, ...]:
+def _elements_of_norm(n: int, cfg: RingCfg) -> tuple[KElem, ...]:
     if n == 0:
         return (cfg.el(0),)
     d = cfg.d
@@ -291,11 +362,11 @@ def _elements_of_norm(n: int, cfg: RingCfg) -> tuple[QuadInt, ...]:
             # (-a, -b) and (-a, b) are associates of these two
             found.add(_canonical_coords(a, b, d))
             found.add(_canonical_coords(a, -b, d))
-    return tuple(QuadInt(a, b, cfg)
+    return tuple(KElem(a, b, cfg)
                  for a, b in sorted(found, key=_coords_key))
 
 
-def elements_of_norm(n: int, cfg: RingCfg) -> tuple[QuadInt, ...]:
+def elements_of_norm(n: int, cfg: RingCfg) -> tuple[KElem, ...]:
     """One representative per associate class with norm exactly n."""
     if n < 0:
         raise DomainError("norms are non-negative")
@@ -326,27 +397,29 @@ def _is_rational_prime(n: int) -> bool:
     return n >= 2 and len(_divisors(n)) == 2
 
 
-def _require_factorable(x: QuadInt) -> None:
+def _require_factorable(x: KElem) -> None:
+    if x.den != 1:
+        raise DomainError(f"{x} is not in Z[w]")
     if x.is_zero():
         raise DomainError("zero has no factorization data")
     if x.is_unit():
         raise DomainError("units have no factorization data")
 
 
-def _is_irreducible_canonical(x: QuadInt) -> bool:
+def _is_irreducible_canonical(x: KElem) -> bool:
     # a proper divisor has smaller norm and so comes first; the only
     # canonical divisor of x with the norm of x is x itself
     return next(common_divisors([x])) == x
 
 
-def is_irreducible(x: QuadInt) -> bool:
+def is_irreducible(x: KElem) -> bool:
     """No factorization into two nonunits; decided by scanning the
     associate classes whose norm divides norm(x), smallest first."""
     _require_factorable(x)
     return _is_irreducible_canonical(canonical_associate(x))
 
 
-def is_prime(x: QuadInt) -> bool:
+def is_prime(x: KElem) -> bool:
     """Whether (x) is a prime ideal.
 
     R/(x) is finite, so (x) is prime iff R/(x) is a field.  That happens
@@ -368,7 +441,7 @@ def is_prime(x: QuadInt) -> bool:
     return False
 
 
-def common_divisors(elems: list[QuadInt]):
+def common_divisors(elems: list[KElem]):
     """Canonical nonunits dividing every element, by ascending norm.
 
     A common divisor's norm divides the gcd g of the norms, so the scan
@@ -416,7 +489,7 @@ def common_divisors(elems: list[QuadInt]):
                 if not ta % k and not tb % k:
                     found.append(_canonical_coords(ta // k, tb // k, d))
             found.sort(key=_coords_key)
-            cands = [QuadInt(ca, cb, cfg) for ca, cb in found]
+            cands = [KElem(ca, cb, cfg) for ca, cb in found]
         for c in cands:
             ca, cb = c.a, c.b
             for a, b in pairs:
@@ -426,7 +499,7 @@ def common_divisors(elems: list[QuadInt]):
                 yield c
 
 
-def common_nonunit_divisor(elems: list[QuadInt]) -> QuadInt | None:
+def common_nonunit_divisor(elems: list[KElem]) -> KElem | None:
     """Smallest-norm canonical nonunit dividing every element, or None.
 
     A common divisor of minimal norm > 1 is automatically irreducible:
@@ -438,7 +511,7 @@ def common_nonunit_divisor(elems: list[QuadInt]) -> QuadInt | None:
     return next(common_divisors(elems), None)
 
 
-def irreducible_common_divisors(elems: list[QuadInt]) -> list[QuadInt]:
+def irreducible_common_divisors(elems: list[KElem]) -> list[KElem]:
     """All canonical irreducibles dividing every element of the list.
 
     Irreducibility is decided inside the divisor scan: a divisor c is

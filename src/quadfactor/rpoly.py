@@ -17,12 +17,10 @@ import math
 
 from .errors import DomainError, ResourceLimitError
 from .factor import FactorizationSet
-from .kpoly import (FACTOR_K_MAX_DEG, KElem, KPoly, Poly, factor_k,
-                    poly_order_key)
-from .qint import (QuadInt, RingCfg, _twice_sqrt,
-                   canonical_associate, common_divisors,
-                   common_nonunit_divisor, elements_of_norm, norm, order_key,
-                   try_div)
+from .kpoly import FACTOR_K_MAX_DEG, KPoly, Poly, factor_k, poly_order_key
+from .qint import (KElem, RingCfg, _twice_sqrt, canonical_associate,
+                   common_divisors, common_nonunit_divisor, elements_of_norm,
+                   norm, order_key, try_div)
 
 MAX_DEG = FACTOR_K_MAX_DEG
 MAX_COEFF_NORM = 10 ** 6
@@ -39,17 +37,14 @@ class RPoly(Poly):
     __slots__ = ()
 
     def __init__(self, coeffs, cfg: RingCfg):
-        super().__init__([c if isinstance(c, QuadInt) else cfg.el(c)
+        super().__init__([c if isinstance(c, KElem) else cfg.el(c)
                           for c in coeffs], cfg)
-
-    def zero_elem(self) -> QuadInt:
-        return self.cfg.el(0)
 
     def is_unit(self) -> bool:
         return self.degree() == 0 and self.coeffs[0].is_unit()
 
     def to_kpoly(self) -> KPoly:
-        return KPoly([KElem.from_quadint(c) for c in self.coeffs], self.cfg)
+        return KPoly(self.coeffs, self.cfg)
 
     @staticmethod
     def from_kpoly(p: KPoly) -> "RPoly":
@@ -57,9 +52,9 @@ class RPoly(Poly):
             if not c.is_integral():
                 raise DomainError(
                     f"coefficient of x^{i} is {c}, not in Z[w]")
-        return RPoly([c.to_quadint() for c in p.coeffs], p.cfg)
+        return RPoly(p.coeffs, p.cfg)
 
-    def try_scale_div(self, c: QuadInt) -> "RPoly | None":
+    def try_scale_div(self, c: KElem) -> "RPoly | None":
         """self / c if every coefficient is divisible, else None."""
         out = []
         for a in self.coeffs:
@@ -68,9 +63,6 @@ class RPoly(Poly):
                 return None
             out.append(q)
         return RPoly(out, self.cfg)
-
-    def __str__(self) -> str:
-        return str(self.to_kpoly())
 
 
 def canonical_poly(f: RPoly) -> RPoly:
@@ -124,9 +116,8 @@ def lambda_candidates(g0: KPoly, h0: KPoly) -> list[KElem]:
     if not all(p.is_integral() for p in prods):
         return []
     found = set()
-    for s in itertools.chain((c.cfg.el(1),), common_divisors(
-            [p.to_quadint() for p in prods])):
-        lam = KElem.from_quadint(s) / c
+    for s in itertools.chain((c.cfg.el(1),), common_divisors(prods)):
+        lam = s / c
         if g0.scale(lam).is_integral() and \
                 h0.scale(lam.inv()).is_integral():
             found.add(canonical_associate(lam))
@@ -141,7 +132,12 @@ def _guard(f: RPoly) -> None:
     if f.degree() > MAX_DEG:
         raise ResourceLimitError(
             f"degree {f.degree()} exceeds guard {MAX_DEG}")
-    if any(norm(c) > MAX_COEFF_NORM for c in f.coeffs):
+    check_coeff_norms(f.coeffs)
+
+
+def check_coeff_norms(coeffs) -> None:
+    """ResourceLimitError when a coefficient's norm passes the guard."""
+    if any(norm(c) > MAX_COEFF_NORM for c in coeffs):
         raise ResourceLimitError(
             f"coefficient norm exceeds guard {MAX_COEFF_NORM}")
 
@@ -195,13 +191,11 @@ def _splits(f: RPoly, ks):
     for c in common_divisors(list(f.coeffs)):
         h = f.try_scale_div(c)
         if not h.is_unit():
-            yield GroupingCertificate((), KElem.from_quadint(c),
-                                      RPoly.const(c), h)
+            yield GroupingCertificate((), c, RPoly.const(c), h)
     if ks is None:
         ks = tuple(factor_k(f.to_kpoly())[1])
-    unit_k = KElem.from_quadint(f.lc())
     for subset in _submultisets(ks):
-        g0, h0 = _grouped(ks, unit_k, subset)
+        g0, h0 = _grouped(ks, f.lc(), subset)
         for lam in lambda_candidates(g0, h0):
             yield GroupingCertificate(
                 subset, lam, RPoly.from_kpoly(g0.scale(lam)),
@@ -278,7 +272,7 @@ def _witness_coeffs(cfg: RingCfg, max_norm: int, limit: int) -> list:
     return points[:limit]
 
 
-def _linear_leads(c2: QuadInt) -> list[tuple[QuadInt, QuadInt]]:
+def _linear_leads(c2: KElem) -> list[tuple[KElem, KElem]]:
     """(lam, 4*lam) for lam = 1 and each canonical nonunit divisor of
     c2: up to a unit, the leading coefficients of the linear factors in
     R[x] of a quadratic with leading coefficient c2."""
@@ -287,7 +281,7 @@ def _linear_leads(c2: QuadInt) -> list[tuple[QuadInt, QuadInt]]:
             itertools.chain((c2.cfg.el(1),), common_divisors([c2]))]
 
 
-def _quad_splits_in_rx(c2: QuadInt, c1: QuadInt, t: QuadInt,
+def _quad_splits_in_rx(c2: KElem, c1: KElem, t: KElem,
                        lams: list) -> bool:
     """For a primitive quadratic c2*x^2 + c1*x + c0 whose discriminant
     is t^2/4: is there a split into two linear factors of R[x]?  lams is
@@ -354,10 +348,10 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
                 t = _twice_sqrt(sa - pa, sb - pb, d)
                 if t is None:
                     continue
-                c0, c1 = QuadInt(a, b, cfg), QuadInt(c1a, c1b, cfg)
+                c0, c1 = KElem(a, b, cfg), KElem(c1a, c1b, cfg)
                 if common_nonunit_divisor([c0, c1, lead]) is not None:
                     continue
-                if _quad_splits_in_rx(lead, c1, QuadInt(*t, cfg), lams):
+                if _quad_splits_in_rx(lead, c1, KElem(*t, cfg), lams):
                     continue
                 # shortcut says witness; the full test has the final word
                 f = RPoly([c0, c1, lead], cfg)

@@ -1,4 +1,4 @@
-"""The QuadInt divisor scan, kept only as a test oracle.
+"""The try_div divisor scan, kept only as a test oracle.
 
 qint.common_divisors and qint.irreducible_common_divisors as they were
 before both worked on integer coordinates: every candidate is tested
@@ -9,7 +9,7 @@ import itertools
 import math
 
 from quadfactor.errors import DomainError
-from quadfactor.qint import QuadInt, elements_of_norm, try_div
+from quadfactor.qint import KElem, elements_of_norm, try_div
 
 
 def _divisors(n: int) -> list[int]:
@@ -17,7 +17,7 @@ def _divisors(n: int) -> list[int]:
     return sorted(set(small + [n // i for i in small]))
 
 
-def common_divisors(elems: list[QuadInt]):
+def common_divisors(elems: list[KElem]):
     """Canonical nonunits dividing every element, by ascending norm."""
     cfg = elems[0].cfg
     nonzero = [e for e in elems if not e.is_zero()]
@@ -30,13 +30,13 @@ def common_divisors(elems: list[QuadInt]):
                 yield c
 
 
-def _is_irreducible_canonical(x: QuadInt) -> bool:
+def _is_irreducible_canonical(x: KElem) -> bool:
     # a proper divisor has smaller norm and so comes first; the only
     # canonical divisor of x with the norm of x is x itself
     return next(common_divisors([x])) == x
 
 
-def irreducible_common_divisors(elems: list[QuadInt]) -> list[QuadInt]:
+def irreducible_common_divisors(elems: list[KElem]) -> list[KElem]:
     """All canonical irreducibles dividing every element of the list."""
     if all(e.is_zero() for e in elems):
         raise DomainError("all elements are zero")

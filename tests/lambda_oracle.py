@@ -35,11 +35,10 @@ def lambda_candidates(g0: KPoly, h0: KPoly) -> list[KElem]:
     cfg = g0.cfg
     c = g0.lc()
     m = c.den
-    big_c = KElem(c.a, c.b, cfg).to_quadint()
+    big_c = KElem(c.a, c.b, cfg)
     e_min = min(normk(e) for e in h0.coeffs if not e.is_zero())
     bound = Fraction(norm(big_c)) * e_min / (m * m)
     k_m = KElem.of(m, 0, cfg)
-    k_c = KElem.from_quadint(big_c)
     out = []
     seen = set()
     n = 1
@@ -47,7 +46,7 @@ def lambda_candidates(g0: KPoly, h0: KPoly) -> list[KElem]:
     # canonical representatives s cover every class exactly once
     while n <= bound:
         for s in elements_of_norm(n, cfg):
-            lam = KElem.from_quadint(s) * k_m / k_c
+            lam = s * k_m / big_c
             if g0.scale(lam).is_integral() and \
                     h0.scale(lam.inv()).is_integral():
                 best = canonical_associate(lam)

@@ -8,7 +8,7 @@ of all K[x]-factors with a constant cofactor."""
 import functools
 
 from quadfactor.factor import _factor_multisets
-from quadfactor.kpoly import KElem, factor_k, poly_order_key
+from quadfactor.kpoly import factor_k, poly_order_key
 from quadfactor.qint import (canonical_associate, common_nonunit_divisor,
                              irreducible_common_divisors, is_irreducible,
                              try_div)
@@ -25,13 +25,13 @@ def is_irreducible_rx(f: RPoly):
             return True, None
         div = common_nonunit_divisor([c])
         cert = GroupingCertificate(
-            subset=(), lam=KElem.from_quadint(div),
+            subset=(), lam=div,
             g=RPoly.const(div), h=RPoly.const(try_div(c, div)))
         return False, cert
     content = common_nonunit_divisor(list(f.coeffs))
     if content is not None:
         cert = GroupingCertificate(
-            subset=(), lam=KElem.from_quadint(content),
+            subset=(), lam=content,
             g=RPoly.const(content), h=f.try_scale_div(content))
         return False, cert
     unit_k, ks = factor_k(f.to_kpoly())

@@ -110,7 +110,7 @@ def test_d1_product_back_property():
         if p.is_zero():
             continue
         g = ExtElem(p, "D1")
-        if p.degree() == 0 and p.coeff(0).to_quadint().is_unit():
+        if p.degree() == 0 and p.coeff(0).is_unit():
             continue
         fs = d1_factorizations(g)
         assert fs.factorizations
@@ -245,12 +245,11 @@ def _d2_pick_oracle(p):
     from quadfactor.kpoly import factor_k
     from quadfactor.qint import common_nonunit_divisor, is_irreducible
     g0, g1 = p.coeff(0), p.coeff(1)
-    low = [z.to_quadint() for z in (g0, g1)]
-    nonzero = [z for z in low if not z.is_zero()]
+    nonzero = [z for z in (g0, g1) if not z.is_zero()]
     if not nonzero:
         return False
     if common_nonunit_divisor(nonzero) is not None:
-        return is_irreducible(low[0]) if p.degree() == 0 else False
+        return is_irreducible(g0) if p.degree() == 0 else False
     if p.degree() <= 1 or not p.coeff(2).is_integral():
         return True
     unit_k, ks = factor_k(p)
@@ -299,7 +298,7 @@ def test_d2_is_irreducible_matches_pick_oracle():
                                   KElem.of(Fraction(rng.randint(-3, 3), 2),
                                            0, cfg)], cfg)
         if p.is_zero() or (p.degree() == 0 and
-                           p.coeff(0).to_quadint().is_unit()):
+                           p.coeff(0).is_unit()):
             continue
         got = d2_is_irreducible(ExtElem(p, "D2"))
         assert got == _d2_pick_oracle(p), p

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadfactor.errors import DomainError, ResourceLimitError
+from quadfactor.factor import factorizations
 from quadfactor.kpoly import (KElem, KPoly, factor_k, factor_q, poly_gcd,
                               sqrt_in_field)
 from quadfactor.parse import parse_kpoly
 from quadfactor.qint import (MAX_ABS_D, _is_squarefree, canonical_associate,
-                             order_key, ring)
+                             is_irreducible, is_prime, order_key, ring,
+                             try_div)
 
 
 def P(text, d):
@@ -39,12 +41,18 @@ def test_kelem_arithmetic():
 
 
 def test_kelem_integrality():
-    assert E(3, -2, -5).is_integral()
+    # R is the den = 1 part of K; the functions of R refuse the rest
+    cfg = ring(-5)
+    assert E(3, -2, -5).is_integral() and E(3, -2, -5) == cfg.el(3, -2)
     assert not E(Fraction(1, 2), 0, -5).is_integral()
-    z = E(3, -2, -5).to_quadint()
-    assert (z.a, z.b) == (3, -2)
-    with pytest.raises(DomainError):
-        E(Fraction(1, 2), Fraction(1, 2), -5).to_quadint()
+    # norm 1 off R is no unit of R
+    assert not KElem(3, 4, ring(-1), 5).is_unit()
+    half = E(Fraction(1, 2), Fraction(1, 2), -5)
+    for call in (factorizations, is_prime, is_irreducible,
+                 lambda z: try_div(z, cfg.el(1)),
+                 lambda z: try_div(cfg.el(1), z)):
+        with pytest.raises(DomainError, match=r"\(1\+w\)/2 is not in Z\[w\]"):
+            call(half)
 
 
 def test_kelem_str():
@@ -325,7 +333,9 @@ ALL_DS = [d for d in range(-1, -MAX_ABS_D - 1, -1) if _is_squarefree(-d)]
 def test_kelem_matches_fraction_oracle():
     # the integer (a, b, den) form against the Fraction-based class it
     # replaced, on every ring: arithmetic, printing, canonical associates
-    # and the sort order, with denominators mixed freely
+    # and the sort order, with denominators mixed freely; on elements of
+    # R (den = 1) also norm, is_unit, powers and try_div against
+    # integer formulas
     import kelem_oracle as old
     rng = random.Random(61)
     assert len(ALL_DS) == 61
@@ -349,7 +359,26 @@ def test_kelem_matches_fraction_oracle():
         for _ in range(40):
             u, v = coord(), coord() if rng.random() < 0.8 else 0
             pairs.append((KElem.of(u, v, cfg), old.KElem.of(u, v, cfg)))
+        for _ in range(30):
+            u, v = rng.randint(-6, 6), rng.randint(-3, 3)
+            pairs.append((cfg.el(u, v), old.KElem.of(u, v, cfg)))
         for (x, ox), (y, oy) in zip(pairs, pairs[1:]):
+            n = ox.normk()
+            assert x.norm() == n and type(x.norm()) is (
+                int if x.is_integral() else Fraction)
+            assert x.is_unit() == (x.is_integral() and n == 1)
+            opower = old.KElem.of(1, 0, cfg)
+            for k in range(4):
+                same(x ** k, opower)
+                opower = opower * ox
+            if x.is_integral() and y.is_integral() and not y.is_zero():
+                a, b, c, e = x.a, x.b, y.a, y.b
+                m = c * c - d * e * e
+                ta, tb = a * c - d * b * e, b * c - a * e
+                want = None if ta % m or tb % m else cfg.el(ta // m,
+                                                           tb // m)
+                assert try_div(x, y) == want
+                assert try_div(x * y, y) == x
             same(x, ox)
             same(x + y, ox + oy)
             same(x - y, ox - oy)

@@ -1,14 +1,13 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from quadfactor.errors import DomainError
-from quadfactor.kpoly import KElem
-from quadfactor.qint import (QuadInt, _associate_coords, _canonical_coords,
-                             _coords_key,
-                             _divisors, _is_rational_prime,
+from quadfactor.qint import (KElem, _associate_coords, _canonical_coords,
+                             _coords_key, _divisors, _is_rational_prime,
                              canonical_associate, common_divisors,
                              common_nonunit_divisor, conj, elements_of_norm,
                              irreducible_common_divisors, is_irreducible,
@@ -57,6 +56,21 @@ def test_arithmetic():
     assert str(x) == "1+2*w"
     assert str(cfg.el(0, -1)) == "-w"
     assert str(cfg.el(-3)) == "-3"
+
+
+def test_mixed_rings_raise():
+    # elements of two rings never combine, fractions of K included
+    x = ring(-5).el(1, 2)
+    for y in (ring(-6).el(1, 2), KElem(1, 2, ring(-6), 3)):
+        for u, v in ((x, y), (y, x)):
+            for op in (operator.add, operator.sub, operator.mul,
+                       operator.truediv):
+                with pytest.raises(DomainError, match="mixed rings"):
+                    op(u, v)
+    with pytest.raises(DomainError, match="mixed rings"):
+        try_div(x, ring(-6).el(1))
+    with pytest.raises(DomainError, match="negative powers"):
+        x ** -1
 
 
 def test_norm_multiplicative():

@@ -74,6 +74,10 @@ def test_cli_import_loads_every_layer_but_not_dataclasses():
 
 
 def test_package_root_loads_only_what_is_used():
-    loaded = _modules_loaded_by("import quadfactor\nquadfactor.ring(-5)")
-    ours = {m for m in loaded if m.split(".")[0] == "quadfactor"}
-    assert ours == {"quadfactor", "quadfactor.errors", "quadfactor.qint"}
+    # scalar arithmetic stays in the lowest layer
+    for code in ("quadfactor.ring(-5)",
+                 "quadfactor.ring(-5).el(1) * quadfactor.ring(-5).el(0, 1)"):
+        loaded = _modules_loaded_by("import quadfactor\n" + code)
+        ours = {m for m in loaded if m.split(".")[0] == "quadfactor"}
+        assert ours == {"quadfactor", "quadfactor.errors",
+                        "quadfactor.qint"}, code

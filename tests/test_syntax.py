@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -273,6 +275,28 @@ def test_cli_exit_codes(capsys):
     assert code == 3 and json.loads(err)["error"]["type"] == "domain"
     code, out, err = invoke(capsys, "--d", "-5", "d2-demo", "2", "7")
     assert code == 4 and json.loads(err)["error"]["type"] == "resource"
+
+
+def test_cli_budgets_refuse_large_constants():
+    # each argv once ran an unbounded divisor scan (d1 and d2-demo past
+    # the element norm guard, psp-check past the coefficient norm
+    # guard); a child process with a timeout turns a hang into a failure
+    import quadfactor
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(pathlib.Path(quadfactor.__file__).parent.parent),
+                    env.get("PYTHONPATH")) if p)
+    for argv in (["d1", "100000007"], ["d1", "1000000007"],
+                 ["d1", "1000000007*x+1000000007"],
+                 ["d2-demo", "1000000007", "1"], ["d2-demo", "6", "6"],
+                 ["psp-check", "100000007*x+100000007"],
+                 ["psp-check", "1000000007*x+1000000007"],
+                 ["psp-check", "1000003*x+1000003"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadfactor", "--d", "-5", *argv],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 4 and proc.stdout == "", argv
+        assert json.loads(proc.stderr)["error"]["type"] == "resource", argv
 
 
 @pytest.mark.parametrize("cmd, text", [

@@ -10,34 +10,30 @@ import itertools
 import math
 from fractions import Fraction
 
-from quadfactor.kpoly import KElem
+from quadfactor.qint import KElem, common_divisors, norm, try_div
 from sqrt_oracle import sqrt_in_field
-from quadfactor.qint import QuadInt, common_divisors, norm, try_div
 
 
-def quad_disc_sqrt(c2: QuadInt, c1: QuadInt, c0: QuadInt) -> KElem | None:
+def quad_disc_sqrt(c2: KElem, c1: KElem, c0: KElem) -> KElem | None:
     """sqrt of the discriminant c1^2 - 4*c2*c0 when it lies in K."""
     disc = c1 * c1 - c2 * c0 * c2.cfg.el(4)
     dn = norm(disc)
     r = math.isqrt(dn)
     if r * r != dn:
         return None
-    return sqrt_in_field(KElem.from_quadint(disc))
+    return sqrt_in_field(disc)
 
 
-def quad_splits_in_rx(c2: QuadInt, c1: QuadInt, s: KElem) -> bool:
+def quad_splits_in_rx(c2: KElem, c1: KElem, s: KElem) -> bool:
     """For a quadratic with discriminant square root s: is there a
     split into two linear factors lam*(x-r1) and (c2/lam)*(x-r2) of
     R[x], lam running over 1 and the nonunit divisors of c2?"""
     cfg = c2.cfg
-    c2k = KElem.from_quadint(c2)
-    c1k = KElem.from_quadint(c1)
     half = KElem.of(Fraction(1, 2), 0, cfg)
-    r1 = (-c1k + s) * half / c2k
-    r2 = (-c1k - s) * half / c2k
-    for lam_q in itertools.chain((cfg.el(1),), common_divisors([c2])):
-        lam = KElem.from_quadint(lam_q)
-        cofk = KElem.from_quadint(try_div(c2, lam_q))
+    r1 = (-c1 + s) * half / c2
+    r2 = (-c1 - s) * half / c2
+    for lam in itertools.chain((cfg.el(1),), common_divisors([c2])):
+        cofk = try_div(c2, lam)
         if (lam * r1).is_integral() and (cofk * r2).is_integral():
             return True
         if (lam * r2).is_integral() and (cofk * r1).is_integral():
