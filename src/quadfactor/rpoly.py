@@ -32,13 +32,21 @@ WITNESS_MAX_CANDIDATES = 10 ** 6
 
 class RPoly(Poly):
     """Polynomial with coefficients in Z[w], low degree first; integer
-    coefficients are read as elements of Z[w]."""
+    coefficients are read as elements of Z[w], and a coefficient of K
+    outside Z[w] raises DomainError."""
 
     __slots__ = ()
 
     def __init__(self, coeffs, cfg: RingCfg):
-        super().__init__([c if isinstance(c, KElem) else cfg.el(c)
-                          for c in coeffs], cfg)
+        cs = []
+        for c in coeffs:
+            if not isinstance(c, KElem):
+                c = cfg.el(c)
+            elif c.den != 1:
+                raise DomainError(
+                    f"coefficient of x^{len(cs)} is {c}, not in Z[w]")
+            cs.append(c)
+        super().__init__(cs, cfg)
 
     def is_unit(self) -> bool:
         return self.degree() == 0 and self.coeffs[0].is_unit()
@@ -48,10 +56,6 @@ class RPoly(Poly):
 
     @staticmethod
     def from_kpoly(p: KPoly) -> "RPoly":
-        for i, c in enumerate(p.coeffs):
-            if not c.is_integral():
-                raise DomainError(
-                    f"coefficient of x^{i} is {c}, not in Z[w]")
         return RPoly(p.coeffs, p.cfg)
 
     def try_scale_div(self, c: KElem) -> "RPoly | None":
@@ -272,20 +276,22 @@ def _witness_coeffs(cfg: RingCfg, max_norm: int, limit: int) -> list:
     return points[:limit]
 
 
-def _linear_leads(c2: KElem) -> list[tuple[KElem, KElem]]:
-    """(lam, 4*lam) for lam = 1 and each canonical nonunit divisor of
-    c2: up to a unit, the leading coefficients of the linear factors in
-    R[x] of a quadratic with leading coefficient c2."""
-    four = c2.cfg.el(4)
-    return [(lam, four * lam) for lam in
-            itertools.chain((c2.cfg.el(1),), common_divisors([c2]))]
+def _linear_leads(c2: KElem) -> list[tuple[int, int, int, int, int]]:
+    """Rows (a, b, 4*a, 4*b, norm(4*lam)) for lam = a + b*w running over
+    1 and each canonical nonunit divisor of c2: up to a unit, the
+    leading coefficients of the linear factors in R[x] of a quadratic
+    with leading coefficient c2."""
+    return [(lam.a, lam.b, 4 * lam.a, 4 * lam.b, 16 * lam.norm())
+            for lam in itertools.chain((c2.cfg.el(1),),
+                                       common_divisors([c2]))]
 
 
-def _quad_splits_in_rx(c2: KElem, c1: KElem, t: KElem,
-                       lams: list) -> bool:
-    """For a primitive quadratic c2*x^2 + c1*x + c0 whose discriminant
-    is t^2/4: is there a split into two linear factors of R[x]?  lams is
-    _linear_leads(c2), computed once per leading coefficient.
+def _quad_splits_in_rx(c2: tuple, c1: tuple, t: tuple, lams: list,
+                       d: int) -> bool:
+    """For a quadratic c2*x^2 + c1*x + c0 over R whose discriminant is
+    t^2/4, each given by its coordinates (a, b) for a + b*w: is there a
+    split into two linear factors of R[x]?  lams is _linear_leads(c2),
+    computed once per leading coefficient.
 
     The roots are r1, r2 = (-2*c1 +- t)/(4*c2).  Any split is
     lam*(x-r1) times (c2/lam)*(x-r2) for one labelling of the roots, so
@@ -293,12 +299,24 @@ def _quad_splits_in_rx(c2: KElem, c1: KElem, t: KElem,
     lam*r1 lies in R iff 4*c2 divides lam*(-2*c1 + t), and (c2/lam)*r2
     does iff 4*lam divides -2*c1 - t.  The other labelling needs no
     test of its own: it is the case lam' = c2/lam, which is in lams up
-    to a unit."""
-    four_c2 = c2.cfg.el(4) * c2
-    top, other = t - c1 - c1, -(t + c1 + c1)
-    return any(try_div(lam * top, four_c2) is not None and
-               try_div(other, four_lam) is not None
-               for lam, four_lam in lams)
+    to a unit.  A split is a split whether or not the quadratic is
+    primitive, so a True answer always means reducible.
+
+    Both divisibilities are tested on coordinates by the identity
+    try_div rests on: y divides x exactly when x*conj(y) is 0 mod
+    norm(y), coordinate by coordinate.  z = (-2*c1 + t)*conj(4*c2) is
+    formed once, and lam*z is tested mod norm(4*c2) for each lam."""
+    ga, gb = 4 * c2[0], 4 * c2[1]
+    n = ga * ga - d * gb * gb
+    pa, pb = t[0] - 2 * c1[0], t[1] - 2 * c1[1]
+    za, zb = pa * ga - d * pb * gb, pb * ga - pa * gb
+    oa, ob = -t[0] - 2 * c1[0], -t[1] - 2 * c1[1]
+    for la, lb, fa, fb, fn in lams:
+        if not ((la * za + d * lb * zb) % n or (la * zb + lb * za) % n
+                or (oa * fa - d * ob * fb) % fn
+                or (ob * fa - oa * fb) % fn):
+            return True
+    return False
 
 
 def property_p_witness(cfg: RingCfg, max_norm: int = 20,
@@ -310,10 +328,12 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
     Degrees 0 and 1 cannot witness (constants have no K[x] splitting,
     linear polynomials are K-irreducible), so max_deg = 1 finds none.
     A quadratic is screened in integers: its discriminant must be a
-    square in K (_twice_sqrt), its coefficients coprime, and no
-    rescaling of its roots may give linear factors of R[x]
-    (_quad_splits_in_rx);
-    is_irreducible_rx confirms a survivor.  Past WITNESS_MAX_CANDIDATES
+    square in K (_twice_sqrt), no rescaling of its roots may give
+    linear factors of R[x] (_quad_splits_in_rx), and its coefficients
+    must be coprime; is_irreducible_rx confirms a survivor.  The split
+    test runs before the content test: both only discard reducible
+    quadratics, so their order does not change the survivors, and few
+    candidates pass the split test.  Past WITNESS_MAX_CANDIDATES
     candidates the search raises ResourceLimitError."""
     if max_norm < 1 or max_deg < 1:
         raise DomainError("bounds must be positive")
@@ -338,8 +358,9 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
         la, lb = 4 * lead.a, 4 * lead.b
         prods = [(a, b, la * a + d * lb * b, la * b + lb * a)
                  for a, b in inner]
-        lams = _linear_leads(lead)
-        for c1a, c1b in inner:
+        c2, lams = (lead.a, lead.b), _linear_leads(lead)
+        for c1 in inner:
+            c1a, c1b = c1
             sa, sb = c1a * c1a + d * c1b * c1b, 2 * c1a * c1b
             room = WITNESS_MAX_CANDIDATES - tried
             row = prods if room >= len(prods) else prods[:room]
@@ -348,13 +369,12 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
                 t = _twice_sqrt(sa - pa, sb - pb, d)
                 if t is None:
                     continue
-                c0, c1 = KElem(a, b, cfg), KElem(c1a, c1b, cfg)
-                if common_nonunit_divisor([c0, c1, lead]) is not None:
+                if _quad_splits_in_rx(c2, c1, t, lams, d):
                     continue
-                if _quad_splits_in_rx(lead, c1, KElem(*t, cfg), lams):
+                f = RPoly([KElem(a, b, cfg), KElem(c1a, c1b, cfg), lead], cfg)
+                if common_nonunit_divisor(list(f.coeffs)) is not None:
                     continue
                 # shortcut says witness; the full test has the final word
-                f = RPoly([c0, c1, lead], cfg)
                 if is_irreducible_rx(f)[0]:
                     return f
             if row is not prods:

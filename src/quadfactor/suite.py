@@ -7,7 +7,8 @@ details carry no timing numbers (output must be reproducible); wall
 times are kept in a separate field that tests may inspect.
 
 The factorization oracle here is deliberately primitive: raw integer
-pairs, no shared canonicalization helpers, all proper two-way splits
+pairs, no shared canonicalization helpers, and each unordered two-way
+split taken once, from its canonical factor of smaller norm,
 recursively.  Agreement with the main implementation over whole norm
 ranges is strong evidence both are right.
 """
@@ -15,6 +16,7 @@ ranges is strong evidence both are right.
 from __future__ import annotations
 
 import functools
+import math
 import random
 import time
 from fractions import Fraction
@@ -43,10 +45,12 @@ def naive_factorization_oracle(d: int, max_norm: int) -> dict:
     """All factorizations for every class with norm in [2, max_norm],
     computed independently on raw coordinate pairs.
 
-    Elements are (a, b) for a + b*sqrt(d); every proper two-way split is
-    explored recursively, so no irreducibility reasoning is shared with
-    the main implementation.  Returns {canonical pair: set of sorted
-    factor-triple tuples}, factors encoded as (norm, a, b)."""
+    Elements are (a, b) for a + b*sqrt(d).  Every unordered two-way split
+    x = y*q is explored once, recursively, from its canonical factor y
+    of smaller norm (norm(y)^2 <= norm(x)), so no irreducibility
+    reasoning is shared with the main implementation.  Returns
+    {canonical pair: set of sorted factor-triple tuples}, factors
+    encoded as (norm, a, b)."""
     dd = -d
 
     def key(a, b):
@@ -60,59 +64,46 @@ def naive_factorization_oracle(d: int, max_norm: int) -> dict:
             orbit += [(-b, a), (b, -a)]
         return min(orbit, key=lambda p: key(*p))
 
-    by_norm = {}
-    for a in range(-max_norm, max_norm + 1):
-        if a * a > max_norm:
-            continue
-        b = 0
-        while a * a + dd * b * b <= max_norm:
-            for bb in {b, -b}:
-                n = a * a + dd * bb * bb
-                if n >= 2:
-                    by_norm.setdefault(n, set()).add((a, bb))
-            b += 1
+    # canon_of maps every lattice point of norm <= max_norm to its
+    # canonical pair, classes[n] lists the canonical pairs of norm n;
+    # canon runs once per point
+    canon_of, classes = {}, {}
+    r = math.isqrt(max_norm)
+    for a in range(-r, r + 1):
+        s = math.isqrt((max_norm - a * a) // dd)
+        for b in range(-s, s + 1):
+            c = canon_of[(a, b)] = canon(a, b)
+            if c == (a, b):
+                classes.setdefault(a * a + dd * b * b, []).append(c)
     memo = {}
 
-    # rec(a, b) depends only on canon(a, b), so a result stored under
-    # the raw pair as well as the canonical one is exact for both keys,
-    # and a repeated raw pair skips canon altogether.
+    # x = y*q with norm(y) <= norm(q): y is a canonical class of norm
+    # m, m^2 <= n, and q = x*conj(y)/m; an associate of y gives an
+    # associate of q and so the same factorizations
     def rec(a, b):
-        if (a, b) in memo:
-            return memo[(a, b)]
-        ca, cb = canon(a, b)
-        if (ca, cb) in memo:
-            res = memo[(a, b)] = memo[(ca, cb)]
+        res = memo.get((a, b))
+        if res is not None:
             return res
-        n = ca * ca + dd * cb * cb
+        n = a * a + dd * b * b
         res = set()
-        split = False
         m = 2
         while m * m <= n:
-            for div_norm in {m, n // m} if n % m == 0 else ():
-                if div_norm < 2 or div_norm >= n:
-                    continue
-                for ya, yb in by_norm.get(div_norm, ()):
-                    ra = ca * ya + dd * cb * yb
-                    rb = cb * ya - ca * yb
-                    if ra % div_norm or rb % div_norm:
+            if n % m == 0:
+                for ya, yb in classes.get(m, ()):
+                    ra = a * ya + dd * b * yb
+                    rb = b * ya - a * yb
+                    if ra % m or rb % m:
                         continue
-                    split = True
-                    qa, qb = ra // div_norm, rb // div_norm
+                    rest = rec(*canon_of[(ra // m, rb // m)])
                     for m1 in rec(ya, yb):
-                        for m2 in rec(qa, qb):
+                        for m2 in rest:
                             res.add(tuple(sorted(m1 + m2)))
             m += 1
-        if not split:
-            res = {((n, ca, cb),)}
-        memo[(ca, cb)] = memo[(a, b)] = res
+        res = memo[(a, b)] = res or {((n, a, b),)}
         return res
 
-    out = {}
-    for n in range(2, max_norm + 1):
-        for a, b in by_norm.get(n, ()):
-            if (a, b) == canon(a, b):
-                out[(a, b)] = rec(a, b)
-    return out
+    return {c: rec(*c) for n in range(2, max_norm + 1)
+            for c in classes.get(n, ())}
 
 
 def _as_triples(fs: factor.FactorizationSet) -> set:

@@ -57,6 +57,15 @@ def test_from_kpoly_rejects_fractions():
         RPoly.from_kpoly(bad)
 
 
+def test_rpoly_rejects_fractions_where_built():
+    # 2x + 2/3 is no polynomial of R[x]; refused where it is built, it
+    # never reaches is_primitive, which reads numerators only
+    cfg = ring(-5)
+    with pytest.raises(DomainError, match=r"coefficient of x\^0 is 2/3, "
+                                          r"not in Z\[w\]"):
+        RPoly([KElem(2, 0, cfg, 3), cfg.el(2)], cfg)
+
+
 def test_lambda_candidates_exact():
     # splitting x^2+x+1 over Z[sqrt(-3)]: neither half can be rescaled in
     g0, g1 = factor_k(KP("x^2+x+1", -3))[1]
@@ -226,7 +235,7 @@ def test_quadratic_shortcut_matches_generic():
         c0, c1, c2 = f.coeffs
         t = _twice_sqrt(*(c1 * c1 - c2 * c0 * cfg.el(4)).coords(), d)
         splits = t is not None and _quad_splits_in_rx(
-            c2, c1, cfg.el(*t), _linear_leads(c2))
+            (c2.a, c2.b), (c1.a, c1.b), t, _linear_leads(c2), d)
         assert is_irreducible_rx(f)[0] == (not splits)
         checked += 1
     assert checked > 50
@@ -252,7 +261,8 @@ def test_quadratic_test_matches_field_oracle():
             if t is None:
                 continue
             assert KElem.of(*t, cfg) in (s + s, -(s + s)), (d, c2, c1, c0)
-            got = _quad_splits_in_rx(c2, c1, cfg.el(*t), _linear_leads(c2))
+            got = _quad_splits_in_rx((c2.a, c2.b), (c1.a, c1.b), t,
+                                     _linear_leads(c2), d)
             assert got == witness_oracle.quad_splits_in_rx(c2, c1, s), \
                 (d, c2, c1, c0)
             squares += 1
