@@ -19,8 +19,7 @@ from fractions import Fraction
 
 from .errors import DomainError, VerificationError
 from .qint import (KElem, RingCfg, _canonical_coords, _coords_key,
-                   common_nonunit_divisor)
-from .rpoly import check_coeff_norms
+                   check_coeff_norms, common_nonunit_divisor)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -289,7 +288,7 @@ def content_ideal(f) -> FracIdeal:
 def is_primitive(f) -> bool:
     """No single nonunit of Z[w] divides every coefficient.  The divisor
     scan factors the gcd of the coefficient norms by trial division, so
-    a coefficient norm past rpoly.MAX_COEFF_NORM raises
+    a coefficient norm past qint.MAX_COEFF_NORM raises
     ResourceLimitError."""
     coeffs = _coeff_list(f)
     check_coeff_norms(coeffs)

@@ -24,9 +24,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import DomainError, VerificationError
+from .errors import DomainError, ResourceLimitError, VerificationError
 
 MAX_ABS_D = 100
+MAX_COEFF_NORM = 10 ** 6
 
 # Class numbers of Q(sqrt(d)) for the maximal orders we ship metadata for,
 # from the standard tables of imaginary quadratic fields.  Orders whose d
@@ -439,6 +440,13 @@ def is_prime(x: KElem) -> bool:
             if pow(x.cfg.d % p, (p - 1) // 2, p) == p - 1:
                 return True
     return False
+
+
+def check_coeff_norms(coeffs) -> None:
+    """ResourceLimitError when a coefficient's norm passes the guard."""
+    if any(norm(c) > MAX_COEFF_NORM for c in coeffs):
+        raise ResourceLimitError(
+            f"coefficient norm exceeds guard {MAX_COEFF_NORM}")
 
 
 def common_divisors(elems: list[KElem]):

@@ -19,11 +19,10 @@ from .errors import DomainError, ResourceLimitError
 from .factor import FactorizationSet
 from .kpoly import FACTOR_K_MAX_DEG, KPoly, Poly, factor_k, poly_order_key
 from .qint import (KElem, RingCfg, _twice_sqrt, canonical_associate,
-                   common_divisors, common_nonunit_divisor, elements_of_norm,
-                   norm, order_key, try_div)
+                   check_coeff_norms, common_divisors, common_nonunit_divisor,
+                   elements_of_norm, order_key, try_div)
 
 MAX_DEG = FACTOR_K_MAX_DEG
-MAX_COEFF_NORM = 10 ** 6
 WITNESS_MAX_DEG = 2
 # quadratics property_p_witness may try before it gives up; d = -1 at
 # norm bound 40, the largest exhaustive scan in budget, tries 532512
@@ -109,12 +108,11 @@ def lambda_candidates(g0: KPoly, h0: KPoly) -> list[KElem]:
     with those of s, so s = 1 and the canonical common divisors cover
     every class; each lam = s/lc(g0) passing both containments is
     recorded by its canonical associate (unit rescalings give the same
-    grouping).
+    grouping).  g0*h0 = (lam*g0)*(lam^-1*h0) for every lam, so when the
+    product lies outside R[x] no candidate passes and the answer is [].
     """
     if g0.is_zero() or h0.is_zero():
         raise DomainError("cannot regroup a zero factor")
-    if not (g0 * h0).is_integral():
-        raise DomainError("product of the groups must lie in R[x]")
     c = g0.lc()
     prods = [c * e for e in h0.coeffs if not e.is_zero()]
     if not all(p.is_integral() for p in prods):
@@ -139,47 +137,35 @@ def _guard(f: RPoly) -> None:
     check_coeff_norms(f.coeffs)
 
 
-def check_coeff_norms(coeffs) -> None:
-    """ResourceLimitError when a coefficient's norm passes the guard."""
-    if any(norm(c) > MAX_COEFF_NORM for c in coeffs):
-        raise ResourceLimitError(
-            f"coefficient norm exceeds guard {MAX_COEFF_NORM}")
+def _groupings(ks: tuple, unit: KElem):
+    """(subset, g0, h0) for each nonempty proper sub-multiset of the
+    sorted ks, in itertools.product order over the counts k taken from
+    each run of equal factors (its first k): g0 is the monic product of
+    the subset and h0 that of the rest times unit.  Products grow one run
+    at a time, shared by the subsets that agree on the runs before, and
+    a factor 1 is never multiplied in."""
+    if len(ks) < 2:
+        return iter(())
+    one = KPoly.const(unit.cfg.el(1))
 
+    def mul(p, q):
+        return q if p is one else p if q is one else p * q
 
-def _submultisets(ks: list):
-    """Nonempty proper sub-multisets of ks as index tuples, deterministic.
+    # runs[r][k]: the product of k factors of run r
+    runs = [list(itertools.accumulate(grp, mul, initial=one))
+            for _, grp in itertools.groupby(ks)]
 
-    Equal factors are grouped so each distinct sub-multiset appears once."""
-    groups = []
-    for i, q in enumerate(ks):
-        if groups and groups[-1][0] == q:
-            groups[-1][1].append(i)
-        else:
-            groups.append((q, [i]))
-    ranges = [range(len(idx) + 1) for _, idx in groups]
-    for counts in itertools.product(*ranges):
-        total = sum(counts)
-        if total == 0 or total == len(ks):
-            continue
-        subset = []
-        for (_, idx), k in zip(groups, counts):
-            subset.extend(idx[:k])
-        yield tuple(subset)
+    def walk(r, start, subset, g0, h0):
+        powers, m = runs[r], len(runs[r]) - 1
+        for k in range(m + 1):
+            sub = subset + tuple(range(start, start + k))
+            if r + 1 < len(runs):
+                yield from walk(r + 1, start + m, sub, mul(g0, powers[k]),
+                                mul(h0, powers[m - k]))
+            elif 0 < len(sub) < len(ks):
+                yield sub, mul(g0, powers[k]), mul(h0, powers[m - k])
 
-
-def _grouped(ks: list, unit_k: KElem, subset: tuple):
-    """(g0, h0) for a subset: g0 monic subproduct, h0 the cofactor with
-    the K[x] unit folded in, so g0 * h0 is the original polynomial."""
-    cfg = unit_k.cfg
-    g0 = KPoly.const(KElem(1, 0, cfg))
-    h0 = KPoly.const(unit_k)
-    chosen = set(subset)
-    for i, q in enumerate(ks):
-        if i in chosen:
-            g0 = g0 * q
-        else:
-            h0 = h0 * q
-    return g0, h0
+    return walk(0, 0, (), one, KPoly.const(unit))
 
 
 def _splits(f: RPoly, ks):
@@ -198,8 +184,7 @@ def _splits(f: RPoly, ks):
             yield GroupingCertificate((), c, RPoly.const(c), h)
     if ks is None:
         ks = tuple(factor_k(f.to_kpoly())[1])
-    for subset in _submultisets(ks):
-        g0, h0 = _grouped(ks, f.lc(), subset)
+    for subset, g0, h0 in _groupings(ks, f.lc()):
         for lam in lambda_candidates(g0, h0):
             yield GroupingCertificate(
                 subset, lam, RPoly.from_kpoly(g0.scale(lam)),
@@ -226,13 +211,15 @@ def _poly_multisets(f: RPoly, ks: tuple) -> frozenset:
     whose g is irreducible: a constant factor if it has one, else any
     factor, whose K[x]-factors then form a proper sub-multiset of ks.
     So recursing on the cofactors of those splits is exhaustive, and the
-    K[x]-factors of g and h are read off the subset."""
+    K[x]-factors of g and h are read off the subset.  g is irreducible
+    exactly when its own factor set, memoised here like f's, is
+    {(canonical g,)}."""
     out = set()
     for cert in _splits(f, ks):
-        if next(_splits(cert.g, tuple(ks[i] for i in cert.subset)),
-                None) is not None:
-            continue
         gc = canonical_poly(cert.g)
+        g_ks = tuple(ks[i] for i in cert.subset)
+        if _poly_multisets(gc, g_ks) != {(gc,)}:
+            continue
         rest_ks = tuple(q for i, q in enumerate(ks) if i not in cert.subset)
         for rest in _poly_multisets(canonical_poly(cert.h), rest_ks):
             out.add(tuple(sorted((gc,) + rest, key=poly_order_key)))

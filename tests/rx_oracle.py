@@ -3,18 +3,57 @@
 is_irreducible_rx and _poly_multisets as they were before the single
 split generator: each runs its own subset x lam loop, factors every
 candidate g and cofactor h again in K[x], and also tries the grouping
-of all K[x]-factors with a constant cofactor."""
+of all K[x]-factors with a constant cofactor.  The subsets and their
+products come from _submultisets and _grouped, the helpers the search
+used before it built its products one run of equal factors at a time."""
 
 import functools
+import itertools
 
 from quadfactor.factor import _factor_multisets
-from quadfactor.kpoly import factor_k, poly_order_key
-from quadfactor.qint import (canonical_associate, common_nonunit_divisor,
+from quadfactor.kpoly import KPoly, factor_k, poly_order_key
+from quadfactor.qint import (KElem, canonical_associate,
+                             common_nonunit_divisor,
                              irreducible_common_divisors, is_irreducible,
                              try_div)
-from quadfactor.rpoly import (GroupingCertificate, RPoly, _grouped, _guard,
-                              _submultisets, canonical_poly,
-                              lambda_candidates)
+from quadfactor.rpoly import (GroupingCertificate, RPoly, _guard,
+                              canonical_poly, lambda_candidates)
+
+
+def _submultisets(ks: list):
+    """Nonempty proper sub-multisets of ks as index tuples, deterministic.
+
+    Equal factors are grouped so each distinct sub-multiset appears once."""
+    groups = []
+    for i, q in enumerate(ks):
+        if groups and groups[-1][0] == q:
+            groups[-1][1].append(i)
+        else:
+            groups.append((q, [i]))
+    ranges = [range(len(idx) + 1) for _, idx in groups]
+    for counts in itertools.product(*ranges):
+        total = sum(counts)
+        if total == 0 or total == len(ks):
+            continue
+        subset = []
+        for (_, idx), k in zip(groups, counts):
+            subset.extend(idx[:k])
+        yield tuple(subset)
+
+
+def _grouped(ks: list, unit_k: KElem, subset: tuple):
+    """(g0, h0) for a subset: g0 monic subproduct, h0 the cofactor with
+    the K[x] unit folded in, so g0 * h0 is the original polynomial."""
+    cfg = unit_k.cfg
+    g0 = KPoly.const(KElem(1, 0, cfg))
+    h0 = KPoly.const(unit_k)
+    chosen = set(subset)
+    for i, q in enumerate(ks):
+        if i in chosen:
+            g0 = g0 * q
+        else:
+            h0 = h0 * q
+    return g0, h0
 
 
 def is_irreducible_rx(f: RPoly):

@@ -88,13 +88,16 @@ def test_lambda_candidates_exact():
     assert lambda_candidates(g, h) == []
     with pytest.raises(DomainError):
         lambda_candidates(KPoly([], ring(-5)), h)
+    # x * 1/2 is not in R[x], so no rescaling pulls both halves in
+    half = KPoly.const(E(Fraction(1, 2), 0, -5))
+    assert lambda_candidates(KP("x", -5), half) == []
 
 
 def test_lambda_candidates_match_ball_walk():
     # every grouping of seeded products, rescaled by a small constant
     # so g0 may be non-monic or have a non-integral leading coefficient
     import lambda_oracle
-    from quadfactor.rpoly import _grouped, _submultisets
+    from quadfactor.rpoly import _groupings
     from quadfactor.suite import CORE_RINGS
     rng = random.Random(33)
     scales = [(1, 0), (2, 0), (Fraction(1, 2), 0), (1, 1),
@@ -123,8 +126,7 @@ def test_lambda_candidates_match_ball_walk():
             f = f.scale(cfg.el(rng.randint(2, 3), rng.randint(0, 1)))
         unit, ks = factor_k(f.to_kpoly())
         repeated += len(set(ks)) < len(ks)
-        for subset in _submultisets(ks):
-            g0, h0 = _grouped(ks, unit, subset)
+        for subset, g0, h0 in _groupings(tuple(ks), unit):
             t = KElem.of(*rng.choice(scales), cfg)
             g0, h0 = g0.scale(t), h0.scale(t.inv())
             got = lambda_candidates(g0, h0)
@@ -387,16 +389,34 @@ def test_split_search_matches_oracle(monkeypatch):
         return RPoly([cfg.el(rng.randint(-3, 3), rng.randint(-1, 1))
                       for _ in range(rng.randint(1, 2))], cfg)
 
+    def check(f):
+        fs = factorizations_rx(f).factorizations
+        assert fs == rx_oracle.poly_multisets(canonical_poly(f)), f
+        assert is_irreducible_rx(f) == rx_oracle.is_irreducible_rx(f), f
+        return fs
+
     checked = 0
     while checked < 60:
         cfg = ring(rng.choice(CORE_RINGS))
         f = linear(cfg) * linear(cfg)
         if f.is_zero() or f.is_unit():
             continue
-        assert factorizations_rx(f).factorizations == \
-            rx_oracle.poly_multisets(canonical_poly(f)), f
-        assert is_irreducible_rx(f) == rx_oracle.is_irreducible_rx(f), f
+        check(f)
         checked += 1
+    # a Property-P witness times two small factors: splits whose g has
+    # two K[x]-factors and is irreducible in R[x]
+    witnesses = ((-3, "x^2+x+1"), (-5, "2*x^2+2+w"), (-6, "2*x^2+3"))
+    checked = reached = 0
+    while checked < 45:
+        d, text = witnesses[checked % 3]
+        f = RP(text, d) * linear(ring(d)) * linear(ring(d))
+        if f.is_zero():
+            continue
+        fs = check(f)
+        reached += any(len(factor_k(g.to_kpoly())[1]) == 2
+                       for m in fs for g in m)
+        checked += 1
+    assert reached == checked
 
 
 def test_factor_k_runs_once_per_call(monkeypatch):

@@ -73,11 +73,21 @@ def test_cli_import_loads_every_layer_but_not_dataclasses():
     assert not loaded & {"dataclasses", "inspect", "argparse", "gettext"}
 
 
+# code run after `import quadfactor` -> the package modules it may load:
+# scalar arithmetic stays in the lowest layer, and ideals need no
+# polynomial layer
+ROOT_USES = (
+    ("quadfactor.ring(-5)", ("errors", "qint")),
+    ("quadfactor.ring(-5).el(1) * quadfactor.ring(-5).el(0, 1)",
+     ("errors", "qint")),
+    ("quadfactor.ideal_from_gens([quadfactor.ring(-5).el(2)])",
+     ("errors", "qint", "ideals")),
+)
+
+
 def test_package_root_loads_only_what_is_used():
-    # scalar arithmetic stays in the lowest layer
-    for code in ("quadfactor.ring(-5)",
-                 "quadfactor.ring(-5).el(1) * quadfactor.ring(-5).el(0, 1)"):
+    for code, layers in ROOT_USES:
         loaded = _modules_loaded_by("import quadfactor\n" + code)
         ours = {m for m in loaded if m.split(".")[0] == "quadfactor"}
-        assert ours == {"quadfactor", "quadfactor.errors",
-                        "quadfactor.qint"}, code
+        assert ours == {"quadfactor"} | {f"quadfactor.{m}"
+                                         for m in layers}, code

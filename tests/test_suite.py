@@ -1,6 +1,6 @@
 """The check battery itself: its factorization oracle against the
-ordered-split one it replaced, its power to catch a wrong answer, and
-its whole stdout."""
+ordered-split one, its power to catch a wrong answer, and its whole
+stdout."""
 
 import pathlib
 
@@ -11,9 +11,14 @@ from quadfactor.qint import ring
 
 
 def test_oracle_matches_split_oracle():
+    # the sieve multiplies, the split oracle divides; the suite itself
+    # runs at max_norm 2000 on CORE_RINGS
     for d in suite.CORE_RINGS + (-6, -10, -21, -26):
         assert suite.naive_factorization_oracle(d, 500) == \
             split_oracle.naive_factorization_oracle(d, 500), d
+    for d in suite.CORE_RINGS:
+        assert suite.naive_factorization_oracle(d, 2000) == \
+            split_oracle.naive_factorization_oracle(d, 2000), d
 
 
 def test_factor_oracle_catches_a_dropped_factorization(monkeypatch):
@@ -31,6 +36,23 @@ def test_factor_oracle_catches_a_dropped_factorization(monkeypatch):
         return factor.FactorizationSet(x, kept)
 
     monkeypatch.setattr(factor, "factorizations", dropping)
+    r = suite.check_factor_oracle()
+    assert not r.ok and r.detail == "mismatch at d=-5, element (6, 0)"
+
+
+def test_factor_oracle_catches_an_extra_factorization(monkeypatch):
+    # the mirror case: reporting 6 itself as a third factorization of 6
+    # over Z[sqrt(-5)] must fail the check as well
+    target = ring(-5).el(6)
+    real = factor.factorizations
+
+    def padding(x):
+        fs = real(x)
+        if x != target:
+            return fs
+        return factor.FactorizationSet(x, fs.factorizations | {(target,)})
+
+    monkeypatch.setattr(factor, "factorizations", padding)
     r = suite.check_factor_oracle()
     assert not r.ok and r.detail == "mismatch at d=-5, element (6, 0)"
 
