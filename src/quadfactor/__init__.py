@@ -21,7 +21,7 @@ _EXPORTS = {
                "is_superprimitive", "gcd_v", "gauss_product_check",
                "gamma_check"),
     "factor": ("FactorizationSet", "factorizations"),
-    "rpoly": ("RPoly", "GroupingCertificate", "lambda_candidates",
+    "rpoly": ("GroupingCertificate", "lambda_candidates",
               "is_irreducible_rx", "factorizations_rx", "property_p_witness"),
     "extring": ("ExtElem", "D2WitnessReport", "d1_classify",
                 "d1_factorizations", "d2_is_irreducible", "d2_witness_verify"),

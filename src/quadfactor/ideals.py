@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from .errors import DomainError, VerificationError
 from .qint import (KElem, RingCfg, _canonical_coords, _coords_key,
-                   check_coeff_norms, common_nonunit_divisor)
+                   check_coeff_norms, check_integral,
+                   common_nonunit_divisor)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -274,9 +275,11 @@ def is_principal(I: FracIdeal) -> KElem | None:
 # ---------------------------------------------------------------------------
 
 def _coeff_list(f) -> list[KElem]:
+    """The coefficients of f, which must be a nonzero polynomial of R[x]."""
     coeffs = list(f.coeffs)
     if not coeffs or all(c.is_zero() for c in coeffs):
         raise DomainError("zero polynomial has no content ideal")
+    check_integral(coeffs)
     return coeffs
 
 

@@ -2,9 +2,10 @@
 
 A scalar is a `qint.KElem`, (a + b*w)/den: integers a, b over one
 common denominator den > 0, reduced so that gcd(a, b, den) = 1.
-Polynomials (`KPoly`) keep coefficients low-to-high.  `Poly` holds the
-ring arithmetic and the printing that K[x] shares with R[x]
-(`rpoly.RPoly`).
+Polynomials keep coefficients low-to-high in one type, `KPoly`, for
+K[x] and its subring R[x]: a polynomial lies in R[x] when every
+coefficient lies in Z[w] (`is_integral`), and the functions that need
+R[x] check that with `qint.check_integral`.
 
 Rational polynomials are factored over Z by the Zassenhaus method
 (`zpoly.zassenhaus`: Berlekamp mod p, Hensel lifting, recombination)
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, ResourceLimitError, VerificationError
-from .qint import KElem, RingCfg, _twice_sqrt, order_key
+from .qint import KElem, RingCfg, _twice_sqrt, order_key, try_div
 from .zpoly import zassenhaus
 
 FACTOR_Q_MAX_DEG = 8
@@ -46,11 +47,11 @@ def sqrt_in_field(z: KElem) -> KElem | None:
     return KElem(t[0], t[1], z.cfg, 2 * z.den)
 
 
-class Poly:
-    """A polynomial over Z[w] or over K; coefficient i multiplies x^i.
+class KPoly:
+    """A polynomial over K = Q(sqrt(d)); coefficient i multiplies x^i.
 
-    The ring operations and the printing R[x] and K[x] share;
-    polynomials of different subclasses are never equal."""
+    R[x] is the subring whose coefficients all lie in Z[w]
+    (is_integral); is_unit and try_scale_div answer in R[x]."""
 
     __slots__ = ("coeffs", "cfg")
 
@@ -64,6 +65,10 @@ class Poly:
     @classmethod
     def const(cls, z):
         return cls([z], z.cfg)
+
+    @staticmethod
+    def from_rationals(vals, cfg: RingCfg) -> "KPoly":
+        return KPoly([KElem.of(v, 0, cfg) for v in vals], cfg)
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -79,45 +84,46 @@ class Poly:
     def zero_elem(self) -> KElem:
         return KElem(0, 0, self.cfg)
 
+    def one_elem(self) -> KElem:
+        return KElem(1, 0, self.cfg)
+
     def coeff(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.zero_elem()
 
     def __add__(self, o):
         n = max(len(self.coeffs), len(o.coeffs))
-        return type(self)([self.coeff(i) + o.coeff(i) for i in range(n)],
-                          self.cfg)
+        return KPoly([self.coeff(i) + o.coeff(i) for i in range(n)], self.cfg)
 
     def __sub__(self, o):
         n = max(len(self.coeffs), len(o.coeffs))
-        return type(self)([self.coeff(i) - o.coeff(i) for i in range(n)],
-                          self.cfg)
+        return KPoly([self.coeff(i) - o.coeff(i) for i in range(n)], self.cfg)
 
     def __neg__(self):
-        return type(self)([-c for c in self.coeffs], self.cfg)
+        return KPoly([-c for c in self.coeffs], self.cfg)
 
     def __mul__(self, o):
         if self.is_zero() or o.is_zero():
-            return type(self)([], self.cfg)
+            return KPoly([], self.cfg)
         out = [self.zero_elem()] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
             if ci.is_zero():
                 continue
             for j, cj in enumerate(o.coeffs):
                 out[i + j] = out[i + j] + ci * cj
-        return type(self)(out, self.cfg)
+        return KPoly(out, self.cfg)
 
     def scale(self, z):
-        return type(self)([c * z for c in self.coeffs], self.cfg)
+        return KPoly([c * z for c in self.coeffs], self.cfg)
 
     def __eq__(self, other: object) -> bool:
-        return (type(other) is type(self) and self.coeffs == other.coeffs
+        return (isinstance(other, KPoly) and self.coeffs == other.coeffs
                 and self.cfg.d == other.cfg.d)
 
     def __hash__(self) -> int:
         return hash((self.coeffs, self.cfg.d))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self}, d={self.cfg.d})"
+        return f"KPoly({self}, d={self.cfg.d})"
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -150,25 +156,9 @@ class Poly:
             out += sign + body
         return out
 
-
-def poly_order_key(p: Poly):
-    return (p.degree(), tuple(order_key(c) for c in reversed(p.coeffs)))
-
-
-class KPoly(Poly):
-    """A polynomial over Q(sqrt(d))."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def from_rationals(vals, cfg: RingCfg) -> "KPoly":
-        return KPoly([KElem.of(v, 0, cfg) for v in vals], cfg)
-
-    def one_elem(self) -> KElem:
-        return KElem(1, 0, self.cfg)
-
     def is_unit(self) -> bool:
-        return self.degree() == 0
+        """A unit of R[x]: a constant unit of R."""
+        return self.degree() == 0 and self.coeffs[0].is_unit()
 
     def is_rational(self) -> bool:
         return all(c.b == 0 for c in self.coeffs)
@@ -210,6 +200,20 @@ class KPoly(Poly):
 
     def is_integral(self) -> bool:
         return all(c.is_integral() for c in self.coeffs)
+
+    def try_scale_div(self, c: KElem) -> "KPoly | None":
+        """self / c in R[x] if c divides every coefficient in R, else None."""
+        out = []
+        for a in self.coeffs:
+            q = try_div(a, c)
+            if q is None:
+                return None
+            out.append(q)
+        return KPoly(out, self.cfg)
+
+
+def poly_order_key(p: KPoly):
+    return (p.degree(), tuple(order_key(c) for c in reversed(p.coeffs)))
 
 
 def poly_gcd(f: KPoly, g: KPoly) -> KPoly:

@@ -3,9 +3,11 @@
 Grammar: integer literals, the symbols w and x, parentheses, + - * /,
 and ^ for exponents.  * binds tighter than + and -, ^ tighter still and
 only accepts a nonnegative integer exponent; / only accepts a nonzero
-constant divisor.  Everything evaluates exactly inside K[x], and the
-typed entry points then narrow the result (element, K-element, R[x]
-polynomial) with errors naming the offending coefficient.
+constant divisor.  Everything evaluates exactly inside K[x] as a
+`kpoly.KPoly`, and the typed entry points then narrow the result
+(element, K-element, R[x] polynomial) with errors naming the offending
+coefficient; an R[x] polynomial is a KPoly whose coefficients pass
+`qint.check_integral`.
 
 Work and output stay bounded: a literal has at most MAX_DIGITS digits;
 parentheses, unary signs and exponents nest at most MAX_NESTING deep, so
@@ -23,8 +25,7 @@ import re
 
 from .errors import DomainError, ParseError
 from .kpoly import KPoly
-from .qint import KElem, RingCfg
-from .rpoly import RPoly
+from .qint import KElem, RingCfg, check_integral
 
 MAX_EXPONENT = 64
 MAX_DIGITS = 4000
@@ -194,9 +195,11 @@ def parse_element(text: str, cfg: RingCfg) -> KElem:
     return z
 
 
-def parse_rpoly(text: str, cfg: RingCfg) -> RPoly:
+def parse_rpoly(text: str, cfg: RingCfg) -> KPoly:
+    """Polynomial over R = Z[w]: every coefficient must lie in Z[w]."""
     p = parse_kpoly(text, cfg)
-    return RPoly.from_kpoly(p)
+    check_integral(p.coeffs)
+    return p
 
 
 def parse_ideal_gens(text: str, cfg: RingCfg) -> list[KElem]:

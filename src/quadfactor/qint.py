@@ -449,6 +449,13 @@ def check_coeff_norms(coeffs) -> None:
             f"coefficient norm exceeds guard {MAX_COEFF_NORM}")
 
 
+def check_integral(coeffs) -> None:
+    """DomainError naming the first coefficient outside Z[w]."""
+    for i, c in enumerate(coeffs):
+        if c.den != 1:
+            raise DomainError(f"coefficient of x^{i} is {c}, not in Z[w]")
+
+
 def common_divisors(elems: list[KElem]):
     """Canonical nonunits dividing every element, by ascending norm.
 

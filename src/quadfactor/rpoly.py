@@ -1,12 +1,14 @@
 """Polynomials over R = Z[w]: irreducibility, factorizations, elasticity,
 and the splitting-behaviour witness search.
 
-A nonunit f in R[x] factors through K[x]: any factorization of f groups
-the K[x]-irreducible factors of f and rescales each group by a constant.
-For a two-way split f = g*h with deg g >= 1, g is lam * g0 for some
-subproduct g0 of the monic K-factors and some lam in K*.  The admissible
-lam form a finite, computable set (see lambda_candidates), which makes
-irreducibility and the full factorization tree decidable.
+A polynomial of R[x] is a `kpoly.KPoly` with every coefficient in Z[w],
+which _guard checks.  A nonunit f in R[x] factors through K[x]: any
+factorization of f groups the K[x]-irreducible factors of f and
+rescales each group by a constant.  For a two-way split f = g*h with
+deg g >= 1, g is lam * g0 for some subproduct g0 of the monic K-factors
+and some lam in K*.  The admissible lam form a finite, computable set
+(see lambda_candidates), which makes irreducibility and the full
+factorization tree decidable.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ import math
 
 from .errors import DomainError, ResourceLimitError
 from .factor import FactorizationSet
-from .kpoly import FACTOR_K_MAX_DEG, KPoly, Poly, factor_k, poly_order_key
+from .kpoly import FACTOR_K_MAX_DEG, KPoly, factor_k, poly_order_key
 from .qint import (KElem, RingCfg, _twice_sqrt, canonical_associate,
-                   check_coeff_norms, common_divisors, common_nonunit_divisor,
-                   elements_of_norm, order_key, try_div)
+                   check_coeff_norms, check_integral, common_divisors,
+                   elements_of_norm, irreducible_common_divisors, order_key,
+                   try_div)
 
 MAX_DEG = FACTOR_K_MAX_DEG
 WITNESS_MAX_DEG = 2
@@ -29,46 +32,7 @@ WITNESS_MAX_DEG = 2
 WITNESS_MAX_CANDIDATES = 10 ** 6
 
 
-class RPoly(Poly):
-    """Polynomial with coefficients in Z[w], low degree first; integer
-    coefficients are read as elements of Z[w], and a coefficient of K
-    outside Z[w] raises DomainError."""
-
-    __slots__ = ()
-
-    def __init__(self, coeffs, cfg: RingCfg):
-        cs = []
-        for c in coeffs:
-            if not isinstance(c, KElem):
-                c = cfg.el(c)
-            elif c.den != 1:
-                raise DomainError(
-                    f"coefficient of x^{len(cs)} is {c}, not in Z[w]")
-            cs.append(c)
-        super().__init__(cs, cfg)
-
-    def is_unit(self) -> bool:
-        return self.degree() == 0 and self.coeffs[0].is_unit()
-
-    def to_kpoly(self) -> KPoly:
-        return KPoly(self.coeffs, self.cfg)
-
-    @staticmethod
-    def from_kpoly(p: KPoly) -> "RPoly":
-        return RPoly(p.coeffs, p.cfg)
-
-    def try_scale_div(self, c: KElem) -> "RPoly | None":
-        """self / c if every coefficient is divisible, else None."""
-        out = []
-        for a in self.coeffs:
-            q = try_div(a, c)
-            if q is None:
-                return None
-            out.append(q)
-        return RPoly(out, self.cfg)
-
-
-def canonical_poly(f: RPoly) -> RPoly:
+def canonical_poly(f: KPoly) -> KPoly:
     """Unit-rescale so the leading coefficient is canonical."""
     return f.scale(try_div(canonical_associate(f.lc()), f.lc()))
 
@@ -82,7 +46,7 @@ class GroupingCertificate:
 
     __slots__ = ("subset", "lam", "g", "h")
 
-    def __init__(self, subset: tuple, lam: KElem, g: RPoly, h: RPoly):
+    def __init__(self, subset: tuple, lam: KElem, g: KPoly, h: KPoly):
         self.subset, self.lam, self.g, self.h = subset, lam, g, h
 
     def _fields(self) -> tuple:
@@ -126,7 +90,8 @@ def lambda_candidates(g0: KPoly, h0: KPoly) -> list[KElem]:
     return sorted(found, key=order_key)
 
 
-def _guard(f: RPoly) -> None:
+def _guard(f: KPoly) -> None:
+    check_integral(f.coeffs)
     if f.is_zero():
         raise DomainError("zero polynomial has no factorizations")
     if f.is_unit():
@@ -168,44 +133,44 @@ def _groupings(ks: tuple, unit: KElem):
     return walk(0, 0, (), one, KPoly.const(unit))
 
 
-def _splits(f: RPoly, ks):
-    """Every split f = g * h into nonunits of R[x], as certificates.
+def _splits(f: KPoly, ks):
+    """Every split f = g * h into nonunits of R[x] with g irreducible or
+    nonconstant, up to associates, as certificates.
 
     ks are the monic K[x]-factors of f, sorted as factor_k returns them;
     None factors f once the constant splits are exhausted.  First come
-    the constant common divisors g of the coefficients by ascending norm
-    (skipping those whose cofactor is a unit), then g = lam * g0 over
-    the proper sub-multisets g0 of ks and the lam of lambda_candidates.
-    Together these are all splits up to associates: a nonconstant g
-    whose cofactor is constant is the other half of a constant split."""
-    for c in common_divisors(list(f.coeffs)):
+    the irreducible constant common divisors g of the coefficients by
+    ascending norm (skipping those whose cofactor is a unit), then
+    g = lam * g0 over the proper sub-multisets g0 of ks and the lam of
+    lambda_candidates: a nonconstant g whose cofactor is constant is the
+    other half of a constant split."""
+    for c in irreducible_common_divisors(list(f.coeffs)):
         h = f.try_scale_div(c)
         if not h.is_unit():
-            yield GroupingCertificate((), c, RPoly.const(c), h)
+            yield GroupingCertificate((), c, KPoly.const(c), h)
     if ks is None:
-        ks = tuple(factor_k(f.to_kpoly())[1])
+        ks = tuple(factor_k(f)[1])
     for subset, g0, h0 in _groupings(ks, f.lc()):
         for lam in lambda_candidates(g0, h0):
-            yield GroupingCertificate(
-                subset, lam, RPoly.from_kpoly(g0.scale(lam)),
-                RPoly.from_kpoly(h0.scale(lam.inv())))
+            yield GroupingCertificate(subset, lam, g0.scale(lam),
+                                      h0.scale(lam.inv()))
 
 
-def is_irreducible_rx(f: RPoly):
+def is_irreducible_rx(f: KPoly):
     """-> (bool, GroupingCertificate | None for the reducible case).
 
-    The certificate is the first split of _splits: a common nonunit
-    constant divisor, else a grouping of the K[x]-factors rescaled into
-    R[x]."""
+    The certificate is the first split of _splits: the common nonunit
+    divisor of least norm, which is irreducible, else a grouping of the
+    K[x]-factors rescaled into R[x]."""
     _guard(f)
     cert = next(_splits(f, None), None)
     return cert is None, cert
 
 
 @functools.lru_cache(maxsize=4096)
-def _poly_multisets(f: RPoly, ks: tuple) -> frozenset:
+def _poly_multisets(f: KPoly, ks: tuple) -> frozenset:
     """f canonical, nonzero, nonunit, with monic K[x]-factors ks;
-    frozenset of sorted RPoly tuples.
+    frozenset of sorted KPoly tuples.
 
     Every factorization with two or more factors starts with a split
     whose g is irreducible: a constant factor if it has one, else any
@@ -226,11 +191,11 @@ def _poly_multisets(f: RPoly, ks: tuple) -> frozenset:
     return frozenset(out) or frozenset({(f,)})
 
 
-def factorizations_rx(f: RPoly) -> FactorizationSet:
+def factorizations_rx(f: KPoly) -> FactorizationSet:
     """Every factorization of f in R[x] into irreducibles, up to
     associates and order."""
     _guard(f)
-    ks = tuple(factor_k(f.to_kpoly())[1])
+    ks = tuple(factor_k(f)[1])
     return FactorizationSet(
         element=f, factorizations=_poly_multisets(canonical_poly(f), ks))
 
@@ -316,12 +281,11 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
     linear polynomials are K-irreducible), so max_deg = 1 finds none.
     A quadratic is screened in integers: its discriminant must be a
     square in K (_twice_sqrt), no rescaling of its roots may give
-    linear factors of R[x] (_quad_splits_in_rx), and its coefficients
-    must be coprime; is_irreducible_rx confirms a survivor.  The split
-    test runs before the content test: both only discard reducible
-    quadratics, so their order does not change the survivors, and few
-    candidates pass the split test.  Past WITNESS_MAX_CANDIDATES
-    candidates the search raises ResourceLimitError."""
+    linear factors of R[x] (_quad_splits_in_rx); is_irreducible_rx
+    decides a survivor, and rejects one with a common nonunit divisor of
+    its coefficients at its first constant split.  Past
+    WITNESS_MAX_CANDIDATES candidates the search raises
+    ResourceLimitError."""
     if max_norm < 1 or max_deg < 1:
         raise DomainError("bounds must be positive")
     if max_deg > WITNESS_MAX_DEG:
@@ -358,9 +322,7 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
                     continue
                 if _quad_splits_in_rx(c2, c1, t, lams, d):
                     continue
-                f = RPoly([KElem(a, b, cfg), KElem(c1a, c1b, cfg), lead], cfg)
-                if common_nonunit_divisor(list(f.coeffs)) is not None:
-                    continue
+                f = KPoly([KElem(a, b, cfg), KElem(c1a, c1b, cfg), lead], cfg)
                 # shortcut says witness; the full test has the final word
                 if is_irreducible_rx(f)[0]:
                     return f

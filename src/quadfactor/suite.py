@@ -26,7 +26,6 @@ from . import extring, factor, ideals, rpoly
 from .kpoly import KPoly, factor_k
 from .qint import (KElem, common_nonunit_divisor, elements_of_norm, is_prime,
                    norm, ring)
-from .rpoly import RPoly
 
 CORE_RINGS = (-1, -2, -3, -5, -14)
 
@@ -148,7 +147,7 @@ def check_factor_81(seed: int):
         "elasticity 5/3; under 5s", budget=5.0)
 def check_poly_factor_81x(seed: int):
     cfg = ring(-14)
-    f = RPoly([0, 81], cfg)
+    f = KPoly.from_rationals([0, 81], cfg)
     fs = rpoly.factorizations_rx(f)
     el = fs.elasticity()
     ok = fs.lengths() == [3, 5] and el == Fraction(5, 3)
@@ -161,11 +160,11 @@ def check_poly_factor_81x(seed: int):
         "{2, 3} and elasticity 3/2")
 def check_rx_split_z3(seed: int):
     cfg = ring(-3)
-    two = RPoly([2], cfg)
-    quad = RPoly([1, 1, 1], cfg)
-    l1 = RPoly([cfg.el(1, 1), cfg.el(2)], cfg)
-    l2 = RPoly([cfg.el(1, -1), cfg.el(2)], cfg)
-    target = RPoly([4, 4, 4], cfg)
+    two = KPoly.from_rationals([2], cfg)
+    quad = KPoly.from_rationals([1, 1, 1], cfg)
+    l1 = KPoly([cfg.el(1, 1), cfg.el(2)], cfg)
+    l2 = KPoly([cfg.el(1, -1), cfg.el(2)], cfg)
+    target = KPoly.from_rationals([4, 4, 4], cfg)
     identity = (two * two * quad == target and l1 * l2 == target)
     irr = all(rpoly.is_irreducible_rx(g)[0]
               for g in (two, quad, l1, l2))
@@ -182,11 +181,11 @@ def check_rx_split_z3(seed: int):
         "factorizations, both of length 2, elasticity 1")
 def check_rx_split_z5(seed: int):
     cfg = ring(-5)
-    two = RPoly([2], cfg)
-    quad = RPoly([3, 2, 2], cfg)
-    l1 = RPoly([cfg.el(1, 1), cfg.el(2)], cfg)
-    l2 = RPoly([cfg.el(1, -1), cfg.el(2)], cfg)
-    target = RPoly([6, 4, 4], cfg)
+    two = KPoly.from_rationals([2], cfg)
+    quad = KPoly.from_rationals([3, 2, 2], cfg)
+    l1 = KPoly([cfg.el(1, 1), cfg.el(2)], cfg)
+    l2 = KPoly([cfg.el(1, -1), cfg.el(2)], cfg)
+    target = KPoly.from_rationals([6, 4, 4], cfg)
     identity = (two * quad == target and l1 * l2 == target)
     irr = all(rpoly.is_irreducible_rx(g)[0]
               for g in (two, quad, l1, l2))
@@ -264,7 +263,7 @@ def check_elasticity_shrink(seed: int):
         "superprimitive, with witness (1-w)/2")
 def check_psp_witness_z5(seed: int):
     cfg = ring(-5)
-    f = RPoly([cfg.el(2), cfg.el(1, 1)], cfg)
+    f = KPoly([cfg.el(2), cfg.el(1, 1)], cfg)
     prim = ideals.is_primitive(f)
     sup, wit = ideals.is_superprimitive(f)
     expected = KElem(1, -1, cfg, 2)
@@ -289,9 +288,9 @@ def check_property_p(seed: int):
             return False, f"no witness found for d={d}"
         if not rpoly.is_irreducible_rx(wit)[0]:
             return False, f"witness for d={d} is reducible"
-        if len(factor_k(wit.to_kpoly())[1]) < 2:
+        if len(factor_k(wit)[1]) < 2:
             return False, f"witness for d={d} does not split over K"
-        if d == -3 and wit != RPoly([1, 1, 1], cfg):
+        if d == -3 and wit != KPoly.from_rationals([1, 1, 1], cfg):
             return False, f"first witness for d=-3 was {wit}"
         notes.append(f"d={d}: {wit}")
     for d in (-1, -2):
@@ -394,8 +393,8 @@ def check_ideal_laws(seed: int):
                 return False, f"colon not antitone at d={d}"
             rounds += 1
     cfg5 = ring(-5)
-    f = RPoly([cfg5.el(2), cfg5.el(1, 1)], cfg5)
-    g = RPoly([cfg5.el(2), cfg5.el(1, -1)], cfg5)
+    f = KPoly([cfg5.el(2), cfg5.el(1, 1)], cfg5)
+    g = KPoly([cfg5.el(2), cfg5.el(1, -1)], cfg5)
     gauss = ideals.gauss_product_check(f, g)
     prod = f * g
     content = common_nonunit_divisor(list(prod.coeffs))

@@ -16,7 +16,7 @@ from quadfactor.qint import (KElem, canonical_associate,
                              common_nonunit_divisor,
                              irreducible_common_divisors, is_irreducible,
                              try_div)
-from quadfactor.rpoly import (GroupingCertificate, RPoly, _guard,
+from quadfactor.rpoly import (GroupingCertificate, _guard,
                               canonical_poly, lambda_candidates)
 
 
@@ -56,7 +56,7 @@ def _grouped(ks: list, unit_k: KElem, subset: tuple):
     return g0, h0
 
 
-def is_irreducible_rx(f: RPoly):
+def is_irreducible_rx(f: KPoly):
     _guard(f)
     if f.degree() == 0:
         c = f.coeffs[0]
@@ -65,49 +65,49 @@ def is_irreducible_rx(f: RPoly):
         div = common_nonunit_divisor([c])
         cert = GroupingCertificate(
             subset=(), lam=div,
-            g=RPoly.const(div), h=RPoly.const(try_div(c, div)))
+            g=KPoly.const(div), h=KPoly.const(try_div(c, div)))
         return False, cert
     content = common_nonunit_divisor(list(f.coeffs))
     if content is not None:
         cert = GroupingCertificate(
             subset=(), lam=content,
-            g=RPoly.const(content), h=f.try_scale_div(content))
+            g=KPoly.const(content), h=f.try_scale_div(content))
         return False, cert
-    unit_k, ks = factor_k(f.to_kpoly())
+    unit_k, ks = factor_k(f)
     if len(ks) == 1:
         return True, None
     for subset in _submultisets(ks):
         g0, h0 = _grouped(ks, unit_k, subset)
         for lam in lambda_candidates(g0, h0):
-            g = RPoly.from_kpoly(g0.scale(lam))
-            h = RPoly.from_kpoly(h0.scale(lam.inv()))
+            g = g0.scale(lam)
+            h = h0.scale(lam.inv())
             return False, GroupingCertificate(subset, lam, g, h)
     return True, None
 
 
 @functools.lru_cache(maxsize=None)
-def poly_multisets(f: RPoly) -> frozenset:
-    """f canonical, nonzero, nonunit; frozenset of sorted RPoly tuples."""
+def poly_multisets(f: KPoly) -> frozenset:
+    """f canonical, nonzero, nonunit; frozenset of sorted KPoly tuples."""
     if f.degree() == 0:
         return frozenset(
-            tuple(RPoly.const(c) for c in m)
+            tuple(KPoly.const(c) for c in m)
             for m in _factor_multisets(canonical_associate(f.coeffs[0])))
     out = set()
     for c in irreducible_common_divisors(list(f.coeffs)):
         q = f.try_scale_div(c)
         for rest in poly_multisets(canonical_poly(q)):
-            out.add(tuple(sorted((RPoly.const(c),) + rest,
+            out.add(tuple(sorted((KPoly.const(c),) + rest,
                                  key=poly_order_key)))
-    unit_k, ks = factor_k(f.to_kpoly())
+    unit_k, ks = factor_k(f)
     groups = list(_submultisets(ks))
     groups.append(tuple(range(len(ks))))  # constant cofactor route
     for subset in groups:
         g0, h0 = _grouped(ks, unit_k, subset)
         for lam in lambda_candidates(g0, h0):
-            g = RPoly.from_kpoly(g0.scale(lam))
+            g = g0.scale(lam)
             if not is_irreducible_rx(g)[0]:
                 continue
-            h = RPoly.from_kpoly(h0.scale(lam.inv()))
+            h = h0.scale(lam.inv())
             gc = canonical_poly(g)
             if h.is_unit():
                 out.add((gc,))

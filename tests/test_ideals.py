@@ -10,8 +10,8 @@ from quadfactor.ideals import (colon, content_ideal, gamma_check,
                                gauss_product_check, gcd_v, ideal_from_gens,
                                is_primitive, is_principal, is_superprimitive,
                                mul, unit_ideal, v_closure)
+from quadfactor.kpoly import KPoly
 from quadfactor.qint import KElem, canonical_associate, ring
-from quadfactor.rpoly import RPoly
 
 
 def E(u, v, d):
@@ -150,18 +150,18 @@ def test_ideal_laws_random():
 
 def test_content_and_primitivity():
     cfg = ring(-5)
-    f = RPoly([cfg.el(2), cfg.el(1, 1)], cfg)
+    f = KPoly([cfg.el(2), cfg.el(1, 1)], cfg)
     assert is_primitive(f)
     assert content_ideal(f) == ideal_from_gens([cfg.el(2), cfg.el(1, 1)])
-    g = RPoly([4, 4, 6], cfg)
+    g = KPoly.from_rationals([4, 4, 6], cfg)
     assert not is_primitive(g)
     with pytest.raises(DomainError):
-        is_primitive(RPoly([], cfg))
+        is_primitive(KPoly([], cfg))
 
 
 def test_superprimitive():
     cfg = ring(-5)
-    f = RPoly([cfg.el(2), cfg.el(1, 1)], cfg)
+    f = KPoly([cfg.el(2), cfg.el(1, 1)], cfg)
     ok, wit = is_superprimitive(f)
     assert not ok
     assert wit == E(Fraction(1, 2), Fraction(-1, 2), -5)
@@ -170,7 +170,7 @@ def test_superprimitive():
     for g in A.generators():
         assert unit_ideal(cfg).contains(wit * g)
     assert not wit.is_integral()
-    g2 = RPoly([cfg.el(1), cfg.el(0, 1)], cfg)
+    g2 = KPoly([cfg.el(1), cfg.el(0, 1)], cfg)
     ok2, wit2 = is_superprimitive(g2)
     assert ok2 and wit2 is None
 
@@ -183,7 +183,7 @@ def test_superprimitive_implies_primitive():
                   for _ in range(rng.randint(1, 3))]
         if all(c.is_zero() for c in coeffs):
             continue
-        f = RPoly(coeffs, cfg)
+        f = KPoly(coeffs, cfg)
         if f.is_zero():
             continue
         ok, wit = is_superprimitive(f)
@@ -240,7 +240,7 @@ def test_superprimitive_matches_full_search():
         c = cfg.el(rng.randint(-3, 3), rng.randint(-1, 1))
         coeffs = [c * cfg.el(rng.randint(-4, 4), rng.randint(-2, 2))
                   for _ in range(rng.randint(1, 3))]
-        f = RPoly(coeffs, cfg)
+        f = KPoly(coeffs, cfg)
         if f.is_zero():
             continue
         got = is_superprimitive(f)
@@ -316,16 +316,16 @@ def test_gcd_distributivity():
 
 def test_gauss_product():
     cfg = ring(-5)
-    f = RPoly([cfg.el(2), cfg.el(1, 1)], cfg)
-    g = RPoly([cfg.el(2), cfg.el(1, -1)], cfg)
+    f = KPoly([cfg.el(2), cfg.el(1, 1)], cfg)
+    g = KPoly([cfg.el(2), cfg.el(1, -1)], cfg)
     assert gauss_product_check(f, g) is False
     cfg1 = ring(-1)
     rng = random.Random(12)
     seen_true = 0
     for _ in range(60):
-        a = RPoly([cfg1.el(rng.randint(-5, 5), rng.randint(-3, 3))
+        a = KPoly([cfg1.el(rng.randint(-5, 5), rng.randint(-3, 3))
                    for _ in range(rng.randint(2, 3))], cfg1)
-        b = RPoly([cfg1.el(rng.randint(-5, 5), rng.randint(-3, 3))
+        b = KPoly([cfg1.el(rng.randint(-5, 5), rng.randint(-3, 3))
                    for _ in range(rng.randint(2, 3))], cfg1)
         if a.is_zero() or b.is_zero():
             continue
@@ -335,7 +335,7 @@ def test_gauss_product():
         seen_true += 1
     assert seen_true > 20
     with pytest.raises(DomainError):
-        gauss_product_check(RPoly([4, 4, 6], cfg), f)
+        gauss_product_check(KPoly.from_rationals([4, 4, 6], cfg), f)
 
 
 def test_gamma_check():

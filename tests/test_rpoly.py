@@ -2,6 +2,7 @@ import itertools
 import json
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadfactor.errors import DomainError, ResourceLimitError
-from quadfactor.ideals import is_primitive
-from quadfactor.kpoly import KElem, factor_k
+from quadfactor.ideals import (content_ideal, gauss_product_check,
+                               is_primitive, is_superprimitive)
+from quadfactor.kpoly import KElem, KPoly, factor_k
 from quadfactor.parse import parse_rpoly
 from quadfactor.qint import (_coords_key, _is_squarefree, _twice_sqrt,
-                             elements_of_norm, ring)
-from quadfactor.rpoly import (RPoly, _linear_leads, _quad_splits_in_rx,
+                             common_nonunit_divisor, elements_of_norm,
+                             is_irreducible, ring)
+from quadfactor.rpoly import (_linear_leads, _quad_splits_in_rx, _splits,
                               _witness_coeffs,
                               canonical_poly, factorizations_rx,
                               is_irreducible_rx, lambda_candidates,
@@ -25,8 +28,9 @@ def RP(text, d):
     return parse_rpoly(text, ring(d))
 
 
-def KP(text, d):
-    return RP(text, d).to_kpoly()
+def RX(vals, cfg):
+    """The polynomial of R[x] with integer coefficients vals, low first."""
+    return KPoly.from_rationals(vals, cfg)
 
 
 def E(u, v, d):
@@ -35,62 +39,93 @@ def E(u, v, d):
 
 def test_rpoly_basics():
     cfg = ring(-5)
-    f = RPoly([1, 2, 1], cfg)
-    g = RPoly([cfg.el(1, 1)], cfg)
-    assert (f * g).coeffs == RPoly(
+    f = RX([1, 2, 1], cfg)
+    g = KPoly([cfg.el(1, 1)], cfg)
+    assert (f * g).coeffs == KPoly(
         [cfg.el(1, 1), cfg.el(2, 2), cfg.el(1, 1)], cfg).coeffs
     assert f.try_scale_div(cfg.el(2)) is None
-    assert RPoly([2, 4], cfg).try_scale_div(cfg.el(2)) == RPoly([1, 2], cfg)
+    assert RX([2, 4], cfg).try_scale_div(cfg.el(2)) == RX([1, 2], cfg)
     assert str(RP("2*x+1-w", -5)) == "2*x+1-w"
-    assert canonical_poly(RPoly([0, -3], cfg)) == RPoly([0, 3], cfg)
-    assert f + g - f == RPoly([cfg.el(1, 1)], cfg)
-    assert (f - f).is_zero() and -g == RPoly([cfg.el(-1, -1)], cfg)
-    # R[x] and K[x] share their arithmetic but never compare equal
-    assert f != f.to_kpoly() and RPoly([], cfg) != f.to_kpoly() - f.to_kpoly()
-    assert repr(g) == "RPoly(1+w, d=-5)"
+    assert canonical_poly(RX([0, -3], cfg)) == RX([0, 3], cfg)
+    assert f + g - f == KPoly([cfg.el(1, 1)], cfg)
+    assert (f - f).is_zero() and -g == KPoly([cfg.el(-1, -1)], cfg)
+    assert repr(g) == "KPoly(1+w, d=-5)"
 
 
-def test_from_kpoly_rejects_fractions():
+def test_rx_functions_check_membership():
+    # polynomials of K[x] outside R[x]: each function that needs R[x]
+    # refuses them, naming the first coefficient outside Z[w]
     cfg = ring(-5)
-    bad = KP("x+1", -5).scale(E(Fraction(1, 2), 0, -5))
-    with pytest.raises(DomainError):
-        RPoly.from_kpoly(bad)
+    good = RP("(1+w)*x+2", -5)
+    bad = ((KPoly([KElem(2, 0, cfg, 3), cfg.el(2)], cfg), "x^0 is 2/3"),
+           (KPoly([cfg.el(0), KElem(1, 1, cfg, 2)], cfg), "x^1 is (1+w)/2"),
+           (RP("x+1", -5).scale(E(Fraction(1, 2), 0, -5)), "x^0 is 1/2"))
+    checks = (is_irreducible_rx, factorizations_rx, is_primitive,
+              is_superprimitive, content_ideal,
+              lambda f: gauss_product_check(f, good),
+              lambda f: gauss_product_check(good, f),
+              lambda f: parse_rpoly(str(f), cfg))
+    for f, where in bad:
+        msg = re.escape(f"coefficient of {where}, not in Z[w]")
+        for check in checks:
+            with pytest.raises(DomainError, match=msg):
+                check(f)
+    # an integral KPoly built directly answers as the parsed input
+    for built, text in ((KPoly([cfg.el(2), cfg.el(1, 1)], cfg), "(1+w)*x+2"),
+                        (RX([6, 0, 6], cfg), "6*x^2+6"),
+                        (KPoly([cfg.el(1, 1), cfg.el(0, 1), cfg.el(2)], cfg),
+                         "2*x^2+w*x+1+w")):
+        parsed = RP(text, -5)
+        assert built == parsed and str(built) == text
+        for check in (is_irreducible_rx, is_primitive, is_superprimitive,
+                      content_ideal):
+            assert check(built) == check(parsed), (text, check)
+        assert factorizations_rx(built).factorizations == \
+            factorizations_rx(parsed).factorizations
+    assert gauss_product_check(KPoly([cfg.el(2), cfg.el(1, 1)], cfg),
+                               good) is False
 
 
-def test_rpoly_rejects_fractions_where_built():
-    # 2x + 2/3 is no polynomial of R[x]; refused where it is built, it
-    # never reaches is_primitive, which reads numerators only
-    cfg = ring(-5)
-    with pytest.raises(DomainError, match=r"coefficient of x\^0 is 2/3, "
-                                          r"not in Z\[w\]"):
-        RPoly([KElem(2, 0, cfg, 3), cfg.el(2)], cfg)
+def test_constant_splits_have_irreducible_g():
+    # the memo discards every split whose g is reducible, so _splits
+    # offers a constant g only when it is irreducible; the certificate
+    # is still the common divisor of least norm
+    cases = (("81*x", -14), ("36*x^2+36", -5), ("8*x+8", -3), ("16*x", -1),
+             ("(4+4*w)*x+8", -2), ("30", -5))
+    for text, d in cases:
+        f = RP(text, d)
+        consts = [c.g.coeffs[0] for c in _splits(f, tuple(factor_k(f)[1]))
+                  if not c.subset]
+        assert consts and all(map(is_irreducible, consts)), text
+        cert = is_irreducible_rx(f)[1]
+        assert cert.subset == () and cert.g.coeffs[0] == consts[0] == \
+            common_nonunit_divisor(list(f.coeffs)), text
 
 
 def test_lambda_candidates_exact():
     # splitting x^2+x+1 over Z[sqrt(-3)]: neither half can be rescaled in
-    g0, g1 = factor_k(KP("x^2+x+1", -3))[1]
+    g0, g1 = factor_k(RP("x^2+x+1", -3))[1]
     assert lambda_candidates(g0, g1) == []
     # 2x+1+w = 2 * (x + (1+w)/2): lam = 2 pulls the factor into R[x]
-    unit, ks = factor_k(KP("2*x+1+w", -3))
-    from quadfactor.kpoly import KPoly
+    unit, ks = factor_k(RP("2*x+1+w", -3))
     assert lambda_candidates(ks[0], KPoly.const(unit)) == [E(2, 0, -3)]
     # x^2+x+3/2 with cofactor 2 over Z[sqrt(-5)]: roots (-1±w)/2, so the
     # monic part splits over K; only lam = 2 rescales it into R[x]
-    unit5, ks5 = factor_k(KP("2*x^2+2*x+3", -5))
+    unit5, ks5 = factor_k(RP("2*x^2+2*x+3", -5))
     assert len(ks5) == 2
     assert lambda_candidates(ks5[0] * ks5[1], KPoly.const(unit5)) == \
         [E(2, 0, -5)]
     # no lam fits both halves here
-    g = KP("x+1", -5).scale(E(Fraction(1, 2), Fraction(1, 2), -5)) \
-        + KP("x", -5).scale(E(Fraction(1, 2), Fraction(-1, 2), -5))
+    g = RP("x+1", -5).scale(E(Fraction(1, 2), Fraction(1, 2), -5)) \
+        + RP("x", -5).scale(E(Fraction(1, 2), Fraction(-1, 2), -5))
     assert str(g) == "x+(1+w)/2"
-    h = KP("2*x+1-w", -5)
+    h = RP("2*x+1-w", -5)
     assert lambda_candidates(g, h) == []
     with pytest.raises(DomainError):
         lambda_candidates(KPoly([], ring(-5)), h)
     # x * 1/2 is not in R[x], so no rescaling pulls both halves in
     half = KPoly.const(E(Fraction(1, 2), 0, -5))
-    assert lambda_candidates(KP("x", -5), half) == []
+    assert lambda_candidates(RP("x", -5), half) == []
 
 
 def test_lambda_candidates_match_ball_walk():
@@ -104,7 +139,7 @@ def test_lambda_candidates_match_ball_walk():
               (Fraction(1, 3), Fraction(-1, 3)), (0, 1), (3, -1)]
 
     def small(cfg, deg):
-        return RPoly([cfg.el(rng.randint(-3, 3), rng.randint(-1, 1))
+        return KPoly([cfg.el(rng.randint(-3, 3), rng.randint(-1, 1))
                       for _ in range(deg)] + [cfg.el(rng.randint(1, 3),
                                                      rng.randint(-1, 1))],
                      cfg)
@@ -124,7 +159,7 @@ def test_lambda_candidates_match_ball_walk():
             f = a * small(cfg, rng.randint(1, 2))
         if rng.random() < 0.3:
             f = f.scale(cfg.el(rng.randint(2, 3), rng.randint(0, 1)))
-        unit, ks = factor_k(f.to_kpoly())
+        unit, ks = factor_k(f)
         repeated += len(set(ks)) < len(ks)
         for subset, g0, h0 in _groupings(tuple(ks), unit):
             t = KElem.of(*rng.choice(scales), cfg)
@@ -142,7 +177,7 @@ def test_is_irreducible_rx():
     cfg = ring(-14)
     ok, cert = is_irreducible_rx(RP("81*x", -14))
     assert not ok
-    assert cert.g == RPoly([3], cfg) and cert.h == RP("27*x", -14)
+    assert cert.g == RX([3], cfg) and cert.h == RP("27*x", -14)
     assert cert.subset == ()
     ok, cert = is_irreducible_rx(RP("x^2+5", -5))
     assert not ok
@@ -155,26 +190,26 @@ def test_is_irreducible_rx():
     assert is_irreducible_rx(RP("2*x^2+2+w", -5)) == (True, None)
     # content divisors over Z[sqrt(-3)]: 1+w sorts before 2 at norm 4
     ok, cert = is_irreducible_rx(RP("4*x^2+4*x+4", -3))
-    assert not ok and cert.g == RPoly([ring(-3).el(1, 1)], ring(-3))
+    assert not ok and cert.g == KPoly([ring(-3).el(1, 1)], ring(-3))
     assert cert.g * cert.h == RP("4*x^2+4*x+4", -3)
     # constants delegate to element irreducibility
-    assert is_irreducible_rx(RPoly([3], cfg)) == (True, None)
-    ok, cert = is_irreducible_rx(RPoly([6], ring(-5)))
+    assert is_irreducible_rx(RX([3], cfg)) == (True, None)
+    ok, cert = is_irreducible_rx(RX([6], ring(-5)))
     assert not ok
     prod = cert.g * cert.h
-    assert prod == RPoly([6], ring(-5))
+    assert prod == RX([6], ring(-5))
 
 
 def test_guards():
     cfg = ring(-5)
     with pytest.raises(DomainError):
-        is_irreducible_rx(RPoly([], cfg))
+        is_irreducible_rx(KPoly([], cfg))
     with pytest.raises(DomainError):
-        is_irreducible_rx(RPoly([1], cfg))
+        is_irreducible_rx(RX([1], cfg))
     with pytest.raises(ResourceLimitError):
         is_irreducible_rx(RP("x^7+1", -5))
     with pytest.raises(ResourceLimitError):
-        factorizations_rx(RPoly([10 ** 4, 1], cfg))
+        factorizations_rx(RX([10 ** 4, 1], cfg))
 
 
 def test_factorizations_rx():
@@ -186,7 +221,7 @@ def test_factorizations_rx():
     fs = factorizations_rx(RP("x", -5))
     assert {tuple(str(g) for g in m) for m in fs.factorizations} == {("x",)}
     # constant polynomials reuse element factorizations
-    fs = factorizations_rx(RPoly([6], ring(-5)))
+    fs = factorizations_rx(RX([6], ring(-5)))
     assert {tuple(str(g) for g in m) for m in fs.factorizations} == \
         {("2", "3"), ("1-w", "1+w")}
 
@@ -196,7 +231,7 @@ def test_factorizations_81x():
     assert fs.lengths() == [3, 5]
     assert fs.elasticity() == Fraction(5, 3)
     for m in fs.factorizations:
-        prod = RPoly([1], ring(-14))
+        prod = RX([1], ring(-14))
         for g in m:
             assert is_irreducible_rx(g)[0]
             prod = prod * g
@@ -212,7 +247,7 @@ def test_property_p_witnesses():
     for d in (-3, -5, -6):
         wit = property_p_witness(ring(d), 20, 2)
         assert is_irreducible_rx(wit)[0]
-        assert len(factor_k(wit.to_kpoly())[1]) == 2
+        assert len(factor_k(wit)[1]) == 2
         assert is_primitive(wit)
     with pytest.raises(DomainError):
         property_p_witness(ring(-5), 0, 2)
@@ -226,12 +261,11 @@ def test_quadratic_shortcut_matches_generic():
     for _ in range(150):
         d = rng.choice((-1, -2, -3, -5, -6, -14))
         cfg = ring(d)
-        f = RPoly([cfg.el(rng.randint(-4, 4), rng.randint(-2, 2)),
+        f = KPoly([cfg.el(rng.randint(-4, 4), rng.randint(-2, 2)),
                    cfg.el(rng.randint(-4, 4), rng.randint(-2, 2)),
                    cfg.el(rng.randint(-4, 4), rng.randint(-2, 2))], cfg)
         if f.degree() != 2:
             continue
-        from quadfactor.qint import common_nonunit_divisor
         if common_nonunit_divisor(list(f.coeffs)) is not None:
             continue
         c0, c1, c2 = f.coeffs
@@ -386,7 +420,7 @@ def test_split_search_matches_oracle(monkeypatch):
     rng = random.Random(21)
 
     def linear(cfg):
-        return RPoly([cfg.el(rng.randint(-3, 3), rng.randint(-1, 1))
+        return KPoly([cfg.el(rng.randint(-3, 3), rng.randint(-1, 1))
                       for _ in range(rng.randint(1, 2))], cfg)
 
     def check(f):
@@ -413,7 +447,7 @@ def test_split_search_matches_oracle(monkeypatch):
         if f.is_zero():
             continue
         fs = check(f)
-        reached += any(len(factor_k(g.to_kpoly())[1]) == 2
+        reached += any(len(factor_k(g)[1]) == 2
                        for m in fs for g in m)
         checked += 1
     assert reached == checked
@@ -437,5 +471,5 @@ def test_factor_k_runs_once_per_call(monkeypatch):
     # a constant split certifies reducibility before K[x] is needed
     calls.clear()
     assert is_irreducible_rx(RP("2*(x+1)*(x+2)*(x+3)", -5))[1].g == \
-        RPoly([2], ring(-5))
+        RX([2], ring(-5))
     assert calls == []

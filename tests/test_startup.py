@@ -74,14 +74,15 @@ def test_cli_import_loads_every_layer_but_not_dataclasses():
 
 
 # code run after `import quadfactor` -> the package modules it may load:
-# scalar arithmetic stays in the lowest layer, and ideals need no
-# polynomial layer
+# scalar arithmetic stays in the lowest layer, ideals need no
+# polynomial layer, and the parser needs K[x] but no R[x] search
 ROOT_USES = (
     ("quadfactor.ring(-5)", ("errors", "qint")),
     ("quadfactor.ring(-5).el(1) * quadfactor.ring(-5).el(0, 1)",
      ("errors", "qint")),
     ("quadfactor.ideal_from_gens([quadfactor.ring(-5).el(2)])",
      ("errors", "qint", "ideals")),
+    ("import quadfactor.parse", ("errors", "qint", "zpoly", "kpoly", "parse")),
 )
 
 
