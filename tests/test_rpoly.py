@@ -15,6 +15,7 @@ from quadfactor.ideals import (content_ideal, gauss_product_check,
 from quadfactor.kpoly import KElem, KPoly, factor_k
 from quadfactor.parse import parse_rpoly
 from quadfactor.qint import (_coords_key, _is_squarefree, _twice_sqrt,
+                             check_integral,
                              common_nonunit_divisor, elements_of_norm,
                              is_irreducible, ring)
 from quadfactor.rpoly import (_linear_leads, _quad_splits_in_rx, _splits,
@@ -50,6 +51,28 @@ def test_rpoly_basics():
     assert f + g - f == KPoly([cfg.el(1, 1)], cfg)
     assert (f - f).is_zero() and -g == KPoly([cfg.el(-1, -1)], cfg)
     assert repr(g) == "KPoly(1+w, d=-5)"
+
+
+def test_from_kpoly_rejects_fractions():
+    # (x+1)/2 is a polynomial of K[x] but not of R[x]
+    bad = RP("x+1", -5).scale(E(Fraction(1, 2), 0, -5))
+    assert not bad.is_integral()
+    with pytest.raises(DomainError):
+        check_integral(bad.coeffs)
+    with pytest.raises(DomainError):
+        factorizations_rx(bad)
+
+
+def test_rpoly_rejects_fractions_where_built():
+    # 2x + 2/3 is no polynomial of R[x]; is_primitive, which reads
+    # numerators only, refuses it rather than answer for 2x + 2
+    cfg = ring(-5)
+    f = KPoly([KElem(2, 0, cfg, 3), cfg.el(2)], cfg)
+    msg = r"coefficient of x\^0 is 2/3, not in Z\[w\]"
+    with pytest.raises(DomainError, match=msg):
+        check_integral(f.coeffs)
+    with pytest.raises(DomainError, match=msg):
+        is_primitive(f)
 
 
 def test_rx_functions_check_membership():
