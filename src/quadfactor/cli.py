@@ -4,7 +4,8 @@ Output goes to stdout as a single JSON object (or key/value TSV), and
 is byte-identical across runs for a fixed argv and seed.  Errors are
 JSON objects on stderr with exit codes: 2 for syntax and usage, 3 for
 domain violations, 4 for resource guards, 5 for a result that failed its
-own check.  paper-suite exits 1 when any check fails.
+own check or any other internal error.  paper-suite exits 1 when any
+check fails.
 
 Global options come before the command, as `--opt v` or `--opt=v`,
 under any unambiguous prefix (`--d` is exact); the last repeat wins.
@@ -334,6 +335,13 @@ def main(argv=None) -> int:
         sys.stderr.write(json.dumps(
             {"error": {"type": kind, "message": str(e)}}) + "\n")
         return code
+    except Exception as e:
+        # an unexpected fault is reported like a failed check, never as a
+        # traceback; BaseException (timeouts, SystemExit) passes through
+        sys.stderr.write(json.dumps({"error": {
+            "type": "internal",
+            "message": f"{type(e).__name__}: {e}"}}) + "\n")
+        return 5
     suite_run = a.command == "paper-suite"
     if a.format == "json":
         sys.stdout.write(json.dumps(payload) + "\n")

@@ -4,10 +4,18 @@ elasticity, max length / min length as a `Fraction`.
 
 Norms strictly decrease along proper divisors, so the divisor tree is
 finite: every factorization of x starts with an irreducible divisor y,
-and the rest is a factorization of x/y.  Recursing over the canonical
-irreducible divisors of x therefore enumerates every factorization up to
-associates and order.  Results are memoized on canonical representatives
-(the computation is pure), so sweeps over norm ranges share work.
+and the rest is a factorization of x/y.  One divisor scan finds the
+atoms of x, its canonical irreducible divisors.  Every irreducible
+divisor of a quotient q = x/y divides x, so the atoms of q are the
+atoms of x that divide q, found by integer congruences with no further
+scan.  Atoms are ordered by (norm, a, b), and a factorization is built
+only as a non-decreasing atom sequence, so each one is built once.
+
+The recursion, `_factor_multisets`, is memoized on the canonical
+element alone (its atoms are a function of it): one entry per distinct
+element or quotient seen, with no bound, shared by every later call in
+the process, so a repeated element costs no scan.  Every result is
+multiplied back on integer coordinates before it is returned.
 """
 
 from __future__ import annotations
@@ -15,9 +23,9 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .errors import ResourceLimitError
-from .qint import (KElem, _require_factorable, canonical_associate,
-                   irreducible_common_divisors, order_key, try_div)
+from .errors import ResourceLimitError, VerificationError
+from .qint import (KElem, _canonical_coords, _require_factorable,
+                   canonical_associate, irreducible_common_divisors)
 
 NORM_LIMIT = 10 ** 8
 
@@ -45,25 +53,85 @@ class FactorizationSet:
         return Fraction(lens[-1], lens[0])
 
 
+class _Element:
+    """An element a + b*w of Z[w] as a memo key, with its atoms when the
+    caller knows them.  Keys compare and hash by the element alone: its
+    atoms are a function of it, and a call on an element seen before,
+    as an input or as a quotient, then finds its entry without a scan."""
+
+    __slots__ = ("cfg", "a", "b", "atoms")
+
+    def __init__(self, cfg, a: int, b: int, atoms: tuple | None):
+        self.cfg, self.a, self.b, self.atoms = cfg, a, b, atoms
+
+    def __eq__(self, other) -> bool:
+        return (self.a == other.a and self.b == other.b
+                and self.cfg is other.cfg)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.cfg.d))
+
+
 @functools.lru_cache(maxsize=None)
-def _factor_multisets(x: KElem) -> frozenset:
-    """x canonical, nonzero, nonunit; returns frozenset of sorted tuples."""
-    out = set()
-    for y in irreducible_common_divisors([x]):
-        q = try_div(x, y)
-        if q.is_unit():
-            out.add((y,))
+def _factor_multisets(x: _Element) -> tuple:
+    """x canonical, nonzero, nonunit; returns its distinct factorizations
+    as tuples sorted by (norm, a, b).
+
+    The atoms are (norm, a, b, element) in ascending order; the divisor
+    scan finds them when x.atoms is None.  Each factorization is built
+    from its least atom y: y, then a factorization of x/y whose least
+    atom is not below y.  y divides x, so x*conj(y) is exactly divisible
+    by norm(y), and an atom t divides x/y when (x/y)*conj(t) is 0 mod
+    norm(t), coordinate by coordinate."""
+    cfg, a, b, atoms = x.cfg, x.a, x.b, x.atoms
+    d = cfg.d
+    if atoms is None:
+        atoms = tuple(sorted(
+            (y.a * y.a - d * y.b * y.b, y.a, y.b, y)
+            for y in irreducible_common_divisors([KElem(a, b, cfg)])))
+    n = a * a - d * b * b
+    out = []
+    for atom in atoms:
+        m, ya, yb, y = atom
+        k = n // m
+        if k == 1:
+            out.append((y,))
             continue
-        for rest in _factor_multisets(canonical_associate(q)):
-            out.add(tuple(sorted((y,) + rest, key=order_key)))
-    return frozenset(out)
+        qa, qb = _canonical_coords((a * ya - d * b * yb) // m,
+                                   (b * ya - a * yb) // m, d)
+        sub = tuple(t for t in atoms if not k % t[0]
+                    and not (qa * t[1] - d * qb * t[2]) % t[0]
+                    and not (qb * t[1] - qa * t[2]) % t[0])
+        if sub[-1] < atom:
+            continue
+        least = (m, ya, yb)
+        for rest in _factor_multisets(_Element(cfg, qa, qb, sub)):
+            r = rest[0]
+            if (r.a * r.a - d * r.b * r.b, r.a, r.b) >= least:
+                out.append((y,) + rest)
+    return tuple(out)
+
+
+def _check_products(x: KElem, fs) -> None:
+    """VerificationError unless every factorization multiplies back, on
+    integer coordinates, to an associate of the canonical element x."""
+    d = x.cfg.d
+    for m in fs:
+        pa, pb = 1, 0
+        for y in m:
+            pa, pb = pa * y.a + d * pb * y.b, pa * y.b + pb * y.a
+        if _canonical_coords(pa, pb, d) != (x.a, x.b):
+            raise VerificationError(
+                " * ".join(map(str, m)) + f" is not an associate of {x}")
 
 
 def factorizations(x: KElem) -> FactorizationSet:
-    """Every factorization of x into irreducibles, up to associates."""
+    """Every factorization of x into irreducibles, up to associates,
+    each checked to multiply back to an associate of x."""
     _require_factorable(x)
     if x.norm() > NORM_LIMIT:
         raise ResourceLimitError(f"norm {x.norm()} exceeds guard {NORM_LIMIT}")
-    return FactorizationSet(
-        element=x,
-        factorizations=_factor_multisets(canonical_associate(x)))
+    c = canonical_associate(x)
+    fs = _factor_multisets(_Element(c.cfg, c.a, c.b, None))
+    _check_products(c, fs)
+    return FactorizationSet(element=x, factorizations=frozenset(fs))

@@ -10,10 +10,9 @@ used before it built its products one run of equal factors at a time."""
 import functools
 import itertools
 
-from quadfactor.factor import _factor_multisets
+from quadfactor.factor import factorizations
 from quadfactor.kpoly import KPoly, factor_k, poly_order_key
-from quadfactor.qint import (KElem, canonical_associate,
-                             common_nonunit_divisor,
+from quadfactor.qint import (KElem, common_nonunit_divisor,
                              irreducible_common_divisors, is_irreducible,
                              try_div)
 from quadfactor.rpoly import (GroupingCertificate, _guard,
@@ -91,7 +90,7 @@ def poly_multisets(f: KPoly) -> frozenset:
     if f.degree() == 0:
         return frozenset(
             tuple(KPoly.const(c) for c in m)
-            for m in _factor_multisets(canonical_associate(f.coeffs[0])))
+            for m in factorizations(f.coeffs[0]).factorizations)
     out = set()
     for c in irreducible_common_divisors(list(f.coeffs)):
         q = f.try_scale_div(c)

@@ -148,3 +148,82 @@ def test_cli_factor_large_norms_pinned(capsys):
     for case in cases:
         assert main(case["argv"]) == 0
         assert capsys.readouterr().out == case["stdout"], case["argv"]
+
+
+ORACLE_RINGS = (-1, -2, -3, -5, -6, -7, -10, -14, -15, -17, -26, -30)
+
+
+@pytest.mark.parametrize("d", ORACLE_RINGS)
+def test_factorizations_match_oracle_small_norms(d):
+    # every class of norm <= 3000 against the recursion that rescans
+    # each quotient, sorts each tuple and merges copies in a set
+    from factor_oracle import factorizations as oracle
+    from quadfactor.qint import elements_of_norm
+    cfg = ring(d)
+    count = 0
+    for n in range(2, 3001):
+        for x in elements_of_norm(n, cfg):
+            assert factorizations(x).factorizations == oracle(x), (d, str(x))
+            count += 1
+    assert count > 500
+
+
+def test_factorizations_match_oracle_large_norms():
+    # 200 seeded elements of norm 10^6 to 10^8: half drawn near a
+    # log-uniform norm, half products of small nonunits, which have
+    # many factorizations
+    from factor_oracle import factorizations as oracle
+    rng = random.Random(19)
+    done = 0
+    while done < 200:
+        cfg = ring(rng.choice(ORACLE_RINGS))
+        if done % 2:
+            target = int(10 ** rng.uniform(6, 8))
+            b = rng.randint(0, int((target / -cfg.d) ** 0.5))
+            a = int((target + cfg.d * b * b) ** 0.5)
+            x = cfg.el(rng.choice((a, -a)), rng.choice((b, -b)))
+        else:
+            x = cfg.el(1)
+            while x.norm() < 10 ** 6:
+                y = cfg.el(rng.randint(-6, 6), rng.randint(-2, 2))
+                if not y.is_zero() and not y.is_unit():
+                    x = x * y
+        if not 10 ** 6 <= x.norm() <= 10 ** 8:
+            continue
+        assert factorizations(x).factorizations == oracle(x), \
+            (cfg.d, str(x))
+        done += 1
+
+
+@pytest.mark.parametrize("d, x, count", [
+    (-5, 6 ** 5, 28), (-26, 15 ** 3 * 2, 31), (-6, 30 ** 2 * 5, 76),
+    (-17, 3 ** 4 * 2 ** 4 * 7, 23)])
+def test_factorizations_match_oracle_composites(d, x, count):
+    from factor_oracle import factorizations as oracle
+    fs = factorizations(ring(d).el(x))
+    assert fs.factorizations == oracle(ring(d).el(x))
+    assert len(fs.factorizations) == count
+    assert verify_factorization_set(fs)
+
+
+def test_one_divisor_scan_per_call(monkeypatch):
+    # a cold call scans its input's divisors once: quotients take their
+    # atoms from the input's.  A later call on one of those quotients
+    # finds it in the memo and scans nothing
+    from quadfactor import factor, qint
+    scans = []
+    scan = qint.common_divisors
+
+    def counted(elems):
+        scans.append(elems)
+        return scan(elems)
+
+    monkeypatch.setattr(qint, "common_divisors", counted)
+    factor._factor_multisets.cache_clear()
+    cfg = ring(-5)
+    fs = factorizations(cfg.el(6 ** 5))
+    assert len(fs.factorizations) == 28 and len(scans) == 1
+    misses = factor._factor_multisets.cache_info().misses
+    assert factorizations(cfg.el(-6 ** 3)).lengths() == [6]
+    assert len(scans) == 1
+    assert factor._factor_multisets.cache_info().misses == misses

@@ -374,6 +374,51 @@ def test_cli_verification_failure_exits_5(capsys, monkeypatch):
     assert json.loads(err)["error"]["type"] == "verification"
 
 
+def test_cli_element_verification_failure_exits_5(capsys, monkeypatch):
+    # one corrupted atom in a memoized factorization fails the integer
+    # multiply-back and exits 5
+    from quadfactor import factor
+    memo = factor._factor_multisets
+
+    def corrupted(x):
+        first, *others = sorted(memo(x), key=str)
+        y = first[0]
+        return ((y.cfg.el(y.a + 1, y.b), *first[1:]), *others)
+
+    monkeypatch.setattr(factor, "_factor_multisets", corrupted)
+    for cmd in ("factor", "elasticity"):
+        code, out, err = invoke(capsys, "--d", "-5", cmd, "6")
+        assert code == 5 and out == ""
+        assert json.loads(err)["error"]["type"] == "verification"
+
+
+def test_cli_unexpected_error_exits_5(capsys, monkeypatch):
+    # any other exception is reported as JSON with its class name
+    from quadfactor import cli
+
+    def broken(a, cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "factor",
+                        (("element",), True, broken))
+    code, out, err = invoke(capsys, "--d", "-5", "factor", "6")
+    assert code == 5 and out == "" and "Traceback" not in err
+    assert json.loads(err) == {"error": {
+        "type": "internal", "message": "RuntimeError: boom"}}
+
+    class Stop(BaseException):
+        pass
+
+    def stopped(a, cfg):
+        raise Stop
+
+    # a BaseException, such as a benchmark's timeout, is not caught
+    monkeypatch.setitem(cli._COMMANDS, "factor",
+                        (("element",), True, stopped))
+    with pytest.raises(Stop):
+        main(["--d", "-5", "factor", "6"])
+
+
 def test_cli_consecutive_calls_share_no_flags(capsys):
     # every main() call reads argv afresh from the option defaults; no
     # flag of one call may leak into the next
