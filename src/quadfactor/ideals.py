@@ -7,9 +7,14 @@ by w.  L is kept in Hermite normal form L = Z*(a,0) + Z*(b,c) with a > 0,
 c > 0, 0 <= b < a, and m minimal.  This representation is unique, so
 ideal equality is representation equality.
 
-The colon ideal (R : I) is computed by pure integer linear algebra (a
-kernel over Z), never by inversion formulas: in a non-maximal order some
-ideals are not invertible, and (R : I) must still come out right there.
+The colon ideal (R : I) is read off the Hermite form in closed form,
+never by inversion formulas: in a non-maximal order some ideals are not
+invertible, and (R : I) must still come out right there.
+
+Z[w] = Z[x]/(x^2 - d) is monogenic, hence Gorenstein, so by Bass ("On
+the ubiquity of Gorenstein rings", 1963) every nonzero fractional ideal
+is divisorial: I_v = I.  v_closure still computes (R : (R : I)) from the
+definition, and the tests use the theorem as an independent oracle.
 """
 
 from __future__ import annotations
@@ -64,36 +69,6 @@ def hnf2(vecs: list[tuple[int, int]]) -> tuple[int, int, int]:
         b, c = -b, -c
     b %= a
     return a, b, c
-
-
-def _int_kernel(rows: list[list[int]]) -> list[list[int]]:
-    """Basis of the integer kernel {v : A v = 0} for the matrix with the
-    given rows, via column elimination with a unimodular transform."""
-    r = len(rows)
-    n = len(rows[0])
-    B = [[rows[j][i] for j in range(r)] for i in range(n)]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rank = 0
-    for col in range(r):
-        while True:
-            nz = [i for i in range(rank, n) if B[i][col] != 0]
-            if len(nz) <= 1:
-                break
-            i, j = nz[0], nz[1]
-            bi, bj = B[i][col], B[j][col]
-            g, s, t = _xgcd(bi, bj)
-            Bi, Bj, Ui, Uj = B[i][:], B[j][:], U[i][:], U[j][:]
-            B[i] = [s * p + t * q for p, q in zip(Bi, Bj)]
-            U[i] = [s * p + t * q for p, q in zip(Ui, Uj)]
-            B[j] = [(bi // g) * q - (bj // g) * p for p, q in zip(Bi, Bj)]
-            U[j] = [(bi // g) * q - (bj // g) * p for p, q in zip(Ui, Uj)]
-        nz = [i for i in range(rank, n) if B[i][col] != 0]
-        if nz:
-            i = nz[0]
-            B[rank], B[i] = B[i], B[rank]
-            U[rank], U[i] = U[i], U[rank]
-            rank += 1
-    return [U[i] for i in range(rank, n)]
 
 
 class FracIdeal:
@@ -178,39 +153,44 @@ def ideal_from_gens(gens: list[KElem]) -> FracIdeal:
     return _make(vecs, m, cfg)
 
 
+def _products(I: FracIdeal, J: FracIdeal) -> list[tuple[int, int]]:
+    """Numerators of the pairwise products of the lattice bases; over
+    I.denom * J.denom they generate I*J (both factors are already
+    w-closed, so four products suffice)."""
+    d = I.cfg.d
+    return [(x1 * x2 + d * y1 * y2, x1 * y2 + y1 * x2)
+            for x1, y1 in I.basis() for x2, y2 in J.basis()]
+
+
 def mul(I: FracIdeal, J: FracIdeal) -> FracIdeal:
-    """Product ideal; generated by pairwise products of lattice bases
-    (both factors are already w-closed, so four products suffice)."""
+    """Product ideal."""
     if I.cfg.d != J.cfg.d:
         raise DomainError("mixed rings")
-    d = I.cfg.d
-    vecs = []
-    for x1, y1 in I.basis():
-        for x2, y2 in J.basis():
-            vecs.append((x1 * x2 + d * y1 * y2, x1 * y2 + y1 * x2))
-    return _make(vecs, I.denom * J.denom, I.cfg)
+    return _make(_products(I, J), I.denom * J.denom, I.cfg)
 
 
 def colon(I: FracIdeal) -> FracIdeal:
-    """(R : I) = {z in K : z*I <= R}, by integer linear algebra.
+    """(R : I) = {z in K : z*I <= R}, in closed form from the Hermite form.
 
-    Write I = (1/m)L with L spanned by u1 = (a,0), u2 = (b,c).  A field
-    element z = p + q*w multiplies u1 into mR iff p, q lie in (m/a)Z, so
-    z = (m/a)(s + t*w) with integer s, t.  The u2 condition then reads
-    s*b + t*d*c = 0 and s*c + t*b = 0 mod a, i.e. (s,t) lies in the
-    projection of the integer kernel of [[b, d*c, -a, 0], [c, b, 0, -a]].
-    That projection is injective onto the solution set, so the two kernel
-    basis vectors span it, and (R : I) = (m/a) * span.
+    Write I = (1/m)L with L spanned by (a,0) and (b,c).  L is closed
+    under w, so c | a, c | b, and A = a/c divides B^2 - d for B = b/c.
+    z*a in mR forces z = (m/a)(s + t*w) with integer s, t; then z*(b+c*w)
+    lies in mR iff s*B + t*d = 0 and s + t*B = 0 mod A, and the first
+    congruence follows from the second.  So (R : I) is (m/a) times the
+    lattice {s = -B*t mod A} = span{(A,0), (-B,1)}.  No inverse is used,
+    so ideals that are not invertible come out right too.  The answer is
+    checked against the definition, (R : I)*I <= R, and a failure raises
+    VerificationError.
     """
-    d = I.cfg.d
     a, b, c, m = I.a, I.b, I.c, I.denom
-    rows = [[b, d * c, -a, 0],
-            [c, b, 0, -a]]
-    kern = _int_kernel(rows)
-    if len(kern) != 2:
-        raise VerificationError(f"colon kernel has rank {len(kern)}, not 2")
-    vecs = [(m * v[0], m * v[1]) for v in kern]
-    return _make(vecs, a, I.cfg)
+    A, B = a // c, b // c
+    g = math.gcd(m, a)
+    C = FracIdeal(m * A // g, m * (-B % A) // g, m // g, a // g, I.cfg)
+    # (R : I)*I <= R: every basis product is integral
+    D = C.denom * m
+    if any(x % D or y % D for x, y in _products(C, I)):
+        raise VerificationError(f"(R : I)*I is not integral for I = {I}")
+    return C
 
 
 def v_closure(I: FracIdeal) -> FracIdeal:

@@ -1,0 +1,95 @@
+"""Random argv for the ideal commands, over every ring, through
+cli.main in this process: each call exits 0, 2, 3 or 4 with one JSON
+object on stdout (exit 0) or on stderr, and never with a traceback."""
+
+import contextlib
+import io
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quadfactor import cli
+from test_kpoly import ALL_DS
+
+# texts that do not parse, or that parse to zero, to a quotient, to a
+# large norm or to a polynomial; argv options and help are fuzzed in
+# test_argv.py
+JUNK = ("", " ", "x", "w^2", "1/0", "(1+w", "<1; 2>", "1;;2", "w+",
+        "2^40", "0", "(1+w)/0", "1.5", "abc", "w/w", "x^2+1")
+
+
+@st.composite
+def elements(draw):
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from(JUNK))
+    # mostly small coordinates, sometimes past the coefficient-norm guard
+    big = draw(st.booleans()) and draw(st.booleans())
+    top = 3000 if big else 12
+    a = draw(st.integers(-top, top))
+    b = draw(st.integers(-top // 3, top // 3))
+    k = draw(st.sampled_from((1, 1, 1, 2, 3, 4, 6)))
+    text = f"{a}{b:+d}*w"
+    return text if k == 1 else f"({text})/{k}"
+
+
+@st.composite
+def ideal_text(draw):
+    gens = draw(st.lists(elements(), min_size=1, max_size=3))
+    body = "; ".join(gens)
+    return f"<{body}>" if draw(st.booleans()) else body
+
+
+@st.composite
+def poly_text(draw):
+    coeffs = draw(st.lists(elements(), min_size=1, max_size=4))
+    return "+".join(f"({c})*x^{i}" for i, c in enumerate(coeffs))
+
+
+@st.composite
+def argvs(draw):
+    d = draw(st.sampled_from(ALL_DS))
+    command = draw(st.sampled_from(("gcd-v", "gamma-check", "psp-check")))
+    if command == "gcd-v":
+        args = draw(st.lists(elements(), min_size=1, max_size=4))
+    elif command == "gamma-check":
+        args = [draw(ideal_text()), draw(ideal_text())]
+    else:
+        args = [draw(poly_text())]
+    return ["--d", str(d), command, *args]
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+def test_ideal_commands_exit_cleanly(argv):
+    code, out, err = run(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in out + err
+    text, other = (out, err) if code == 0 else (err, out)
+    assert other == ""
+    assert text.endswith("\n") and text.count("\n") == 1, (argv, text)
+    payload = json.loads(text)
+    assert isinstance(payload, dict)
+    assert ("error" in payload) == (code != 0), (argv, payload)
+
+
+def test_generator_reaches_every_exit_code():
+    # the property above is only as good as the argv it sees
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(argvs())
+    def collect(argv):
+        seen.add((argv[2], run(argv)[0]))
+
+    collect()
+    assert {code for _, code in seen} == {0, 2, 3, 4}
+    assert {command for command, code in seen if code == 0} == \
+        {"gcd-v", "gamma-check", "psp-check"}

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import colon_oracle
 import pytest
 from kelem_oracle import normk
 
@@ -12,6 +13,7 @@ from quadfactor.ideals import (colon, content_ideal, gamma_check,
                                mul, unit_ideal, v_closure)
 from quadfactor.kpoly import KPoly
 from quadfactor.qint import KElem, canonical_associate, ring
+from test_kpoly import ALL_DS
 
 
 def E(u, v, d):
@@ -98,6 +100,67 @@ def test_v_closure_fixed_point():
     assert v_closure(I) == I
     J = ideal_from_gens([cfg.el(6)])
     assert v_closure(J) == J
+
+
+def seeded_ideals(seed, per_ring, u, v, dens):
+    """per_ring ideals over each of the 61 rings, with 1-3 generators
+    (a + b*w)/den, |a| <= u, |b| <= v, den drawn from dens."""
+    rng = random.Random(seed)
+    for d in ALL_DS:
+        cfg = ring(d)
+        for _ in range(per_ring):
+            gens = []
+            while not gens:
+                gens = [KElem(rng.randint(-u, u), rng.randint(-v, v), cfg,
+                              rng.choice(dens))
+                        for _ in range(rng.randint(1, 3))]
+                gens = [g for g in gens if not g.is_zero()]
+            yield ideal_from_gens(gens), gens
+
+
+def test_colon_matches_kernel_oracle():
+    # the closed form against the integer-kernel elimination it replaced
+    seen = set()
+    for I, _ in seeded_ideals(20, 60, 40, 15, (1, 1, 2, 3, 4, 6)):
+        assert colon(I) == colon_oracle.colon(I), I
+        seen.add((I.cfg.d % 4 == 1, I.denom > 1, I.c > 1))
+    assert len(seen) == 8  # d = 1 mod 4 or not, fractional, c > 1
+
+
+def _times_integral(s, t, k, g):
+    """Whether (s + t*w)/k times g lies in Z[w], on plain integers."""
+    x = s * g.a + t * g.b * g.cfg.d
+    y = s * g.b + t * g.a
+    return x % (k * g.den) == 0 and y % (k * g.den) == 0
+
+
+def test_colon_from_its_definition():
+    # (R : I) = {z : z*I <= R}, checked on I's own generators with no
+    # lattice code: every generator of colon(I) multiplies each one into
+    # R, and every z = (s + t*w)/k in a box that does lies in colon(I)
+    beyond_r = 0
+    for I, gens in seeded_ideals(21, 3, 4, 3, (1, 1, 2)):
+        C = colon(I)
+        for z in C.generators():
+            assert all(_times_integral(z.a, z.b, z.den, g) for g in gens)
+        for k in range(1, 7):
+            for s in range(-9, 10):
+                for t in range(-9, 10):
+                    if all(_times_integral(s, t, k, g) for g in gens):
+                        z = KElem(s, t, I.cfg, k)
+                        assert C.contains(z), (I, z)
+                        beyond_r += z.den > 1
+    assert beyond_r > 1000
+
+
+def test_every_ideal_is_divisorial():
+    # Z[w] = Z[x]/(x^2 - d) is monogenic, hence Gorenstein, and in a
+    # one-dimensional Gorenstein domain every nonzero fractional ideal
+    # is divisorial (Bass, "On the ubiquity of Gorenstein rings", 1963);
+    # v_closure computes (R : (R : I)) from the definition, with no
+    # shortcut, so I_v = I is an independent check on colon
+    for I, _ in seeded_ideals(22, 40, 40, 15, (1, 1, 2, 3, 6)):
+        assert v_closure(I) == I, I
 
 
 def test_is_principal():

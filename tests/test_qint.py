@@ -265,10 +265,17 @@ def test_str_parse_forms():
     assert str(cfg.el(-1, 1)) == "-1+w"
 
 
+def _is_prime_by_trial(n):
+    return n >= 2 and all(n % i for i in range(2, math.isqrt(n) + 1))
+
+
 def test_divisors_match_trial_division():
     # every n <= 10^5 against a sieve, then 300 seeded n log-uniform up
     # to 10^12 against trial division up to sqrt(n); the cache is
-    # bypassed so the test leaves no 10^5 entries behind
+    # bypassed so the test leaves no 10^5 entries behind.  The scan
+    # tries 2, 3, 5 and then only numbers prime to 30, so every residue
+    # class prime to 30 is also reached as a semiprime near 10^8, as a
+    # prime power and next to the primes the wheel skips
     divisors = _divisors.__wrapped__
     top = 10 ** 5
     sieve = [[] for _ in range(top + 1)]
@@ -282,6 +289,25 @@ def test_divisors_match_trial_division():
         n = int(math.exp(rng.uniform(0, math.log(10 ** 12))))
         small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
         assert divisors(n) == tuple(sorted({*small, *(n // i for i in small)}))
+    big = [p for p in range(9000, 10_000) if _is_prime_by_trial(p)]
+    assert {p % 30 for p in big} == {1, 7, 11, 13, 17, 19, 23, 29}
+    for p in big[-40:] + rng.sample(big, 40):
+        q = rng.choice(big)
+        want = (1, p, p * p) if p == q else (1, *sorted((p, q)), p * q)
+        assert divisors(p * q) == want, (p, q)
+        for s in (2, 3, 5, 7, 30):
+            n = s * p * q
+            small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
+            assert divisors(n) == tuple(sorted({*small,
+                                                *(n // i for i in small)}))
+    for p in (2, 3, 5, 7, 11, 13, 29, 31, 37, 9973):
+        powers = [1]
+        while powers[-1] * p <= 10 ** 8:
+            powers.append(powers[-1] * p)
+            assert divisors(powers[-1]) == tuple(powers), powers[-1]
+    last = 99_999_989  # the largest prime below 10^8
+    assert _is_prime_by_trial(last) and divisors(last) == (1, last)
+    assert divisors(2 * last) == (1, 2, last, 2 * last)
     assert not _is_rational_prime(1) and _is_rational_prime(2)
     assert [n for n in range(60) if _is_rational_prime(n)] == \
         [n for n in range(2, 60) if len(sieve[n]) == 2]
