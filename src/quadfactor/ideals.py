@@ -23,9 +23,8 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, VerificationError
-from .qint import (KElem, RingCfg, _canonical_coords, _coords_key,
-                   check_coeff_norms, check_integral,
-                   common_nonunit_divisor)
+from .qint import (KElem, RingCfg, _canonical_coords, check_coeff_norms,
+                   check_integral, common_nonunit_divisor)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -231,23 +230,22 @@ def _points_up_to(I: FracIdeal, bound: int):
 def is_principal(I: FracIdeal) -> KElem | None:
     """A generator if I = gR for some g in K, else None.
 
-    gR = I forces normk(g) to equal the index norm of I, so candidates
-    are the finitely many lattice points of that norm; each is checked by
-    exact ideal equality, so a None answer is definitive.  The canonical
-    generator least by _coords_key is returned, read off the numerators
-    (x, y) over denom: a positive scale changes neither.
+    Every nonzero element z of the numerator lattice L = denom*I spans
+    zR <= L, so normk(z) = [R : zR] >= [R : L] = a*c, with equality
+    exactly when zR = L.  So I is principal exactly when a shortest
+    vector u of L under the norm form has norm a*c, and then u/denom
+    generates I.  The generators are the unit multiples of one another,
+    so the canonical one is returned, read off the numerators of u over
+    denom: a positive scale changes neither.  The answer is checked by
+    exact ideal equality, and a failure raises VerificationError.
     """
-    target = I.a * I.c  # normk(g) * denom^2 must equal a*c
+    (x, y), _ = _reduced_basis(I)
     d = I.cfg.d
-    best = None
-    for x, y in _points_up_to(I, target):
-        if x * x - d * y * y != target:
-            continue
-        if _make([(x, y), (d * y, x)], I.denom, I.cfg) == I:
-            g = _canonical_coords(x, y, d)
-            if best is None or _coords_key(g) < _coords_key(best):
-                best = g
-    return None if best is None else KElem(*best, I.cfg, I.denom)
+    if x * x - d * y * y != I.a * I.c:
+        return None
+    if _make([(x, y), (d * y, x)], I.denom, I.cfg) != I:
+        raise VerificationError(f"{I} is not generated by its shortest vector")
+    return KElem(*_canonical_coords(x, y, d), I.cfg, I.denom)
 
 
 # ---------------------------------------------------------------------------

@@ -532,8 +532,9 @@ def common_nonunit_divisor(elems: list[KElem]) -> KElem | None:
     return next(common_divisors(elems), None)
 
 
-def irreducible_common_divisors(elems: list[KElem]) -> list[KElem]:
-    """All canonical irreducibles dividing every element of the list.
+def irreducible_common_divisors(elems: list[KElem]):
+    """The canonical irreducibles dividing every element of the list,
+    by ascending norm, yielded as the divisor scan finds them.
 
     Irreducibility is decided inside the divisor scan: a divisor c is
     kept exactly when no divisor kept before it divides c.  Every
@@ -546,7 +547,6 @@ def irreducible_common_divisors(elems: list[KElem]) -> list[KElem]:
         raise DomainError("all elements are zero")
     d = elems[0].cfg.d
     kept = []
-    out = []
     for c in common_divisors(elems):
         ca, cb = c.a, c.b
         m = ca * ca - d * cb * cb
@@ -556,5 +556,4 @@ def irreducible_common_divisors(elems: list[KElem]) -> list[KElem]:
                 break
         else:
             kept.append((m, ca, cb))
-            out.append(c)
-    return out
+            yield c

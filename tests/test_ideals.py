@@ -1,8 +1,13 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import colon_oracle
+import principal_oracle
 import pytest
 from kelem_oracle import normk
 
@@ -177,6 +182,36 @@ def test_is_principal():
             continue
         got = is_principal(ideal_from_gens([g]))
         assert got == canonical_associate(g)
+
+
+def test_is_principal_matches_walk_oracle():
+    # the shortest reduced vector against the walk over every lattice
+    # point of norm N(I) that it replaced
+    principal = 0
+    for I, _ in seeded_ideals(23, 60, 30, 12, (1, 1, 2, 3, 4, 6)):
+        got = is_principal(I)
+        assert got == principal_oracle.is_principal(I), I
+        principal += got is not None
+    assert 1000 < principal < 3600
+
+
+@pytest.mark.parametrize("argv", [
+    ["--d", "-1", "gcd-v", "100000000+w"],
+    ["--d", "-95", "gamma-check", "--", "(-28+11*w)^4", "-53-2*w"],
+])
+def test_principal_test_on_large_norms_finishes(argv):
+    # both once walked about sqrt(N(I)/|d|) lattice rows and ran for
+    # many seconds; a child process with a timeout turns a hang into a
+    # failure
+    import quadfactor
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(pathlib.Path(quadfactor.__file__).parent.parent),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "quadfactor", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=10)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_mul_conjugate_primes():

@@ -125,6 +125,26 @@ def test_constant_splits_have_irreducible_g():
             common_nonunit_divisor(list(f.coeffs)), text
 
 
+def test_certificate_stops_the_divisor_scan(monkeypatch, capsys):
+    # 720 has 122 canonical divisors at d = -5, but the certificate is
+    # the first of them, and the scan draws no more than that one
+    from quadfactor import cli, qint
+    scan, drawn = qint.common_divisors, []
+
+    def counting(elems):
+        for c in scan(elems):
+            drawn.append(c)
+            yield c
+
+    monkeypatch.setattr(qint, "common_divisors", counting)
+    assert cli.main(["--d", "-5", "irr", "720*x+720"]) == 0
+    assert capsys.readouterr().out == (
+        '{"poly": "720*x+720", "d": -5, "irreducible": false, '
+        '"certificate": {"subset": [], "lambda": "2", "g": "2", '
+        '"h": "360*x+360"}}\n')
+    assert drawn == [ring(-5).el(2)]
+
+
 def test_lambda_candidates_exact():
     # splitting x^2+x+1 over Z[sqrt(-3)]: neither half can be rescaled in
     g0, g1 = factor_k(RP("x^2+x+1", -3))[1]
