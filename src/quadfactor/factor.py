@@ -14,8 +14,9 @@ only as a non-decreasing atom sequence, so each one is built once.
 The recursion, `_factor_multisets`, is memoized on the canonical
 element alone (its atoms are a function of it): one entry per distinct
 element or quotient seen, with no bound, shared by every later call in
-the process, so a repeated element costs no scan.  Every result is
-multiplied back on integer coordinates before it is returned.
+the process, so a repeated element costs no scan.  Every entry, input or
+quotient, is multiplied back on integer coordinates when it is filled,
+and `factorizations` returns its checked frozenset as it is.
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ class _Element:
 
 
 @functools.lru_cache(maxsize=None)
-def _factor_multisets(x: _Element) -> tuple:
+def _factor_multisets(x: _Element) -> frozenset:
     """x canonical, nonzero, nonunit; returns its distinct factorizations
-    as tuples sorted by (norm, a, b).
+    as tuples sorted by (norm, a, b), each checked by _check_products.
 
     The atoms are (norm, a, b, element) in ascending order; the divisor
     scan finds them when x.atoms is None.  Each factorization is built
@@ -109,10 +110,12 @@ def _factor_multisets(x: _Element) -> tuple:
             r = rest[0]
             if (r.a * r.a - d * r.b * r.b, r.a, r.b) >= least:
                 out.append((y,) + rest)
-    return tuple(out)
+    fs = frozenset(out)
+    _check_products(x, fs)
+    return fs
 
 
-def _check_products(x: KElem, fs) -> None:
+def _check_products(x: _Element, fs) -> None:
     """VerificationError unless every factorization multiplies back, on
     integer coordinates, to an associate of the canonical element x."""
     d = x.cfg.d
@@ -121,17 +124,16 @@ def _check_products(x: KElem, fs) -> None:
         for y in m:
             pa, pb = pa * y.a + d * pb * y.b, pa * y.b + pb * y.a
         if _canonical_coords(pa, pb, d) != (x.a, x.b):
-            raise VerificationError(
-                " * ".join(map(str, m)) + f" is not an associate of {x}")
+            raise VerificationError(" * ".join(map(str, m)) + " is not an "
+                                    f"associate of {KElem(x.a, x.b, x.cfg)}")
 
 
 def factorizations(x: KElem) -> FactorizationSet:
-    """Every factorization of x into irreducibles, up to associates,
-    each checked to multiply back to an associate of x."""
+    """Every factorization of x into irreducibles, up to associates: the
+    memo's frozenset, each checked once to multiply back to x's associate."""
     _require_factorable(x)
     if x.norm() > NORM_LIMIT:
         raise ResourceLimitError(f"norm {x.norm()} exceeds guard {NORM_LIMIT}")
     c = canonical_associate(x)
-    fs = _factor_multisets(_Element(c.cfg, c.a, c.b, None))
-    _check_products(c, fs)
-    return FactorizationSet(element=x, factorizations=frozenset(fs))
+    return FactorizationSet(element=x, factorizations=_factor_multisets(
+        _Element(c.cfg, c.a, c.b, None)))

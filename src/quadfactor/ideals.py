@@ -15,6 +15,9 @@ Z[w] = Z[x]/(x^2 - d) is monogenic, hence Gorenstein, so by Bass ("On
 the ubiquity of Gorenstein rings", 1963) every nonzero fractional ideal
 is divisorial: I_v = I.  v_closure still computes (R : (R : I)) from the
 definition, and the tests use the theorem as an independent oracle.
+
+is_principal and is_superprimitive read their answers off one Lagrange
+reduction of the numerator lattice, with no lattice walk.
 """
 
 from __future__ import annotations
@@ -214,19 +217,6 @@ def _reduced_basis(I: FracIdeal):
         u, v = v, u
 
 
-def _points_up_to(I: FracIdeal, bound: int):
-    """Numerator vectors (x, y) of I with x^2 + |d|*y^2 <= bound: one
-    row y = c*j per j, stepping x by a through the residue j*b mod a."""
-    dd = -I.cfg.d
-    jmax = math.isqrt(bound // (dd * I.c * I.c))
-    for j in range(-jmax, jmax + 1):
-        y = I.c * j
-        xmax = math.isqrt(bound - dd * y * y)
-        x0 = j * I.b - (j * I.b + xmax) // I.a * I.a
-        for x in range(x0, xmax + 1, I.a):
-            yield (x, y)
-
-
 def is_principal(I: FracIdeal) -> KElem | None:
     """A generator if I = gR for some g in K, else None.
 
@@ -281,22 +271,22 @@ def is_superprimitive(f) -> tuple[bool, KElem | None]:
     z with z*A_f <= R and z outside R.
 
     (R : A_f) always contains R; it equals R exactly when the reduced
-    denominator of the colon ideal is 1.  Otherwise some vector of a
-    reduced basis is non-integral, and its norm bounds the least norm
-    of a non-integral point, so scanning the points up to that norm is
-    exhaustive.  The witness is the smallest offender: among the
-    canonical associates of least normk, the one minimizing (|u|, v),
-    i.e. (x^2 + |d|*y^2, |x|, y) on the numerators (x, y) over denom.
+    denominator m of the colon ideal is 1.  Otherwise the witness is the
+    canonical non-integral point least by (x^2 + |d|*y^2, |x|, y) on its
+    numerators (x, y) over m.  With (u, v) from _reduced_basis, 2<u,v>
+    lies in [-q(u), q(u)) and q(u) <= q(v), so every i*u + j*v but the
+    multiples of u, +-v and +-(u+v) has norm > q(v) (>= 3*q(v) when
+    |j| >= 2).  u and v are not both integral, so the witness is the
+    least non-integral one of u, v and u+v.
     """
     C = colon(content_ideal(f))
-    if C.denom == 1:
+    m, d = C.denom, C.cfg.d
+    if m == 1:
         return True, None
-    m = C.denom
-    d = C.cfg.d
-    bound = min(x * x - d * y * y for x, y in _reduced_basis(C)
-                if x % m or y % m)
+    u, v = _reduced_basis(C)
     cands = (_canonical_coords(x, y, d)
-             for x, y in _points_up_to(C, bound) if x % m or y % m)
+             for x, y in (u, v, (u[0] + v[0], u[1] + v[1]))
+             if x % m or y % m)
     x, y = min(cands, key=lambda p: (p[0] * p[0] - d * p[1] * p[1],
                                      abs(p[0]), p[1]))
     return False, KElem(x, y, C.cfg, m)

@@ -233,18 +233,6 @@ def _integer_form(p: KPoly) -> tuple[KElem, list[int]]:
     return KElem(g, 0, p.cfg, den), [c // g for c in ints]
 
 
-def _rational_factors(p: KPoly) -> tuple[KElem, list[KPoly]]:
-    """content * product-of-primitive-integer-irreducibles for rational p,
-    each factor repeated by its multiplicity."""
-    content, F = _integer_form(p)
-    if len(F) == 1:
-        return content, []
-    sqf = p.divmod(poly_gcd(p, p.derivative()))[0]
-    distinct = [KPoly.from_rationals(g, p.cfg)
-                for g in zassenhaus(_integer_form(sqf)[1])]
-    return content, sorted(_repeat(p, distinct), key=poly_order_key)
-
-
 def _repeat(f: KPoly, distinct: list[KPoly]) -> list[KPoly]:
     """The distinct factors of f, each repeated by its multiplicity."""
     out = []
@@ -269,7 +257,8 @@ def _checked(f: KPoly, unit: KElem, factors: list[KPoly]):
 
 def factor_q(f: KPoly) -> tuple[KElem, list[KPoly]]:
     """Factor a rational polynomial into unit * irreducible integer
-    polynomials (primitive, positive leading coefficient).
+    polynomials (primitive, positive leading coefficient), repeated by
+    multiplicity.
     """
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
@@ -278,20 +267,25 @@ def factor_q(f: KPoly) -> tuple[KElem, list[KPoly]]:
     if f.degree() > FACTOR_Q_MAX_DEG:
         raise ResourceLimitError(
             f"degree {f.degree()} exceeds factor_q guard {FACTOR_Q_MAX_DEG}")
-    content, factors = _rational_factors(f)
-    return _checked(f, content, factors)
+    content, F = _integer_form(f)
+    sqf = f.divmod(poly_gcd(f, f.derivative()))[0]
+    distinct = [KPoly.from_rationals(g, f.cfg) for g in
+                (zassenhaus(_integer_form(sqf)[1]) if len(F) > 1 else ())]
+    return _checked(f, content, _repeat(f, distinct))
 
 
 def _trager(h: KPoly) -> list[KPoly]:
     """Distinct monic irreducible K[x]-factors of monic squarefree h.
 
-    A rational h is factored over Q first, and each Q-factor descends
+    A rational h is factored over Q first, by one Zassenhaus call on its
+    integer form (h is already squarefree), and each Q-factor descends
     from shift 1: at shift 0 its norm h^2 is never squarefree.
     """
     if not h.is_rational():
         return _descent(h, (0,) + _SHIFTS)
-    return sorted((g for q in _rational_factors(h)[1]
-                   for g in _descent(q.monic(), _SHIFTS)), key=poly_order_key)
+    return sorted((g for q in zassenhaus(_integer_form(h)[1])
+                   for g in _descent(KPoly.from_rationals(q, h.cfg).monic(),
+                                     _SHIFTS)), key=poly_order_key)
 
 
 def _descent(h: KPoly, shifts: tuple[int, ...]) -> list[KPoly]:

@@ -170,24 +170,26 @@ def is_irreducible_rx(f: KPoly):
 @functools.lru_cache(maxsize=4096)
 def _poly_multisets(f: KPoly, ks: tuple) -> frozenset:
     """f canonical, nonzero, nonunit, with monic K[x]-factors ks;
-    frozenset of sorted KPoly tuples.
+    frozenset of KPoly tuples sorted by poly_order_key.
 
-    Every factorization with two or more factors starts with a split
-    whose g is irreducible: a constant factor if it has one, else any
-    factor, whose K[x]-factors then form a proper sub-multiset of ks.
-    So recursing on the cofactors of those splits is exhaustive, and the
-    K[x]-factors of g and h are read off the subset.  g is irreducible
+    Each factorization is built once, least atom first: from the split
+    whose g is its least atom, then a factorization of h whose least atom
+    is not below g.  _splits holds that split (a least atom is constant
+    whenever any atom is), and distinct splits give distinct canonical g.
+    The K[x]-factors of g and h are read off the subset; g is irreducible
     exactly when its own factor set, memoised here like f's, is
     {(canonical g,)}."""
-    out = set()
+    out = []
     for cert in _splits(f, ks):
         gc = canonical_poly(cert.g)
         g_ks = tuple(ks[i] for i in cert.subset)
         if _poly_multisets(gc, g_ks) != {(gc,)}:
             continue
+        least = poly_order_key(gc)
         rest_ks = tuple(q for i, q in enumerate(ks) if i not in cert.subset)
         for rest in _poly_multisets(canonical_poly(cert.h), rest_ks):
-            out.add(tuple(sorted((gc,) + rest, key=poly_order_key)))
+            if poly_order_key(rest[0]) >= least:
+                out.append((gc,) + rest)
     return frozenset(out) or frozenset({(f,)})
 
 

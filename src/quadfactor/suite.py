@@ -100,6 +100,7 @@ def naive_factorization_oracle(d: int, max_norm: int) -> dict:
             grow(seq + (t,), pa, pb, n * m, j)
 
     grow((), 1, 0, 1, 0)
+    del grow  # frees canon_of now: grow's closure cell refers to grow
     return out
 
 

@@ -151,7 +151,7 @@ def kronecker(F: list[int]) -> list[list[int]]:
 
 def rational_factors(p: KPoly) -> tuple[KElem, list[KPoly]]:
     """content * product-of-primitive-integer-irreducibles for rational p,
-    as kpoly._rational_factors returned it with Kronecker's method."""
+    as kpoly.factor_q returns it, by Kronecker's method."""
     us = [c.coords()[0] for c in p.coeffs]
     denl = 1
     for u in us:

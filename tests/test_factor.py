@@ -227,3 +227,16 @@ def test_one_divisor_scan_per_call(monkeypatch):
     assert factorizations(cfg.el(-6 ** 3)).lengths() == [6]
     assert len(scans) == 1
     assert factor._factor_multisets.cache_info().misses == misses
+
+
+def test_repeated_factorizations_return_the_checked_memo(monkeypatch):
+    # the memo holds the checked frozenset: a repeated call returns the
+    # same object, with no rebuild and no second multiply-back
+    from quadfactor import factor
+    cfg = ring(-5)
+    first = factorizations(cfg.el(6 ** 5)).factorizations
+    checks = []
+    monkeypatch.setattr(factor, "_check_products",
+                        lambda x, fs: checks.append(x))
+    assert factorizations(cfg.el(-6 ** 5)).factorizations is first
+    assert checks == []

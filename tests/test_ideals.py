@@ -294,57 +294,59 @@ def test_superprimitive_implies_primitive():
                 assert unit_ideal(cfg).contains(wit * g)
 
 
-def _points_of_normk(I, target):
-    """Lattice numerator vectors (x, y) with x^2 + |d|y^2 = target."""
-    dd = -I.cfg.d
-    jmax = math.isqrt(target // (dd * I.c * I.c))
-    for j in range(-jmax, jmax + 1):
-        y = I.c * j
-        r = target - dd * y * y
-        x0 = math.isqrt(r)
-        if x0 * x0 != r:
-            continue
-        for x in {x0, -x0}:
-            if (x - j * I.b) % I.a == 0:
-                yield (x, y)
-
-
 def _superprimitive_oracle(f):
-    """The witness search before it stopped at the first norm: every
-    non-integral point of (R : A_f) up to the least norm of a
-    non-integral basis vector, minimized by (normk, |u|, v)."""
+    """The witness search before the reduced basis: every non-integral
+    point of (R : A_f) up to the least norm of a non-integral Hermite
+    basis vector, walked row by row, minimized by (normk, |u|, v)."""
     C = colon(content_ideal(f))
     if C.denom == 1:
         return True, None
     m = C.denom
-    bound = min(normk(z) for z in
-                (KElem.of(Fraction(x, m), Fraction(y, m), C.cfg)
-                 for x, y in C.basis()) if not z.is_integral())
+    bound = min(x * x - C.cfg.d * y * y for x, y in C.basis()
+                if x % m or y % m)
     cands = set()
-    for t in range(1, int(bound * m * m) + 1):
-        for x, y in _points_of_normk(C, t):
-            z = KElem.of(Fraction(x, m), Fraction(y, m), C.cfg)
-            if not z.is_integral():
-                cands.add(canonical_associate(z))
+    for x, y in principal_oracle._points_up_to(C, bound):
+        z = KElem.of(Fraction(x, m), Fraction(y, m), C.cfg)
+        if not z.is_integral():
+            cands.add(canonical_associate(z))
     return False, min(cands, key=lambda z: (normk(z), abs(z.coords()[0]),
                                             z.coords()[1]))
 
 
 def test_superprimitive_matches_full_search():
+    # every ring, contents of norm up to about 10^3: the witness read off
+    # u, v and u+v against the walk over every point below a Hermite
+    # basis vector's norm
     rng = random.Random(12)
     witnesses = 0
-    for _ in range(120):
-        cfg = ring(rng.choice((-1, -2, -3, -5, -6, -14)))
-        c = cfg.el(rng.randint(-3, 3), rng.randint(-1, 1))
-        coeffs = [c * cfg.el(rng.randint(-4, 4), rng.randint(-2, 2))
-                  for _ in range(rng.randint(1, 3))]
-        f = KPoly(coeffs, cfg)
-        if f.is_zero():
-            continue
-        got = is_superprimitive(f)
-        assert got == _superprimitive_oracle(f), f
-        witnesses += not got[0]
+    for d in ALL_DS:
+        cfg = ring(d)
+        for _ in range(2):
+            c = cfg.el(rng.randint(-9, 9), rng.randint(-3, 3))
+            coeffs = [c * cfg.el(rng.randint(-4, 4), rng.randint(-2, 2))
+                      for _ in range(rng.randint(1, 3))]
+            f = KPoly(coeffs, cfg)
+            if f.is_zero():
+                continue
+            got = is_superprimitive(f)
+            assert got == _superprimitive_oracle(f), f
+            witnesses += not got[0]
     assert witnesses > 30
+
+
+def test_superprimitive_witness_from_v_and_u_plus_v(capsys):
+    # the witness is the reduced basis's second vector v at d = -6 and
+    # u+v at d = -3: dropping either from the candidates changes these
+    from quadfactor.cli import main
+    assert main(["--d", "-6", "psp-check", "2*x-w"]) == 0
+    assert capsys.readouterr().out == (
+        '{"poly": "2*x-w", "d": -6, "primitive": true, '
+        '"superprimitive": false, "witness": "w/2"}\n')
+    assert main(["--d", "-3", "psp-check", "--",
+                 "(17+19*w)*x-(51-41*w)"]) == 0
+    assert capsys.readouterr().out == (
+        '{"poly": "(17+19*w)*x-(51-41*w)", "d": -3, "primitive": false, '
+        '"superprimitive": false, "witness": "(1-4*w)/49"}\n')
 
 
 def test_superprimitive_large_content(capsys):
@@ -353,8 +355,8 @@ def test_superprimitive_large_content(capsys):
     assert capsys.readouterr().out == (
         '{"poly": "(8+3*w)*x+8+3*w", "d": -51, "primitive": false, '
         '"superprimitive": false, "witness": "(8-3*w)/523"}\n')
-    # content of norm 124576: the witness lies at that norm, which the
-    # reduced basis bounds without scanning the norms below it
+    # content of norm 124576: the witness lies at that norm, and is read
+    # off the reduced basis without scanning the norms below it
     assert main(["--d", "-55", "psp-check", "(7+3*w)*(3+2*w)"]) == 0
     assert capsys.readouterr().out == (
         '{"poly": "-(309-23*w)", "d": -55, "primitive": false, '

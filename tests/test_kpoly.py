@@ -233,7 +233,7 @@ def test_rational_factors_match_kronecker():
     # Kronecker's method, the Q[x] factorer before Zassenhaus, is the
     # oracle: same content, same factors, same order
     from kronecker_oracle import rational_factors
-    from quadfactor.kpoly import _rational_factors
+    from quadfactor.kpoly import factor_q
     rng = random.Random(41)
     cfg = ring(-5)
     repeated = 0
@@ -248,7 +248,7 @@ def test_rational_factors_match_kronecker():
             f = f * g * g if i % 4 == 0 and g.degree() <= 2 else f * g
         if f.is_zero() or f.degree() > 4:
             continue
-        got = _rational_factors(f)
+        got = factor_q(f)
         assert got == rational_factors(f), f
         repeated += len(set(got[1])) < len(got[1])
     assert repeated > 5

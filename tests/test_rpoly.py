@@ -496,6 +496,27 @@ def test_split_search_matches_oracle(monkeypatch):
     assert reached == checked
 
 
+@pytest.mark.parametrize("d, text, count, lengths", [
+    (-5, "(2*x+1+w)*(2*x+1-w)*(3*x+1+w)*(3*x+1-w)*(x^2+5)", 60, [6]),
+    (-3, "(2*x+1+w)*(3*x+1+w)*(3*x+1+w)*(3*x+3)*(x-w)*(2)", 3, [8]),
+    (-5, "(3*x+1-w)*(2)*(3*x+1+w)*(x^2+1)*(2*x+1-w)*(3)", 77, [6]),
+])
+def test_heavy_inputs_match_oracle(monkeypatch, d, text, count, lengths):
+    # each factorization is built once, from its least atom, on inputs
+    # where most splits are reached from more than one factorization
+    import functools
+
+    import rx_oracle
+    from quadfactor import rpoly
+    shared = functools.lru_cache(maxsize=None)(factor_k)
+    monkeypatch.setattr(rpoly, "factor_k", shared)
+    monkeypatch.setattr(rx_oracle, "factor_k", shared)
+    f = RP(text, d)
+    fs = factorizations_rx(f)
+    assert fs.factorizations == rx_oracle.poly_multisets(canonical_poly(f))
+    assert len(fs.factorizations) == count and fs.lengths() == lengths
+
+
 def test_factor_k_runs_once_per_call(monkeypatch):
     from quadfactor import rpoly
     calls = []

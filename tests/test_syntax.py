@@ -375,18 +375,19 @@ def test_cli_verification_failure_exits_5(capsys, monkeypatch):
 
 
 def test_cli_element_verification_failure_exits_5(capsys, monkeypatch):
-    # one corrupted atom in a memoized factorization fails the integer
-    # multiply-back and exits 5
+    # one corrupted atom fails the integer multiply-back that fills a
+    # memo entry, and exits 5
     from quadfactor import factor
-    memo = factor._factor_multisets
+    check = factor._check_products
 
-    def corrupted(x):
-        first, *others = sorted(memo(x), key=str)
+    def corrupted(x, fs):
+        first, *others = sorted(fs, key=str)
         y = first[0]
-        return ((y.cfg.el(y.a + 1, y.b), *first[1:]), *others)
+        check(x, ((y.cfg.el(y.a + 1, y.b), *first[1:]), *others))
 
-    monkeypatch.setattr(factor, "_factor_multisets", corrupted)
+    monkeypatch.setattr(factor, "_check_products", corrupted)
     for cmd in ("factor", "elasticity"):
+        factor._factor_multisets.cache_clear()
         code, out, err = invoke(capsys, "--d", "-5", cmd, "6")
         assert code == 5 and out == ""
         assert json.loads(err)["error"]["type"] == "verification"
