@@ -81,8 +81,8 @@ def d1_classify(g: ExtElem) -> str:
         return "reducible"
     if not r.is_unit():
         return "reducible"
-    tail = p.scale(r.inv())
-    if len(factor_k(tail)[1]) == 1:
+    # a unit rescale of p to its tail leaves the monic K-factors as they are
+    if len(factor_k(p)[1]) == 1:
         return "one_plus_tail"
     return "reducible"
 
@@ -122,20 +122,16 @@ def d1_factorizations(g: ExtElem) -> FactorizationSet:
     if v == 0 and p.degree() == 0 and c.is_unit():
         raise DomainError("units have no factorizations")
     tail = KPoly(p.coeffs[v:], p.cfg).scale(c.inv())
-    atoms = []
-    atoms.extend([KPoly([KElem(0, 0, p.cfg), KElem(1, 0, p.cfg)],
-                        p.cfg)] * v)
+    atoms = [KPoly([KElem(0, 0, p.cfg), KElem(1, 0, p.cfg)], p.cfg)] * v
     if tail.degree() >= 1:
         atoms.extend(_one_plus_tail_factors(tail))
-    if c.is_unit():
-        consts = [()]
-    else:
-        consts = [tuple(KPoly.const(z) for z in m)
-                  for m in factorizations(c).factorizations]
-    out = set()
-    for cm in consts:
-        out.add(tuple(sorted(cm + tuple(atoms), key=poly_order_key)))
-    return FactorizationSet(element=g, factorizations=frozenset(out))
+    atoms = tuple(sorted(atoms, key=poly_order_key))
+    # constants (degree 0, each factorization already in (norm, a, b)
+    # order) sort before every atom, and distinct ones stay distinct
+    consts = [()] if c.is_unit() else [
+        tuple(map(KPoly.const, m)) for m in factorizations(c).factorizations]
+    return FactorizationSet(element=g, factorizations=frozenset(
+        cm + atoms for cm in consts))
 
 
 def d2_is_irreducible(g: ExtElem) -> bool:

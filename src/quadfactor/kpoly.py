@@ -13,9 +13,9 @@ after splitting off content and repeated factors.
 
 K[x] factorization reduces to Q[x] by norm descent (Trager 1976): shift
 f by s*w until N(x) = g*conj(g) is squarefree, factor N over Q, and read
-each K-factor off as gcd(g, h_i).  A squarefree quadratic needs no
-descent: it splits exactly when its discriminant is a square in K.  Each
-factorization is checked by multiplying back before it is returned.
+each K-factor off as gcd(g, h_i).  Every quadratic, input or Q-factor,
+splits by its discriminant instead, with no descent.  Each factorization
+is checked by multiplying back before it is returned.
 """
 
 from __future__ import annotations
@@ -277,15 +277,19 @@ def factor_q(f: KPoly) -> tuple[KElem, list[KPoly]]:
 def _trager(h: KPoly) -> list[KPoly]:
     """Distinct monic irreducible K[x]-factors of monic squarefree h.
 
-    A rational h is factored over Q first, by one Zassenhaus call on its
-    integer form (h is already squarefree), and each Q-factor descends
-    from shift 1: at shift 0 its norm h^2 is never squarefree.
+    Every quadratic, h or a Q-factor of it, goes to _quadratic_factors.
+    Any other rational h is factored over Q first, by one Zassenhaus call
+    on its integer form (h is already squarefree), and each other Q-factor
+    descends from shift 1: at shift 0 its norm h^2 is never squarefree.
     """
+    if h.degree() == 2:
+        return _quadratic_factors(h)
     if not h.is_rational():
         return _descent(h, (0,) + _SHIFTS)
-    return sorted((g for q in zassenhaus(_integer_form(h)[1])
-                   for g in _descent(KPoly.from_rationals(q, h.cfg).monic(),
-                                     _SHIFTS)), key=poly_order_key)
+    qs = (KPoly.from_rationals(q, h.cfg).monic()
+          for q in zassenhaus(_integer_form(h)[1]))
+    return [g for q in qs for g in (_quadratic_factors(q) if q.degree() == 2
+                                    else _descent(q, _SHIFTS))]
 
 
 def _descent(h: KPoly, shifts: tuple[int, ...]) -> list[KPoly]:
@@ -346,6 +350,4 @@ def factor_k(f: KPoly) -> tuple[KElem, list[KPoly]]:
     if m.degree() == 0:
         return unit, []
     sqf = m.divmod(poly_gcd(m, m.derivative()))[0]
-    distinct = (_quadratic_factors(sqf) if sqf.degree() == 2
-                else _trager(sqf))
-    return _checked(f, unit, _repeat(m, distinct))
+    return _checked(f, unit, _repeat(m, _trager(sqf)))

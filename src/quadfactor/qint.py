@@ -39,12 +39,7 @@ _CLASS_NUMBERS = {
 
 
 def _is_squarefree(n: int) -> bool:
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        p += 1
-    return True
+    return all(n % (t * t) for t in _divisors(n)[1:])
 
 
 class RingCfg:
@@ -113,13 +108,6 @@ class KElem:
         a, da = u.as_integer_ratio()
         b, db = v.as_integer_ratio()
         return KElem(a * db, b * da, cfg, da * db)
-
-    def coords(self):
-        """(u, v) with self = u + v*w: integers when den = 1, else exact
-        rationals.  Library API; the package itself does not call it."""
-        if self.den == 1:
-            return self.a, self.b
-        return Fraction(self.a, self.den), Fraction(self.b, self.den)
 
     def norm(self):
         """The field norm: an integer on R, an exact rational off it."""

@@ -70,10 +70,10 @@ def lambda_candidates(g0: KPoly, h0: KPoly) -> list[KElem]:
     some lc(g0)*e is not in R, and otherwise s is a unit or a common
     nonunit divisor of the lc(g0)*e.  Associate classes of lam biject
     with those of s, so s = 1 and the canonical common divisors cover
-    every class; each lam = s/lc(g0) passing both containments is
+    every class once.  The second containment holds by construction, as
+    e/lam = lc(g0)*e/s; so lam = s/lc(g0) is tested on g0 alone, and
     recorded by its canonical associate (unit rescalings give the same
-    grouping).  g0*h0 = (lam*g0)*(lam^-1*h0) for every lam, so when the
-    product lies outside R[x] no candidate passes and the answer is [].
+    grouping).
     """
     if g0.is_zero() or h0.is_zero():
         raise DomainError("cannot regroup a zero factor")
@@ -81,13 +81,10 @@ def lambda_candidates(g0: KPoly, h0: KPoly) -> list[KElem]:
     prods = [c * e for e in h0.coeffs if not e.is_zero()]
     if not all(p.is_integral() for p in prods):
         return []
-    found = set()
-    for s in itertools.chain((c.cfg.el(1),), common_divisors(prods)):
-        lam = s / c
-        if g0.scale(lam).is_integral() and \
-                h0.scale(lam.inv()).is_integral():
-            found.add(canonical_associate(lam))
-    return sorted(found, key=order_key)
+    lams = (s / c for s in itertools.chain((c.cfg.el(1),),
+                                            common_divisors(prods)))
+    return sorted((canonical_associate(lam) for lam in lams
+                   if g0.scale(lam).is_integral()), key=order_key)
 
 
 def _guard(f: KPoly) -> None:
@@ -202,32 +199,28 @@ def factorizations_rx(f: KPoly) -> FactorizationSet:
         element=f, factorizations=_poly_multisets(canonical_poly(f), ks))
 
 
-def _witness_coeffs(cfg: RingCfg, max_norm: int, limit: int) -> list:
+def _witness_count(cfg: RingCfg, max_norm: int) -> int:
+    """len(_witness_coeffs(cfg, max_norm)) in O(sqrt(max_norm)) steps:
+    for each a, the b with a^2 + |d|*b^2 <= max_norm."""
+    k = math.isqrt(max_norm)
+    return sum(2 * math.isqrt((max_norm - a * a) // -cfg.d) + 1
+               for a in range(-k, k + 1))
+
+
+def _witness_coeffs(cfg: RingCfg, max_norm: int) -> list:
     """Coordinates of 0 and the nonzero elements of norm <= max_norm in
-    (norm, _coords_key) order, only the first `limit` of them.  One walk
-    covers norm <= m, m <= max_norm the least bound that holds `limit`
-    points; it visits them in _coords_key order, which the stable sort by
-    norm keeps among equal norms."""
+    (norm, _coords_key) order.  The walk visits them in _coords_key
+    order, which the stable sort by norm keeps among equal norms."""
     dd = -cfg.d
 
     def signed(k):
         # 1..k, 0, -1..-k: the _coords_key order of one coordinate
         return [*range(1, k + 1), 0, *range(-1, -k - 1, -1)]
 
-    # norm <= 2*dd*limit holds the points with |a| <= sqrt(dd*limit) and
-    # |b| <= sqrt(limit), at least `limit` of them
-    lo, hi = 0, min(max_norm, 2 * dd * limit)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sum(2 * math.isqrt((mid - a * a) // dd) + 1
-               for a in signed(math.isqrt(mid))) >= limit:
-            hi = mid
-        else:
-            lo = mid + 1
-    points = [(a, b) for a in signed(math.isqrt(lo))
-              for b in signed(math.isqrt((lo - a * a) // dd))]
+    points = [(a, b) for a in signed(math.isqrt(max_norm))
+              for b in signed(math.isqrt((max_norm - a * a) // dd))]
     points.sort(key=lambda p: p[0] * p[0] + dd * p[1] * p[1])
-    return points[:limit]
+    return points
 
 
 def _linear_leads(c2: KElem) -> list[tuple[int, int, int, int, int]]:
@@ -287,7 +280,8 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
     decides a survivor, and rejects one with a common nonunit divisor of
     its coefficients at its first constant split.  Past
     WITNESS_MAX_CANDIDATES candidates the search raises
-    ResourceLimitError."""
+    ResourceLimitError, at once when the coefficients alone outnumber
+    that budget."""
     if max_norm < 1 or max_deg < 1:
         raise DomainError("bounds must be positive")
     if max_deg > WITNESS_MAX_DEG:
@@ -295,15 +289,23 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
             f"witness search supports degree <= {WITNESS_MAX_DEG}")
     if max_deg < 2:
         return None
+    over_budget = ResourceLimitError(
+        f"witness search exceeds its budget of "
+        f"{WITNESS_MAX_CANDIDATES} candidates")
+    # with more coefficients than the budget it runs out in the first
+    # row, x^2 + c0 (lead 1, c1 = 0), which holds no witness: a root r is
+    # integral, so r is in R and x^2 + c0 = (x-r)(x+r); else d = 1 mod 4,
+    # r = (u + v*w)/2 with u, v odd, and -c0 = r^2 has w-part u*v/2 not
+    # in Z
+    if _witness_count(cfg, max_norm) > WITNESS_MAX_CANDIDATES:
+        raise over_budget
     d = cfg.d
     # leads in (norm, _coords_key) order: norms ascend, and each
     # elements_of_norm tuple is sorted by _coords_key; they are drawn only
     # as far as the budget lets the search go
     leads = (z for n in range(1, max_norm + 1)
              for z in elements_of_norm(n, cfg))
-    # past WITNESS_MAX_CANDIDATES coefficients only the first row (lead 1,
-    # c1 = 0) is tried before the budget runs out, and it reads no more
-    inner = _witness_coeffs(cfg, max_norm, WITNESS_MAX_CANDIDATES + 1)
+    inner = _witness_coeffs(cfg, max_norm)
     # the discriminant c1^2 - 4*lead*c0 in coordinates: 4*lead*c0 and
     # the split divisors once per lead, c1^2 once per row
     tried = 0
@@ -315,9 +317,8 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
         for c1 in inner:
             c1a, c1b = c1
             sa, sb = c1a * c1a + d * c1b * c1b, 2 * c1a * c1b
-            room = WITNESS_MAX_CANDIDATES - tried
-            row = prods if room >= len(prods) else prods[:room]
-            tried += len(row)
+            row = itertools.islice(prods, WITNESS_MAX_CANDIDATES - tried)
+            tried += len(prods)
             for a, b, pa, pb in row:
                 t = _twice_sqrt(sa - pa, sb - pb, d)
                 if t is None:
@@ -328,8 +329,6 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
                 # shortcut says witness; the full test has the final word
                 if is_irreducible_rx(f)[0]:
                     return f
-            if row is not prods:
-                raise ResourceLimitError(
-                    f"witness search exceeds its budget of "
-                    f"{WITNESS_MAX_CANDIDATES} candidates")
+            if tried > WITNESS_MAX_CANDIDATES:
+                raise over_budget
     return None

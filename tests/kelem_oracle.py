@@ -78,7 +78,15 @@ def order_key(x: KElem):
     return (a * a - x.cfg.d * b * b, a, b)
 
 
+def coords(z) -> tuple:
+    """(u, v) with z = u + v*w for a quadfactor.qint.KElem: integers
+    when den = 1, else exact rationals."""
+    if z.den == 1:
+        return z.a, z.b
+    return Fraction(z.a, z.den), Fraction(z.b, z.den)
+
+
 def normk(z) -> Fraction:
-    """The field norm u^2 - d*v^2 of an element of either class."""
-    u, v = (Fraction(t) for t in z.coords())
+    """The field norm u^2 - d*v^2 of a quadfactor.qint.KElem."""
+    u, v = (Fraction(t) for t in coords(z))
     return u * u - z.cfg.d * v * v

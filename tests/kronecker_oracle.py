@@ -10,6 +10,7 @@ exponential in the degree; use it on degree <= 4."""
 import math
 from fractions import Fraction
 
+from kelem_oracle import coords
 from quadfactor.kpoly import KElem, KPoly, poly_order_key
 from quadfactor.qint import _divisors
 
@@ -152,7 +153,7 @@ def kronecker(F: list[int]) -> list[list[int]]:
 def rational_factors(p: KPoly) -> tuple[KElem, list[KPoly]]:
     """content * product-of-primitive-integer-irreducibles for rational p,
     as kpoly.factor_q returns it, by Kronecker's method."""
-    us = [c.coords()[0] for c in p.coeffs]
+    us = [coords(c)[0] for c in p.coeffs]
     denl = 1
     for u in us:
         denl = math.lcm(denl, u.denominator)

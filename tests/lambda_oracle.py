@@ -7,7 +7,7 @@ Use it on small coefficients."""
 
 from fractions import Fraction
 
-from kelem_oracle import normk
+from kelem_oracle import coords, normk
 from quadfactor.errors import DomainError
 from quadfactor.kpoly import KElem, KPoly
 from quadfactor.qint import (canonical_associate, elements_of_norm, norm,
@@ -50,7 +50,7 @@ def lambda_candidates(g0: KPoly, h0: KPoly) -> list[KElem]:
             if g0.scale(lam).is_integral() and \
                     h0.scale(lam.inv()).is_integral():
                 best = canonical_associate(lam)
-                key = best.coords()
+                key = coords(best)
                 if key not in seen:
                     seen.add(key)
                     out.append(best)

@@ -7,7 +7,7 @@ field norm, with one branch for rational z and one for the rest."""
 import math
 from fractions import Fraction
 
-from kelem_oracle import normk
+from kelem_oracle import coords, normk
 from quadfactor.errors import VerificationError
 from quadfactor.kpoly import KElem
 
@@ -32,7 +32,7 @@ def sqrt_in_field(z: KElem) -> KElem | None:
     cfg = z.cfg
     if z.is_zero():
         return z
-    u, v = (Fraction(t) for t in z.coords())
+    u, v = (Fraction(t) for t in coords(z))
     if v == 0:
         r = _rat_sqrt(u)
         if r is not None:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import colon_oracle
 import principal_oracle
 import pytest
-from kelem_oracle import normk
+from kelem_oracle import coords, normk
 
 from quadfactor.errors import DomainError, VerificationError
 from quadfactor.ideals import (colon, content_ideal, gamma_check,
@@ -309,8 +309,8 @@ def _superprimitive_oracle(f):
         z = KElem.of(Fraction(x, m), Fraction(y, m), C.cfg)
         if not z.is_integral():
             cands.add(canonical_associate(z))
-    return False, min(cands, key=lambda z: (normk(z), abs(z.coords()[0]),
-                                            z.coords()[1]))
+    return False, min(cands, key=lambda z: (normk(z), abs(coords(z)[0]),
+                                            coords(z)[1]))
 
 
 def test_superprimitive_matches_full_search():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kelem_oracle import coords
 
 from quadfactor.errors import DomainError, ResourceLimitError
 from quadfactor.factor import factorizations
@@ -279,7 +280,11 @@ def test_factor_k_matches_sympy():
                         rng.randint(-1, 1), d) for _ in range(n - 1)]
                      + [E(1, 0, d)], ring(d))
 
-    cases = [("x^4+3*x^2+7", -14), ("(x^2+1)*(x^2+w)", -5),
+    # rational inputs first: the two products have quadratic Q-factors,
+    # each split by its discriminant
+    cases = [("(x^2+5)*(x^2+1)", -5), ("x^4+3*x^2+7", -14),
+             ("(4*x^2+4*x+6)*(9*x^2+6*x+6)*(x^2+5)", -5),
+             ("(x^2+1)*(x^2+w)", -5),
              ("(x^3+2)*(x^3+w)", -5), ("x^6+100*x^3+999", -5),
              ("((6+w)/3)+((-1-w)/2)*x+((-5-6*w)/3)*x^2+x^3", -86),
              ("((15+2*w)/3)+(3+2*w)*x+(-2+w)*x^2+(-4+w)*x^3", -89)]
@@ -293,7 +298,7 @@ def test_factor_k_matches_sympy():
         cases.append((f, d))
     split = 0
     for f, d in cases:
-        got = [tuple(c.coords() for c in reversed(g.coeffs))
+        got = [tuple(coords(c) for c in reversed(g.coeffs))
                for g in factor_k(f)[1]]
         assert sorted(got) == sorted(monic_factors(f, d)), f
         split += len(got) > 1
@@ -302,7 +307,7 @@ def test_factor_k_matches_sympy():
 
 def test_quadratics_match_trager():
     # Trager's norm descent stays the oracle for the discriminant route
-    from quadfactor.kpoly import _quadratic_factors, _trager
+    from quadfactor.kpoly import _SHIFTS, _descent, _quadratic_factors
     from quadfactor.suite import CORE_RINGS
     rng = random.Random(31)
     split = 0
@@ -322,7 +327,7 @@ def test_quadratics_match_trager():
         if poly_gcd(h, h.derivative()).degree() > 0:
             continue
         got = _quadratic_factors(h)
-        assert got == _trager(h), h
+        assert got == _descent(h, (0,) + _SHIFTS), h
         split += len(got) == 2
     assert split > 6
 
@@ -347,7 +352,7 @@ def test_kelem_matches_fraction_oracle():
     def same(got, want):
         a, b, den = got.a, got.b, got.den
         assert den > 0 and math.gcd(a, b, den) == 1, repr(got)
-        assert got.coords() == want.coords() and str(got) == str(want)
+        assert coords(got) == want.coords() and str(got) == str(want)
         assert got.is_integral() == want.is_integral()
         # one reduced form per element: equality and hash are structural
         rebuilt = KElem.of(*want.coords(), got.cfg)
@@ -386,7 +391,7 @@ def test_kelem_matches_fraction_oracle():
             same(-x, -ox)
             same(x.conj(), ox.conj())
             same(canonical_associate(x), old.canonical_associate(ox))
-            assert (x * x.conj()).coords() == (ox.normk(), 0)
+            assert coords(x * x.conj()) == (ox.normk(), 0)
             if not y.is_zero():
                 same(y.inv(), oy.inv())
                 same(x / y, ox / oy)

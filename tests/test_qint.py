@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from kelem_oracle import coords
 
 from quadfactor.errors import DomainError
 from quadfactor.qint import (KElem, _associate_coords, _canonical_coords,
@@ -330,7 +331,7 @@ def test_canonical_closed_form_matches_orbit_min():
                     k = canonical_associate(
                         KElem.of(Fraction(a, den), Fraction(b, den), cfg))
                     assert isinstance(k, KElem)
-                    assert k.coords() == _orbit_min(
+                    assert coords(k) == _orbit_min(
                         Fraction(a, den), Fraction(b, den), d), (a, b, den)
 
 

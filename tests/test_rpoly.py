@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kelem_oracle import coords
 
 from quadfactor.errors import DomainError, ResourceLimitError
 from quadfactor.ideals import (content_ideal, gauss_product_check,
@@ -19,7 +20,7 @@ from quadfactor.qint import (_coords_key, _is_squarefree, _twice_sqrt,
                              common_nonunit_divisor, elements_of_norm,
                              is_irreducible, ring)
 from quadfactor.rpoly import (_linear_leads, _quad_splits_in_rx, _splits,
-                              _witness_coeffs,
+                              _witness_coeffs, _witness_count,
                               canonical_poly, factorizations_rx,
                               is_irreducible_rx, lambda_candidates,
                               property_p_witness)
@@ -312,7 +313,7 @@ def test_quadratic_shortcut_matches_generic():
         if common_nonunit_divisor(list(f.coeffs)) is not None:
             continue
         c0, c1, c2 = f.coeffs
-        t = _twice_sqrt(*(c1 * c1 - c2 * c0 * cfg.el(4)).coords(), d)
+        t = _twice_sqrt(*coords(c1 * c1 - c2 * c0 * cfg.el(4)), d)
         splits = t is not None and _quad_splits_in_rx(
             (c2.a, c2.b), (c1.a, c1.b), t, _linear_leads(c2), d)
         assert is_irreducible_rx(f)[0] == (not splits)
@@ -335,7 +336,7 @@ def test_quadratic_test_matches_field_oracle():
             if c2.is_zero():
                 continue
             s = witness_oracle.quad_disc_sqrt(c2, c1, c0)
-            t = _twice_sqrt(*(c1 * c1 - c2 * c0 * cfg.el(4)).coords(), d)
+            t = _twice_sqrt(*coords(c1 * c1 - c2 * c0 * cfg.el(4)), d)
             assert (t is None) == (s is None), (d, c2, c1, c0)
             if t is None:
                 continue
@@ -407,18 +408,37 @@ def test_cli_witness_budget(capsys):
 
 
 def test_witness_coeffs_order_and_cap():
-    # 0 and the nonzero elements by (norm, assoc_key), cut at the limit
-    # without walking the lattice up to the norm bound
+    # 0 and the nonzero elements by (norm, assoc_key); _witness_count,
+    # which checks the budget before any of them is listed, counts them
+    from test_kpoly import ALL_DS
     for d in (-1, -5, -97):
         points = sorted(((a, b) for a in range(-30, 31)
                          for b in range(-30, 31)
                          if a * a - d * b * b <= 900),
                         key=lambda p: (p[0] * p[0] - d * p[1] * p[1],
                                        _coords_key(p)))
-        assert _witness_coeffs(ring(d), 900, 10 ** 6) == points
-        for limit in (1, 2, 37, 200):
-            assert _witness_coeffs(ring(d), 10 ** 30, limit) == \
-                points[:limit]
+        assert _witness_coeffs(ring(d), 900) == points
+    for d in ALL_DS:
+        cfg = ring(d)
+        for bound in (1, 2, 3, 4, 10, 99, 100, 101, 2000):
+            assert _witness_count(cfg, bound) == \
+                len(_witness_coeffs(cfg, bound)), (d, bound)
+    # the first row, x^2 + c0 (lead 1, c1 = 0), where the budget runs
+    # out when the coefficients outnumber it, holds no witness: every
+    # c0 whose discriminant -4*c0 is a square splits in R[x]
+    squares = 0
+    for d in ALL_DS:
+        cfg = ring(d)
+        lams = _linear_leads(cfg.el(1))
+        for a, b in _witness_coeffs(cfg, 2000):
+            t = _twice_sqrt(-4 * a, -4 * b, d)
+            if t is None:
+                continue
+            squares += 1
+            if not _quad_splits_in_rx((1, 0), (0, 0), t, lams, d):
+                f = KPoly([cfg.el(a, b), cfg.el(0), cfg.el(1)], cfg)
+                assert not is_irreducible_rx(f)[0], f
+    assert squares > 600
 
 
 def test_cli_witness_large_bounds(capsys):
