@@ -289,15 +289,15 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
             f"witness search supports degree <= {WITNESS_MAX_DEG}")
     if max_deg < 2:
         return None
-    over_budget = ResourceLimitError(
-        f"witness search exceeds its budget of "
-        f"{WITNESS_MAX_CANDIDATES} candidates")
-    # with more coefficients than the budget it runs out in the first
+    over_budget = ResourceLimitError("witness search exceeds its budget "
+                                     f"of {WITNESS_MAX_CANDIDATES} candidates")
+    # with more coefficients than the budget L it runs out in the first
     # row, x^2 + c0 (lead 1, c1 = 0), which holds no witness: a root r is
     # integral, so r is in R and x^2 + c0 = (x-r)(x+r); else d = 1 mod 4,
-    # r = (u + v*w)/2 with u, v odd, and -c0 = r^2 has w-part u*v/2 not
-    # in Z
-    if _witness_count(cfg, max_norm) > WITNESS_MAX_CANDIDATES:
+    # r = (u + v*w)/2 with u, v odd, and -c0 = r^2 has w-part u*v/2 not in
+    # Z.  Norm 2*|d|*(L+1) has (2*isqrt(L+1)+1)^2 > L points: stop there
+    cap = 2 * -cfg.d * (WITNESS_MAX_CANDIDATES + 1)
+    if _witness_count(cfg, min(max_norm, cap)) > WITNESS_MAX_CANDIDATES:
         raise over_budget
     d = cfg.d
     # leads in (norm, _coords_key) order: norms ascend, and each

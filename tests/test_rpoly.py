@@ -19,7 +19,8 @@ from quadfactor.qint import (_coords_key, _is_squarefree, _twice_sqrt,
                              check_integral,
                              common_nonunit_divisor, elements_of_norm,
                              is_irreducible, ring)
-from quadfactor.rpoly import (_linear_leads, _quad_splits_in_rx, _splits,
+from quadfactor.rpoly import (WITNESS_MAX_CANDIDATES, _linear_leads,
+                              _quad_splits_in_rx, _splits,
                               _witness_coeffs, _witness_count,
                               canonical_poly, factorizations_rx,
                               is_irreducible_rx, lambda_candidates,
@@ -423,6 +424,10 @@ def test_witness_coeffs_order_and_cap():
         for bound in (1, 2, 3, 4, 10, 99, 100, 101, 2000):
             assert _witness_count(cfg, bound) == \
                 len(_witness_coeffs(cfg, bound)), (d, bound)
+        # property_p_witness clamps its count at this norm, which alone
+        # outnumbers the budget
+        assert _witness_count(cfg, 2 * -d * (WITNESS_MAX_CANDIDATES + 1)) \
+            > WITNESS_MAX_CANDIDATES, d
     # the first row, x^2 + c0 (lead 1, c1 = 0), where the budget runs
     # out when the coefficients outnumber it, holds no witness: every
     # c0 whose discriminant -4*c0 is a square splits in R[x]
@@ -442,10 +447,12 @@ def test_witness_coeffs_order_and_cap():
 
 
 def test_cli_witness_large_bounds(capsys):
-    # the budget, not the norm bound, sets the work: both exit 4, and a
-    # witness found early is found as before
+    # the budget, not the norm bound, sets the work: each exits 4, a
+    # norm bound of 10^30 included, and a witness found early is found
+    # as before
     from quadfactor.cli import main
-    for d, bound in ((-5, 10 ** 8), (-97, 3 * 10 ** 6)):
+    for d, bound in ((-5, 10 ** 8), (-97, 3 * 10 ** 6), (-5, 10 ** 30),
+                     (-97, 10 ** 30)):
         assert main(["--d", str(d), "--norm-bound", str(bound),
                      "witness-p"]) == 4
         out, err = capsys.readouterr()
