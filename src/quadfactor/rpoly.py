@@ -280,8 +280,8 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
     decides a survivor, and rejects one with a common nonunit divisor of
     its coefficients at its first constant split.  Past
     WITNESS_MAX_CANDIDATES candidates the search raises
-    ResourceLimitError, at once when the coefficients alone outnumber
-    that budget."""
+    ResourceLimitError, from a count alone when the coefficients
+    outnumber that budget."""
     if max_norm < 1 or max_deg < 1:
         raise DomainError("bounds must be positive")
     if max_deg > WITNESS_MAX_DEG:
