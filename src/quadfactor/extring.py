@@ -52,13 +52,6 @@ class ExtElem:
         return str(self.poly)
 
 
-def _trailing_zeros(p: KPoly) -> int:
-    v = 0
-    while p.coeff(v).is_zero():
-        v += 1
-    return v
-
-
 def d1_classify(g: ExtElem) -> str:
     """One of: unit, constant, associate_of_x, one_plus_tail, reducible.
 
@@ -113,7 +106,7 @@ def d1_factorizations(g: ExtElem) -> FactorizationSet:
     p = g.poly
     if p.is_zero():
         raise DomainError("zero polynomial has no factorizations")
-    v = _trailing_zeros(p)
+    v = next(i for i, c in enumerate(p.coeffs) if not c.is_zero())
     c = p.coeff(v)
     if not c.is_integral():
         raise DomainError(

@@ -30,47 +30,26 @@ from .qint import (KElem, RingCfg, _canonical_coords, check_coeff_norms,
                    check_integral, common_nonunit_divisor)
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def hnf2(vecs: list[tuple[int, int]]) -> tuple[int, int, int]:
     """Hermite form (a, b, c) of the lattice spanned by integer vectors:
     lattice = Z*(a,0) + Z*(b,c), a > 0, c > 0, 0 <= b < a.
+
+    Euclid on the second coordinates folds each (x, y) into a pivot
+    (b, c): each step (b, c), (x, y) := (x, y), (b - q*x, c - q*y) is
+    unimodular, so the span does not change, and the leftover (x, 0)
+    joins a = gcd(a, x).
     """
-    xs = []
-    piv = None  # running combination with nonzero y-coordinate
+    a = b = c = 0
     for x, y in vecs:
-        if y == 0:
-            xs.append(x)
-            continue
-        if piv is None:
-            piv = (x, y)
-            continue
-        g, s, t = _xgcd(piv[1], y)
-        leftover = (y // g) * piv[0] - (piv[1] // g) * x
-        piv = (s * piv[0] + t * x, g)
-        xs.append(leftover)
-    a = 0
-    for x in xs:
+        while y:
+            q = c // y
+            b, c, x, y = x, y, b - q * x, c - q * y
         a = math.gcd(a, x)
-    if piv is None or a == 0:
+    if c == 0 or a == 0:
         raise DomainError("lattice is not full rank")
-    b, c = piv
     if c < 0:
         b, c = -b, -c
-    b %= a
-    return a, b, c
+    return a, b % a, c
 
 
 class FracIdeal:
@@ -131,9 +110,11 @@ class FracIdeal:
 
 
 def _make(vectors: list[tuple[int, int]], denom: int, cfg: RingCfg) -> FracIdeal:
+    """(1/denom) * span(vectors), reduced.  b // g needs no reduction
+    mod a // g: 0 <= b < a and g divides both."""
     a, b, c = hnf2(vectors)
-    g = math.gcd(math.gcd(a, b), math.gcd(c, denom))
-    return FracIdeal(a // g, (b // g) % (a // g), c // g, denom // g, cfg)
+    g = math.gcd(a, b, c, denom)
+    return FracIdeal(a // g, b // g, c // g, denom // g, cfg)
 
 
 def unit_ideal(cfg: RingCfg) -> FracIdeal:

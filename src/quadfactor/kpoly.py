@@ -126,17 +126,14 @@ class KPoly:
         return f"KPoly({self}, d={self.cfg.d})"
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
+        out = ""
         for k in range(self.degree(), -1, -1):
-            c = self.coeff(k)
+            c = self.coeffs[k]
             if c.is_zero():
                 continue
-            neg = False
             cs = str(c)
-            if cs.startswith("-"):
-                neg = True
+            neg = cs.startswith("-")
+            if neg:
                 cs = str(-c)
             composite = (any(ch in cs[1:] for ch in "+-")
                          and not cs.startswith("("))
@@ -149,12 +146,8 @@ class KPoly:
                     cs = f"({cs})"
                 xpow = "x" if k == 1 else f"x^{k}"
                 body = xpow if cs == "1" else f"{cs}*{xpow}"
-            parts.append(("-" if neg else "+", body))
-        sign0, body0 = parts[0]
-        out = ("-" if sign0 == "-" else "") + body0
-        for sign, body in parts[1:]:
-            out += sign + body
-        return out
+            out += ("-" if neg else "+" if out else "") + body
+        return out or "0"
 
     def is_unit(self) -> bool:
         """A unit of R[x]: a constant unit of R."""
@@ -169,19 +162,13 @@ class KPoly:
     def divmod(self, g: "KPoly") -> tuple["KPoly", "KPoly"]:
         if g.is_zero():
             raise DomainError("polynomial division by zero")
-        q = [self.zero_elem()] * max(len(self.coeffs) - len(g.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        glc = g.lc().inv()
-        gdeg = g.degree()
-        while len(rem) - 1 >= gdeg and rem:
-            c = rem[-1] * glc
-            k = len(rem) - 1 - gdeg
-            q[k] = c
+        n, inv, rem = g.degree(), g.lc().inv(), list(self.coeffs)
+        q = [self.zero_elem()] * max(len(rem) - n, 0)
+        for k in reversed(range(len(q))):
+            c = q[k] = rem[k + n] * inv
             for i, gc in enumerate(g.coeffs):
                 rem[k + i] = rem[k + i] - c * gc
-            while rem and rem[-1].is_zero():
-                rem.pop()
-        return KPoly(q, self.cfg), KPoly(rem, self.cfg)
+        return KPoly(q, self.cfg), KPoly(rem[:n], self.cfg)
 
     def derivative(self) -> "KPoly":
         return KPoly([KElem(i, 0, self.cfg) * c

@@ -125,9 +125,6 @@ class KElem:
         return self.den == 1 and \
             self.a * self.a - self.cfg.d * self.b * self.b == 1
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def is_integral(self) -> bool:
         """Whether the element lies in the order Z[w]."""
         return self.den == 1

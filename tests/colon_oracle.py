@@ -6,7 +6,21 @@ congruences that z*I <= R imposes, and the kernel basis spans the
 colon lattice."""
 
 from quadfactor.errors import VerificationError
-from quadfactor.ideals import FracIdeal, _make, _xgcd
+from quadfactor.ideals import FracIdeal, _make
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
 
 
 def _int_kernel(rows: list[list[int]]) -> list[list[int]]:

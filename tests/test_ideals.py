@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import pathlib
@@ -13,8 +14,8 @@ from kelem_oracle import coords, normk
 
 from quadfactor.errors import DomainError, VerificationError
 from quadfactor.ideals import (colon, content_ideal, gamma_check,
-                               gauss_product_check, gcd_v, ideal_from_gens,
-                               is_primitive, is_principal, is_superprimitive,
+                               gauss_product_check, gcd_v, hnf2,
+                               ideal_from_gens, is_primitive, is_principal, is_superprimitive,
                                mul, unit_ideal, v_closure)
 from quadfactor.kpoly import KPoly
 from quadfactor.qint import KElem, canonical_associate, ring
@@ -47,6 +48,36 @@ def test_hnf_shape():
     assert not I.contains(E(1, 0, -5))
     assert not I.contains(E(0, 1, -5))
     assert not I.contains(E(Fraction(1, 2), Fraction(1, 2), -5))
+
+
+def test_hnf2_characterized():
+    """hnf2 against properties that pin the Hermite form, with no second
+    implementation: Z(a,0) + Z(b,c) contains every input vector, and its
+    index a*c equals the input lattice's index, the gcd of the 2x2
+    minors, so the two lattices are equal; c is the gcd of the second
+    coordinates, and a > 0, c > 0, 0 <= b < a fix the basis.  A list
+    of rank < 2 (every minor 0) raises DomainError."""
+    rng = random.Random(25)
+    raised = 0
+    for _ in range(3000):
+        bound = rng.choice((3, 30, 10 ** 3, 10 ** 12))
+        vecs = [(rng.randint(-bound, bound),
+                 rng.choice((0, rng.randint(-bound, bound))))
+                for _ in range(rng.randint(1, 6))]
+        minors = math.gcd(*(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2)
+                            in itertools.combinations(vecs, 2)))
+        if minors == 0:
+            with pytest.raises(DomainError):
+                hnf2(vecs)
+            raised += 1
+            continue
+        a, b, c = hnf2(vecs)
+        assert a > 0 and c > 0 and 0 <= b < a
+        assert c == math.gcd(*(y for _, y in vecs))
+        assert a * c == minors
+        for x, y in vecs:
+            assert y % c == 0 and (x - y // c * b) % a == 0
+    assert 100 < raised < 2000
 
 
 def test_frac_ideal_invariants_raise():

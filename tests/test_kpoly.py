@@ -126,6 +126,13 @@ def test_poly_str():
     assert str(P("1/81*x^2+1", -3)) == "1/81*x^2+1"
     assert str(P("x^2-x", -5)) == "x^2-x"
     assert str(KPoly([], ring(-5))) == "0"
+    # a negative composite constant keeps its parentheses, one after a
+    # positive term does not need them
+    for text, d in (("x^3-(1-w)", -5), ("-x^2+1-w", -5),
+                    ("(-1+w)/2*x^2-x+(1-w)/2", -5),
+                    ("-(1+w)*x^4+w*x^2-1", -3), ("-1", -5), ("-(2-w)", -5)):
+        assert str(P(text, d)) == text
+    assert str(P("x^5+0*x", -5)) == "x^5"
 
 
 def test_divmod_property():
@@ -142,6 +149,27 @@ def test_divmod_property():
         q, r = f.divmod(g)
         assert q * g + r == f
         assert r.is_zero() or r.degree() < g.degree()
+    # zero coefficients, denominators 2 and 3, deg f < deg g, constant g
+    for _ in range(300):
+        d = rng.choice((-1, -3, -5, -14))
+        cfg = ring(d)
+
+        def coeff():
+            return KElem.of(Fraction(rng.choice((0, rng.randint(-5, 5))),
+                                     rng.choice((1, 2, 3))),
+                            Fraction(rng.choice((0, rng.randint(-3, 3))),
+                                     rng.choice((1, 2, 3))), cfg)
+        f = KPoly([coeff() for _ in range(rng.randint(0, 7))], cfg)
+        g = KPoly([coeff() for _ in range(rng.randint(1, 4))], cfg)
+        if g.is_zero():
+            continue
+        q, r = f.divmod(g)
+        assert q * g + r == f
+        assert r.is_zero() or r.degree() < g.degree()
+        if f.degree() < g.degree():
+            assert q.is_zero() and r == f
+        if g.degree() == 0:
+            assert r.is_zero() and q == f.scale(g.lc().inv())
 
 
 def test_poly_gcd():
