@@ -25,8 +25,8 @@ import functools
 from fractions import Fraction
 
 from .errors import ResourceLimitError, VerificationError
-from .qint import (KElem, _canonical_coords, _require_factorable,
-                   canonical_associate, irreducible_common_divisors)
+from .qint import (KElem, _canonical_coords, _irreducible_divisors,
+                   _require_factorable)
 
 NORM_LIMIT = 10 ** 8
 
@@ -87,9 +87,7 @@ def _factor_multisets(x: _Element) -> frozenset:
     cfg, a, b, atoms = x.cfg, x.a, x.b, x.atoms
     d = cfg.d
     if atoms is None:
-        atoms = tuple(sorted(
-            (y.a * y.a - d * y.b * y.b, y.a, y.b, y)
-            for y in irreducible_common_divisors([KElem(a, b, cfg)])))
+        atoms = tuple(sorted(_irreducible_divisors([KElem(a, b, cfg)])))
     n = a * a - d * b * b
     out = []
     for atom in atoms:
@@ -132,8 +130,9 @@ def factorizations(x: KElem) -> FactorizationSet:
     """Every factorization of x into irreducibles, up to associates: the
     memo's frozenset, each checked once to multiply back to x's associate."""
     _require_factorable(x)
-    if x.norm() > NORM_LIMIT:
-        raise ResourceLimitError(f"norm {x.norm()} exceeds guard {NORM_LIMIT}")
-    c = canonical_associate(x)
+    n = x.norm()
+    if n > NORM_LIMIT:
+        raise ResourceLimitError(f"norm {n} exceeds guard {NORM_LIMIT}")
+    a, b = _canonical_coords(x.a, x.b, x.cfg.d)
     return FactorizationSet(element=x, factorizations=_factor_multisets(
-        _Element(c.cfg, c.a, c.b, None)))
+        _Element(x.cfg, a, b, None)))

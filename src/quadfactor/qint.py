@@ -3,9 +3,12 @@
 Elements are a + b*w with integer a, b and d < 0 squarefree.  The norm
 a^2 + |d|*b^2 is multiplicative, vanishes only at 0, and bounds every
 divisor of an element, so divisibility, irreducibility and primality are
-all decidable by finite enumeration.  Only d < 0 is supported: the unit
-group is then finite ({1, -1}, plus {w, -w} when d = -1), which makes
-"up to associates" a finite canonical notion.
+all decidable by finite enumeration.  Divisor questions share one scan,
+which reads each pair of norms once: a divisor of x and its cofactor
+have norms s and norm(x)/s, one of them <= sqrt(norm(x)), and one
+congruence on a class of norm s finds both.  Only d < 0 is supported: the unit group is then
+finite ({1, -1}, plus {w, -w} when d = -1), which makes "up to
+associates" a finite canonical notion.
 
 Associate classes get a canonical representative: the unit multiple
 minimizing (-sign(a), |a|, -sign(b), |b|) lexicographically, i.e. positive
@@ -401,7 +404,7 @@ def _require_factorable(x: KElem) -> None:
 def _is_irreducible_canonical(x: KElem) -> bool:
     # a proper divisor has smaller norm and so comes first; the only
     # canonical divisor of x with the norm of x is x itself
-    return next(common_divisors([x])) == x
+    return next(_divisor_scan([x]))[1:3] == (x.a, x.b)
 
 
 def is_irreducible(x: KElem) -> bool:
@@ -447,62 +450,97 @@ def check_integral(coeffs) -> None:
             raise DomainError(f"coefficient of x^{i} is {c}, not in Z[w]")
 
 
-def common_divisors(elems: list[KElem]):
-    """Canonical nonunits dividing every element, by ascending norm.
+def _divisor_scan(elems: list[KElem]):
+    """(norm, a, b, c) for each canonical nonunit a + b*w dividing every
+    element, by ascending norm, then _coords_key; c is the element that
+    _elements_of_norm cached, or None for a divisor found as a cofactor.
 
     A common divisor's norm divides the gcd g of the norms, so the scan
     is finite unless every element is zero; then every nonunit divides
     and the scan runs over all norms.
 
-    Each norm m | g is read from its small side.  Let x0 be a nonzero
-    element of least norm N0.  When m^2 <= N0 the candidates are the
-    classes of norm m.  Otherwise they come from the cofactors: c of
-    norm m divides x0 exactly when x0 = c*q with norm(q) = k = N0/m,
-    and then c = x0*conj(q)/k; replacing q by u*q for a unit u replaces
-    c by an associate.  So each class of divisors of x0 of norm m comes
-    from exactly one class q of norm k with x0*conj(q) = 0 mod k, and
-    the canonical c, sorted by _coords_key, are the classes of norm m the
-    first branch would have tested, less those that do not divide x0.
-    Either way elements_of_norm is asked only for norms <= sqrt(N0).
-
-    Each candidate is tested with integers only, by the identity
-    `try_div` rests on: c = ca + cb*w divides x = a + b*w exactly when
-    x*conj(c) = (a*ca - d*b*cb) + (b*ca - a*cb)*w is 0 mod m = norm(c),
-    coordinate by coordinate.  Since m divides norm(x) here, either
-    congruence implies the other (norm(x*conj(c)) is 0 mod m^2 and d is
-    squarefree); the second is evaluated only on a hit and keeps the
-    test exact without that premise."""
+    Let x0 be a nonzero element of least norm N0.  A class q of norm s
+    divides x0 exactly when x0*conj(q) = 0 mod s, and its cofactors
+    x0*conj(q)/s, canonical, are then the classes of divisors of norm
+    N0/s, each once.  So for each m | g the classes of norm min(m, N0/m)
+    are read once, and m is skipped when its partner N0/m < m divides g,
+    whose pass found both.  Divisors of norm <= sqrt(N0) are yielded as
+    found, the cofactors after.  Each is tested against the other
+    elements by the identity `try_div` rests on: c = ca + cb*w divides
+    a + b*w exactly when a*ca - d*b*cb and b*ca - a*cb are 0 mod norm(c)."""
     cfg = elems[0].cfg
     d = cfg.d
-    pairs = [(e.a, e.b) for e in elems if not e.is_zero()]
+    pairs = [(e.a, e.b) for e in elems if e.a or e.b]
     if not pairs:
         for m in itertools.count(2):
-            yield from elements_of_norm(m, cfg)
-    g = n0 = 0
-    for a, b in pairs:
-        n = a * a - d * b * b
-        g = math.gcd(g, n)
-        if not n0 or n < n0:
-            n0, xa, xb = n, a, b
-    for m in _divisors(g)[1:]:
-        if m * m <= n0:
-            cands = elements_of_norm(m, cfg)
+            for c in _elements_of_norm(m, cfg):
+                yield m, c.a, c.b, c
+    norms = [a * a - d * b * b for a, b in pairs]
+    n0, g = min(norms), math.gcd(*norms)
+    xa, xb = pairs.pop(norms.index(n0))
+    later = []
+    for m in _divisors(g):
+        k = n0 // m
+        if k >= m:
+            s, big, small, large = m, k, m > 1, k > m and not g % k
+        elif g % k:
+            s, big, small, large = k, m, False, True
         else:
-            k = n0 // m
-            found = []
-            for q in elements_of_norm(k, cfg):
-                ta, tb = xa * q.a - d * xb * q.b, xb * q.a - xa * q.b
-                if not ta % k and not tb % k:
-                    found.append(_canonical_coords(ta // k, tb // k, d))
+            continue
+        if not (small or large):
+            continue
+        found = []
+        for q in _elements_of_norm(s, cfg):
+            qa, qb = q.a, q.b
+            ta, tb = xa * qa - d * xb * qb, xb * qa - xa * qb
+            if ta % s or tb % s:
+                continue
+            if small:
+                for a, b in pairs:
+                    if (a * qa - d * b * qb) % s or (b * qa - a * qb) % s:
+                        break
+                else:
+                    yield s, qa, qb, q
+            if large:
+                ca, cb = _canonical_coords(ta // s, tb // s, d)
+                for a, b in pairs:
+                    if (a * ca - d * b * cb) % big or (b * ca - a * cb) % big:
+                        break
+                else:
+                    found.append((ca, cb))
+        if len(found) > 1:
             found.sort(key=_coords_key)
-            cands = [KElem(ca, cb, cfg) for ca, cb in found]
-        for c in cands:
-            ca, cb = c.a, c.b
-            for a, b in pairs:
-                if (a * ca - d * b * cb) % m or (b * ca - a * cb) % m:
-                    break
-            else:
-                yield c
+        later.append((big, found))
+    later.sort()  # by norm: the norms differ, so no lists are compared
+    for big, found in later:
+        for ca, cb in found:
+            yield big, ca, cb, None
+
+
+def _irreducible_divisors(elems: list[KElem]):
+    """The tuples of _divisor_scan whose divisor is irreducible, each
+    with its element.  A divisor is kept exactly when no divisor kept
+    before it divides it: its divisors come first, a reducible one has
+    an irreducible proper divisor, and distinct canonical divisors of
+    equal norm cannot divide each other."""
+    cfg = elems[0].cfg
+    d = cfg.d
+    kept = []
+    for m, ca, cb, c in _divisor_scan(elems):
+        for n, ya, yb in kept:
+            if (m % n == 0 and not (ca * ya - d * cb * yb) % n
+                    and not (cb * ya - ca * yb) % n):
+                break
+        else:
+            kept.append((m, ca, cb))
+            yield m, ca, cb, KElem(ca, cb, cfg) if c is None else c
+
+
+def common_divisors(elems: list[KElem]):
+    """Canonical nonunits dividing every element, by ascending norm."""
+    cfg = elems[0].cfg
+    for _, a, b, c in _divisor_scan(elems):
+        yield KElem(a, b, cfg) if c is None else c
 
 
 def common_nonunit_divisor(elems: list[KElem]) -> KElem | None:
@@ -519,26 +557,8 @@ def common_nonunit_divisor(elems: list[KElem]) -> KElem | None:
 
 def irreducible_common_divisors(elems: list[KElem]):
     """The canonical irreducibles dividing every element of the list,
-    by ascending norm, yielded as the divisor scan finds them.
-
-    Irreducibility is decided inside the divisor scan: a divisor c is
-    kept exactly when no divisor kept before it divides c.  Every
-    divisor of c is a common divisor of smaller norm, so the scan yields
-    it first; a reducible c has an irreducible proper divisor, which was
-    kept; and two distinct canonical divisors of equal norm cannot
-    divide each other (their quotient would be a unit).  norm(y) | norm(c)
-    is tested first, as a cheap filter."""
+    by ascending norm, yielded as the divisor scan finds them."""
     if all(e.is_zero() for e in elems):
         raise DomainError("all elements are zero")
-    d = elems[0].cfg.d
-    kept = []
-    for c in common_divisors(elems):
-        ca, cb = c.a, c.b
-        m = ca * ca - d * cb * cb
-        for n, ya, yb in kept:
-            if (m % n == 0 and not (ca * ya - d * cb * yb) % n
-                    and not (cb * ya - ca * yb) % n):
-                break
-        else:
-            kept.append((m, ca, cb))
-            yield c
+    for t in _irreducible_divisors(elems):
+        yield t[3]

@@ -278,10 +278,11 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
     square in K (_twice_sqrt), no rescaling of its roots may give
     linear factors of R[x] (_quad_splits_in_rx); is_irreducible_rx
     decides a survivor, and rejects one with a common nonunit divisor of
-    its coefficients at its first constant split.  Past
-    WITNESS_MAX_CANDIDATES candidates the search raises
-    ResourceLimitError, from a count alone when the coefficients
-    outnumber that budget."""
+    its coefficients at its first constant split.  The rows of c1 and
+    -c1 share the square test, which reads c1 only through c1^2.  Past
+    WITNESS_MAX_CANDIDATES candidates, each row counted in full, the
+    search raises ResourceLimitError, from a count alone when the
+    coefficients outnumber that budget."""
     if max_norm < 1 or max_deg < 1:
         raise DomainError("bounds must be positive")
     if max_deg > WITNESS_MAX_DEG:
@@ -307,22 +308,26 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
              for z in elements_of_norm(n, cfg))
     inner = _witness_coeffs(cfg, max_norm)
     # the discriminant c1^2 - 4*lead*c0 in coordinates: 4*lead*c0 and
-    # the split divisors once per lead, c1^2 once per row
+    # the split divisors once per lead, c1^2 once per row, its square test
+    # once per c1^2; a row the budget cuts short is the last, never reused
     tried = 0
     for lead in leads:
         la, lb = 4 * lead.a, 4 * lead.b
         prods = [(a, b, la * a + d * lb * b, la * b + lb * a)
                  for a, b in inner]
         c2, lams = (lead.a, lead.b), _linear_leads(lead)
+        squares = {}
         for c1 in inner:
             c1a, c1b = c1
-            sa, sb = c1a * c1a + d * c1b * c1b, 2 * c1a * c1b
-            row = itertools.islice(prods, WITNESS_MAX_CANDIDATES - tried)
+            sq = sa, sb = c1a * c1a + d * c1b * c1b, 2 * c1a * c1b
+            left = WITNESS_MAX_CANDIDATES - tried
             tried += len(prods)
-            for a, b, pa, pb in row:
-                t = _twice_sqrt(sa - pa, sb - pb, d)
-                if t is None:
-                    continue
+            row = squares.get(sq) if tried <= WITNESS_MAX_CANDIDATES else None
+            if row is None:
+                row = squares[sq] = [
+                    (a, b, t) for a, b, pa, pb in itertools.islice(prods, left)
+                    if (t := _twice_sqrt(sa - pa, sb - pb, d)) is not None]
+            for a, b, t in row:
                 if _quad_splits_in_rx(c2, c1, t, lams, d):
                     continue
                 f = KPoly([KElem(a, b, cfg), KElem(c1a, c1b, cfg), lead], cfg)

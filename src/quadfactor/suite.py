@@ -60,29 +60,29 @@ def naive_factorization_oracle(d: int, max_norm: int) -> dict:
         sb = 0 if b > 0 else (1 if b == 0 else 2)
         return (sa, abs(a), sb, abs(b))
 
-    def canon(a, b):
-        orbit = [(a, b), (-a, -b)]
-        if d == -1:
-            orbit += [(-b, a), (b, -a)]
-        return min(orbit, key=lambda p: key(*p))
-
     # canon_of maps every lattice point of norm <= max_norm to its
-    # canonical pair, nonunits lists the canonical pairs of norm >= 2 as
-    # (norm, a, b); canon runs once per point
+    # canonical pair, found once per orbit; nonunits lists the canonical
+    # pairs of norm >= 2 as (norm, a, b)
     canon_of, nonunits = {}, []
     r = math.isqrt(max_norm)
     for a in range(-r, r + 1):
         s = math.isqrt((max_norm - a * a) // dd)
         for b in range(-s, s + 1):
-            c = canon_of[(a, b)] = canon(a, b)
-            n = a * a + dd * b * b
-            if c == (a, b) and n > 1:
-                nonunits.append((n, a, b))
+            if (a, b) not in canon_of:
+                orbit = [(a, b), (-a, -b)]
+                if d == -1:
+                    orbit += [(-b, a), (b, -a)]
+                c = min(orbit, key=lambda p: key(*p))
+                canon_of.update(dict.fromkeys(orbit, c))
+                n = a * a + dd * b * b
+                if n > 1:
+                    nonunits.append((n,) + c)
     nonunits.sort()
     out = {t[1:]: set() for t in nonunits}
     reducible = set()
     for i, (n1, a1, b1) in enumerate(nonunits):
-        for n2, a2, b2 in nonunits[i:]:
+        for j in range(i, len(nonunits)):
+            n2, a2, b2 = nonunits[j]
             if n1 * n2 > max_norm:
                 break
             reducible.add(canon_of[(a1 * a2 - dd * b1 * b2,
@@ -105,7 +105,8 @@ def naive_factorization_oracle(d: int, max_norm: int) -> dict:
 
 
 def _as_triples(fs: factor.FactorizationSet) -> set:
-    return {tuple(sorted((norm(z), z.a, z.b) for z in m))
+    # fs sorts its tuples by (norm, a, b), as the oracle does
+    return {tuple((norm(z), z.a, z.b) for z in m)
             for m in fs.factorizations}
 
 

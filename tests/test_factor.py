@@ -212,13 +212,13 @@ def test_one_divisor_scan_per_call(monkeypatch):
     # finds it in the memo and scans nothing
     from quadfactor import factor, qint
     scans = []
-    scan = qint.common_divisors
+    scan = qint._divisor_scan
 
     def counted(elems):
         scans.append(elems)
         return scan(elems)
 
-    monkeypatch.setattr(qint, "common_divisors", counted)
+    monkeypatch.setattr(qint, "_divisor_scan", counted)
     factor._factor_multisets.cache_clear()
     cfg = ring(-5)
     fs = factorizations(cfg.el(6 ** 5))

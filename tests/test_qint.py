@@ -1,3 +1,4 @@
+import collections
 import math
 import operator
 import random
@@ -255,6 +256,42 @@ def test_divisor_scan_matches_oracle_seeded_lists():
         if all(e.is_zero() for e in elems):
             elems[0] = f
         _assert_scans_match(elems)
+    # lists with coprime norms (g = 1) or a unit; lists where, for some
+    # s | n0 with s^2 < n0, only s divides g or only n0/s does; lists
+    # whose least norm n0 is a square
+    shapes = collections.Counter()
+    for i in range(2000):
+        cfg = ring(ds[i % len(ds)])
+        f, h = _nonunit(rng, cfg, 12), _nonunit(rng, cfg, rng.choice((3, 12)))
+        k = _nonunit(rng, cfg, 16)
+        elems = ([f * h, k], [k, rng.choice(units(cfg)), f * h],
+                 [f * h, f * k], [f * f, f * f * k, f * h * h])[i % 4]
+        _assert_scans_match(elems)
+        shapes.update(_list_shapes(elems))
+    assert min(shapes[kind] for kind in
+               ("coprime", "unit", "only s", "only n0/s", "square")) > 50, \
+        shapes
+
+
+def _nonunit(rng, cfg, k):
+    while True:
+        f = cfg.el(rng.randint(-k, k), rng.randint(-k // 2, k // 2))
+        if f.norm() > 1:
+            return f
+
+
+def _list_shapes(elems):
+    norms = [e.norm() for e in elems]
+    g, n0 = math.gcd(*norms), min(norms)
+    shapes = {"coprime"} if g == 1 else set()
+    if n0 == 1:
+        shapes.add("unit")
+    if n0 > 1 and math.isqrt(n0) ** 2 == n0:
+        shapes.add("square")
+    for s in _divisors(n0):
+        if s * s < n0 and (g % s == 0) != (g % (n0 // s) == 0):
+            shapes.add("only s" if g % s == 0 else "only n0/s")
+    return shapes
 
 
 def test_str_parse_forms():
@@ -379,21 +416,24 @@ def test_divisor_scan_matches_oracle_large_norms():
 
 
 def test_divisor_scan_reads_only_small_norms(monkeypatch):
-    # the scan asks elements_of_norm only for n <= isqrt(norm(x)): a
-    # divisor of larger norm is reached through its cofactor
+    # the scan reads a class list only for n <= isqrt(norm(x)): a
+    # divisor of larger norm is reached through its cofactor.  For one
+    # element each such divisor n of its norm is read once, ascending:
+    # the pass over n finds the divisors of norm n and of norm(x)/n
     import quadfactor.qint as qint
-    asked = []
+    asked, read = [], qint._elements_of_norm
 
     def recorder(n, cfg):
         asked.append(n)
-        return elements_of_norm(n, cfg)
+        return read(n, cfg)
 
-    monkeypatch.setattr(qint, "elements_of_norm", recorder)
+    monkeypatch.setattr(qint, "_elements_of_norm", recorder)
     rng = random.Random(14)
     for x in _seeded_large_elements(rng, 60):
         asked.clear()
         assert list(irreducible_common_divisors([x]))
-        assert asked and max(asked) <= math.isqrt(x.norm()), x
+        n = x.norm()
+        assert asked == [s for s in _divisors(n) if s * s <= n], x
         # in a list, the bound is set by the element of least norm
         asked.clear()
         y = x.cfg.el(rng.randint(2, 9), rng.randint(-3, 3))

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import pathlib
 import random
 import re
@@ -131,14 +132,14 @@ def test_certificate_stops_the_divisor_scan(monkeypatch, capsys):
     # 720 has 122 canonical divisors at d = -5, but the certificate is
     # the first of them, and the scan draws no more than that one
     from quadfactor import cli, qint
-    scan, drawn = qint.common_divisors, []
+    scan, drawn = qint._divisor_scan, []
 
     def counting(elems):
-        for c in scan(elems):
-            drawn.append(c)
-            yield c
+        for t in scan(elems):
+            drawn.append(elems[0].cfg.el(t[1], t[2]))
+            yield t
 
-    monkeypatch.setattr(qint, "common_divisors", counting)
+    monkeypatch.setattr(qint, "_divisor_scan", counting)
     assert cli.main(["--d", "-5", "irr", "720*x+720"]) == 0
     assert capsys.readouterr().out == (
         '{"poly": "720*x+720", "d": -5, "irreducible": false, '
@@ -395,6 +396,29 @@ def test_witness_budget(monkeypatch):
         property_p_witness(ring(-3), 20, 2)
     monkeypatch.setattr(rpoly, "WITNESS_MAX_CANDIDATES", 10 ** 4)
     assert property_p_witness(ring(-3), 20, 2) == RP("x^2+x+1", -3)
+
+
+@pytest.mark.parametrize("d, bound", [(-1, 18), (-2, 19)])
+def test_witness_square_test_once_per_c1_squared(monkeypatch, d, bound):
+    # no witness exists, so every row is scanned; the rows of c1 and -c1
+    # share the square test of their discriminant c1^2 - 4*lead*c0, so
+    # _twice_sqrt runs once per lead, distinct c1^2 and c0
+    from quadfactor import rpoly
+    calls, twice_sqrt = [], rpoly._twice_sqrt
+
+    def counted(*args):
+        calls.append(args)
+        return twice_sqrt(*args)
+
+    monkeypatch.setattr(rpoly, "_twice_sqrt", counted)
+    cfg = ring(d)
+    assert property_p_witness(cfg, bound, 2) is None
+    k = math.isqrt(bound)
+    coeffs = [(a, b) for a in range(-k, k + 1) for b in range(-k, k + 1)
+              if a * a - d * b * b <= bound]
+    squares = {(a * a + d * b * b, 2 * a * b) for a, b in coeffs}
+    leads = sum(len(elements_of_norm(n, cfg)) for n in range(1, bound + 1))
+    assert len(calls) == leads * len(squares) * len(coeffs)
 
 
 def test_cli_witness_budget(capsys):
