@@ -6,9 +6,9 @@ divisor of an element, so divisibility, irreducibility and primality are
 all decidable by finite enumeration.  Divisor questions share one scan,
 which reads each pair of norms once: a divisor of x and its cofactor
 have norms s and norm(x)/s, one of them <= sqrt(norm(x)), and one
-congruence on a class of norm s finds both.  Only d < 0 is supported: the unit group is then
-finite ({1, -1}, plus {w, -w} when d = -1), which makes "up to
-associates" a finite canonical notion.
+congruence on a class of norm s finds both.  Only d < 0 is supported:
+the unit group is then finite ({1, -1}, plus {w, -w} when d = -1),
+which makes "up to associates" a finite canonical notion.
 
 Associate classes get a canonical representative: the unit multiple
 minimizing (-sign(a), |a|, -sign(b), |b|) lexicographically, i.e. positive
