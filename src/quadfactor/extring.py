@@ -11,6 +11,9 @@ c in R the factorizations into (constants of R) * (copies of x) *
 multisets of the normal form.  In D2 the square x^2 * (unit tail) of a
 single atom acquires arbitrarily long rival factorizations through
 pi^(2n) * (1 - x^2/pi^(2n)), which is what d2_witness_verify checks.
+D2 is not atomic: for a in K outside R, a*x^2 has no factorization into
+atoms, since any split into nonunits has a nonunit constant c of R as
+one factor and (a/c)*x^2, of the same kind, as the other.
 """
 
 from __future__ import annotations

@@ -6,17 +6,17 @@ Norms strictly decrease along proper divisors, so the divisor tree is
 finite: every factorization of x starts with an irreducible divisor y,
 and the rest is a factorization of x/y.  One divisor scan finds the
 atoms of x, its canonical irreducible divisors.  Every irreducible
-divisor of a quotient q = x/y divides x, so the atoms of q are the
-atoms of x that divide q, found by integer congruences with no further
+divisor of a quotient q = x/y divides x, so q takes the atoms of x and
+skips, by integer congruences, those that do not divide it: no further
 scan.  Atoms are ordered by (norm, a, b), and a factorization is built
 only as a non-decreasing atom sequence, so each one is built once.
 
 The recursion, `_factor_multisets`, is memoized on the canonical
 element alone (its atoms are a function of it): one entry per distinct
-element or quotient seen, with no bound, shared by every later call in
-the process, so a repeated element costs no scan.  Every entry, input or
-quotient, is multiplied back on integer coordinates when it is filled,
-and `factorizations` returns its checked frozenset as it is.
+element or reducible quotient seen, with no bound, shared by every later
+call in the process, so a repeated element costs no scan.  Every entry,
+input or quotient, is multiplied back on integer coordinates when it is
+filled, and `factorizations` returns its checked frozenset as it is.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import functools
 from fractions import Fraction
 
 from .errors import ResourceLimitError, VerificationError
-from .qint import (KElem, _canonical_coords, _irreducible_divisors,
-                   _require_factorable)
+from .qint import KElem, _atoms, _canonical_coords, _require_factorable
 
 NORM_LIMIT = 10 ** 8
 
@@ -55,9 +54,9 @@ class FactorizationSet:
 
 
 class _Element:
-    """An element a + b*w of Z[w] as a memo key, with its atoms when the
-    caller knows them.  Keys compare and hash by the element alone: its
-    atoms are a function of it, and a call on an element seen before,
+    """An element a + b*w of Z[w] as a memo key, with its parent's atoms
+    when it is a quotient.  Keys compare and hash by the element alone:
+    its atoms are a function of it, and a call on an element seen before,
     as an input or as a quotient, then finds its entry without a scan."""
 
     __slots__ = ("cfg", "a", "b", "atoms")
@@ -78,33 +77,35 @@ def _factor_multisets(x: _Element) -> frozenset:
     """x canonical, nonzero, nonunit; returns its distinct factorizations
     as tuples sorted by (norm, a, b), each checked by _check_products.
 
-    The atoms are (norm, a, b, element) in ascending order; the divisor
-    scan finds them when x.atoms is None.  Each factorization is built
-    from its least atom y: y, then a factorization of x/y whose least
-    atom is not below y.  y divides x, so x*conj(y) is exactly divisible
-    by norm(y), and an atom t divides x/y when (x/y)*conj(t) is 0 mod
-    norm(t), coordinate by coordinate."""
-    cfg, a, b, atoms = x.cfg, x.a, x.b, x.atoms
+    The atoms are (norm, a, b, element) in ascending order, from the
+    divisor scan when x.atoms is None, else its parent's; y divides x
+    when x*conj(y) is 0 mod norm(y), coordinate by coordinate.  Each
+    factorization is y, its least atom, then one of x/y whose least atom
+    is not below y: none when no atom from y up divides x/y, and only
+    (x/y,) when the first found from the top has the norm of x/y."""
+    cfg, a, b = x.cfg, x.a, x.b
     d = cfg.d
-    if atoms is None:
-        atoms = tuple(sorted(_irreducible_divisors([KElem(a, b, cfg)])))
     n = a * a - d * b * b
-    out = []
-    for atom in atoms:
-        m, ya, yb, y = atom
+    atoms, out = x.atoms or _atoms(a, b, cfg), []
+    for i, (m, ya, yb, y) in enumerate(atoms):
+        ta, tb = a * ya - d * b * yb, b * ya - a * yb
+        if n % m or ta % m or tb % m:
+            continue
         k = n // m
         if k == 1:
             out.append((y,))
             continue
-        qa, qb = _canonical_coords((a * ya - d * b * yb) // m,
-                                   (b * ya - a * yb) // m, d)
-        sub = tuple(t for t in atoms if not k % t[0]
-                    and not (qa * t[1] - d * qb * t[2]) % t[0]
-                    and not (qb * t[1] - qa * t[2]) % t[0])
-        if sub[-1] < atom:
+        qa, qb = _canonical_coords(ta // m, tb // m, d)
+        for j in range(len(atoms) - 1, i - 1, -1):
+            t, ua, ub, z = atoms[j]
+            if not (k % t or (qa * ua - d * qb * ub) % t
+                    or (qb * ua - qa * ub) % t):
+                break
+        else:
             continue
         least = (m, ya, yb)
-        for rest in _factor_multisets(_Element(cfg, qa, qb, sub)):
+        for rest in ((z,),) if t == k else _factor_multisets(
+                _Element(cfg, qa, qb, atoms)):
             r = rest[0]
             if (r.a * r.a - d * r.b * r.b, r.a, r.b) >= least:
                 out.append((y,) + rest)
@@ -129,10 +130,10 @@ def _check_products(x: _Element, fs) -> None:
 def factorizations(x: KElem) -> FactorizationSet:
     """Every factorization of x into irreducibles, up to associates: the
     memo's frozenset, each checked once to multiply back to x's associate."""
-    _require_factorable(x)
-    n = x.norm()
+    n = x.a * x.a - x.cfg.d * x.b * x.b
+    if x.den != 1 or n < 2:
+        _require_factorable(x)
     if n > NORM_LIMIT:
         raise ResourceLimitError(f"norm {n} exceeds guard {NORM_LIMIT}")
     a, b = _canonical_coords(x.a, x.b, x.cfg.d)
-    return FactorizationSet(element=x, factorizations=_factor_multisets(
-        _Element(x.cfg, a, b, None)))
+    return FactorizationSet(x, _factor_multisets(_Element(x.cfg, a, b, None)))

@@ -6,9 +6,10 @@ divisor of an element, so divisibility, irreducibility and primality are
 all decidable by finite enumeration.  Divisor questions share one scan,
 which reads each pair of norms once: a divisor of x and its cofactor
 have norms s and norm(x)/s, one of them <= sqrt(norm(x)), and one
-congruence on a class of norm s finds both.  Only d < 0 is supported:
-the unit group is then finite ({1, -1}, plus {w, -w} when d = -1),
-which makes "up to associates" a finite canonical notion.
+congruence on a class of norm s finds both; factoring takes every pass
+at once.  Only d < 0 is supported: the unit group is then finite
+({1, -1}, plus {w, -w} when d = -1), which makes "up to associates" a
+finite canonical notion.
 
 Associate classes get a canonical representative: the unit multiple
 minimizing (-sign(a), |a|, -sign(b), |b|) lexicographically, i.e. positive
@@ -362,6 +363,29 @@ def elements_of_norm(n: int, cfg: RingCfg) -> tuple[KElem, ...]:
     return _elements_of_norm(n, cfg)
 
 
+def _lattice_walk(cfg: RingCfg, max_norm: int) -> list:
+    """Coordinates of 0 and the nonzero elements of norm <= max_norm in
+    (norm, _coords_key) order.  The walk visits them in _coords_key
+    order, which the stable sort by norm keeps among equal norms."""
+    dd = -cfg.d
+
+    def signed(k):
+        # 1..k, 0, -1..-k: the _coords_key order of one coordinate
+        return [*range(1, k + 1), 0, *range(-1, -k - 1, -1)]
+
+    return sorted(((a, b) for a in signed(math.isqrt(max_norm))
+                   for b in signed(math.isqrt((max_norm - a * a) // dd))),
+                  key=lambda p: p[0] * p[0] + dd * p[1] * p[1])
+
+
+def _canonical_points(cfg: RingCfg, points):
+    """The canonical nonzero points of a _lattice_walk as elements: the
+    elements_of_norm(n) over the norms n walked, in order."""
+    d = cfg.d
+    return (KElem(a, b, cfg) for a, b in points
+            if (a or b) and _canonical_coords(a, b, d) == (a, b))
+
+
 # steps from 2 to 3, 5 and 7, then between the residues prime to 30
 _WHEEL_START = (1, 2, 2)
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
@@ -450,24 +474,49 @@ def check_integral(coeffs) -> None:
             raise DomainError(f"coefficient of x^{i} is {c}, not in Z[w]")
 
 
+def _norm_pair_scan(cfg: RingCfg, xa: int, xb: int, g: int, ms) -> list:
+    """(norm, a, b, c) for each canonical nonunit a + b*w dividing the
+    nonzero x0 = xa + xb*w with norm dividing g | N0 = norm(x0), found in
+    the passes m of ms, divisors of g, each once over all m | g; c is the
+    element _elements_of_norm cached, or None for a cofactor.  A class q
+    of norm s divides x0 exactly when x0*conj(q) = 0 mod s, and then its
+    cofactors x0*conj(q)/s, canonical, are the classes of divisors of
+    norm N0/s.  So the pass m reads the classes of norm min(m, N0/m),
+    and finds nothing when its partner N0/m < m divides g, whose pass
+    found both: when g = N0, the passes stop past sqrt(N0)."""
+    d = cfg.d
+    n0 = xa * xa - d * xb * xb
+    out = []
+    for m in ms:
+        k = n0 // m
+        if k >= m:
+            s, big = m, k
+        elif g == n0:
+            break
+        elif g % k:
+            s, big = k, m
+        else:
+            continue
+        for q in _elements_of_norm(s, cfg):
+            qa, qb = q.a, q.b
+            ta, tb = xa * qa - d * xb * qb, xb * qa - xa * qb
+            if ta % s or tb % s:
+                continue
+            if s == m > 1:
+                out.append((s, qa, qb, q))
+            if big > s and not g % big:
+                ca, cb = _canonical_coords(ta // s, tb // s, d)
+                out.append((big, ca, cb, None))
+    return out
+
+
 def _divisor_scan(elems: list[KElem]):
-    """(norm, a, b, c) for each canonical nonunit a + b*w dividing every
-    element, by ascending norm, then _coords_key; c is the element that
-    _elements_of_norm cached, or None for a divisor found as a cofactor.
-
-    A common divisor's norm divides the gcd g of the norms, so the scan
-    is finite unless every element is zero; then every nonunit divides
-    and the scan runs over all norms.
-
-    Let x0 be a nonzero element of least norm N0.  A class q of norm s
-    divides x0 exactly when x0*conj(q) = 0 mod s, and its cofactors
-    x0*conj(q)/s, canonical, are then the classes of divisors of norm
-    N0/s, each once.  So for each m | g the classes of norm min(m, N0/m)
-    are read once, and m is skipped when its partner N0/m < m divides g,
-    whose pass found both.  Divisors of norm <= sqrt(N0) are yielded as
-    found, the cofactors after.  Each is tested against the other
-    elements by the identity `try_div` rests on: c = ca + cb*w divides
-    a + b*w exactly when a*ca - d*b*cb and b*ca - a*cb are 0 mod norm(c)."""
+    """_norm_pair_scan's tuple for each canonical nonunit dividing every
+    element, by norm, then _coords_key: x0 has the least norm N0, g is
+    the gcd of the norms, and a divisor ca + cb*w of x0 divides a + b*w
+    when a*ca - d*b*cb and b*ca - a*cb are 0 mod its norm.  Those of
+    norm <= sqrt(N0) come as their pass finds them, cofactors after;
+    with every element zero, the scan runs over all norms."""
     cfg = elems[0].cfg
     d = cfg.d
     pairs = [(e.a, e.b) for e in elems if e.a or e.b]
@@ -476,57 +525,29 @@ def _divisor_scan(elems: list[KElem]):
             for c in _elements_of_norm(m, cfg):
                 yield m, c.a, c.b, c
     norms = [a * a - d * b * b for a, b in pairs]
-    n0, g = min(norms), math.gcd(*norms)
-    xa, xb = pairs.pop(norms.index(n0))
-    later = []
+    xa, xb = pairs.pop(norms.index(min(norms)))
+    g, later = math.gcd(*norms), []
     for m in _divisors(g):
-        k = n0 // m
-        if k >= m:
-            s, big, small, large = m, k, m > 1, k > m and not g % k
-        elif g % k:
-            s, big, small, large = k, m, False, True
-        else:
-            continue
-        if not (small or large):
-            continue
-        found = []
-        for q in _elements_of_norm(s, cfg):
-            qa, qb = q.a, q.b
-            ta, tb = xa * qa - d * xb * qb, xb * qa - xa * qb
-            if ta % s or tb % s:
+        for t in _norm_pair_scan(cfg, xa, xb, g, (m,)):
+            n, ca, cb, c = t
+            if any((a * ca - d * b * cb) % n or (b * ca - a * cb) % n
+                   for a, b in pairs):
                 continue
-            if small:
-                for a, b in pairs:
-                    if (a * qa - d * b * qb) % s or (b * qa - a * qb) % s:
-                        break
-                else:
-                    yield s, qa, qb, q
-            if large:
-                ca, cb = _canonical_coords(ta // s, tb // s, d)
-                for a, b in pairs:
-                    if (a * ca - d * b * cb) % big or (b * ca - a * cb) % big:
-                        break
-                else:
-                    found.append((ca, cb))
-        if len(found) > 1:
-            found.sort(key=_coords_key)
-        later.append((big, found))
-    later.sort()  # by norm: the norms differ, so no lists are compared
-    for big, found in later:
-        for ca, cb in found:
-            yield big, ca, cb, None
+            if c is None:
+                later.append(t)
+            else:
+                yield t
+    yield from sorted(later, key=lambda t: (t[0], _coords_key(t[1:3])))
 
 
-def _irreducible_divisors(elems: list[KElem]):
-    """The tuples of _divisor_scan whose divisor is irreducible, each
-    with its element.  A divisor is kept exactly when no divisor kept
-    before it divides it: its divisors come first, a reducible one has
-    an irreducible proper divisor, and distinct canonical divisors of
-    equal norm cannot divide each other."""
-    cfg = elems[0].cfg
+def _irreducibles(scan, cfg):
+    """The tuples of scan, where divisors precede their multiples, with
+    an irreducible divisor, each with its element: those no tuple kept
+    before divides, as distinct canonical divisors of equal norm cannot
+    divide each other."""
     d = cfg.d
     kept = []
-    for m, ca, cb, c in _divisor_scan(elems):
+    for m, ca, cb, c in scan:
         for n, ya, yb in kept:
             if (m % n == 0 and not (ca * ya - d * cb * yb) % n
                     and not (cb * ya - ca * yb) % n):
@@ -534,6 +555,15 @@ def _irreducible_divisors(elems: list[KElem]):
         else:
             kept.append((m, ca, cb))
             yield m, ca, cb, KElem(ca, cb, cfg) if c is None else c
+
+
+def _atoms(a: int, b: int, cfg: RingCfg) -> tuple:
+    """(norm, a, b, element) for each canonical irreducible divisor of
+    a + b*w, nonzero, by (norm, a, b): one eager pass over every m."""
+    n = a * a - cfg.d * b * b
+    scan = _norm_pair_scan(cfg, a, b, n, _divisors(n))
+    scan.sort()
+    return tuple(_irreducibles(scan, cfg))
 
 
 def common_divisors(elems: list[KElem]):
@@ -560,5 +590,5 @@ def irreducible_common_divisors(elems: list[KElem]):
     by ascending norm, yielded as the divisor scan finds them."""
     if all(e.is_zero() for e in elems):
         raise DomainError("all elements are zero")
-    for t in _irreducible_divisors(elems):
+    for t in _irreducibles(_divisor_scan(elems), elems[0].cfg):
         yield t[3]

@@ -20,10 +20,10 @@ import math
 from .errors import DomainError, ResourceLimitError
 from .factor import FactorizationSet
 from .kpoly import FACTOR_K_MAX_DEG, KPoly, factor_k, poly_order_key
-from .qint import (KElem, RingCfg, _twice_sqrt, canonical_associate,
-                   check_coeff_norms, check_integral, common_divisors,
-                   elements_of_norm, irreducible_common_divisors, order_key,
-                   try_div)
+from .qint import (KElem, RingCfg, _canonical_points, _lattice_walk,
+                   _twice_sqrt, canonical_associate, check_coeff_norms,
+                   check_integral, common_divisors, irreducible_common_divisors,
+                   order_key, try_div)
 
 MAX_DEG = FACTOR_K_MAX_DEG
 WITNESS_MAX_DEG = 2
@@ -200,27 +200,11 @@ def factorizations_rx(f: KPoly) -> FactorizationSet:
 
 
 def _witness_count(cfg: RingCfg, max_norm: int) -> int:
-    """len(_witness_coeffs(cfg, max_norm)) in O(sqrt(max_norm)) steps:
+    """len(_lattice_walk(cfg, max_norm)) in O(sqrt(max_norm)) steps:
     for each a, the b with a^2 + |d|*b^2 <= max_norm."""
     k = math.isqrt(max_norm)
     return sum(2 * math.isqrt((max_norm - a * a) // -cfg.d) + 1
                for a in range(-k, k + 1))
-
-
-def _witness_coeffs(cfg: RingCfg, max_norm: int) -> list:
-    """Coordinates of 0 and the nonzero elements of norm <= max_norm in
-    (norm, _coords_key) order.  The walk visits them in _coords_key
-    order, which the stable sort by norm keeps among equal norms."""
-    dd = -cfg.d
-
-    def signed(k):
-        # 1..k, 0, -1..-k: the _coords_key order of one coordinate
-        return [*range(1, k + 1), 0, *range(-1, -k - 1, -1)]
-
-    points = [(a, b) for a in signed(math.isqrt(max_norm))
-              for b in signed(math.isqrt((max_norm - a * a) // dd))]
-    points.sort(key=lambda p: p[0] * p[0] + dd * p[1] * p[1])
-    return points
 
 
 def _linear_leads(c2: KElem) -> list[tuple[int, int, int, int, int]]:
@@ -301,12 +285,10 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
     if _witness_count(cfg, min(max_norm, cap)) > WITNESS_MAX_CANDIDATES:
         raise over_budget
     d = cfg.d
-    # leads in (norm, _coords_key) order: norms ascend, and each
-    # elements_of_norm tuple is sorted by _coords_key; they are drawn only
-    # as far as the budget lets the search go
-    leads = (z for n in range(1, max_norm + 1)
-             for z in elements_of_norm(n, cfg))
-    inner = _witness_coeffs(cfg, max_norm)
+    # the coefficients, and the leads, their canonical nonzero points,
+    # in (norm, _coords_key) order
+    inner = _lattice_walk(cfg, max_norm)
+    leads = _canonical_points(cfg, inner)
     # the discriminant c1^2 - 4*lead*c0 in coordinates: 4*lead*c0 and
     # the split divisors once per lead, c1^2 once per row, its square test
     # once per c1^2; a row the budget cuts short is the last, never reused

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from . import extring, factor, ideals, rpoly
 from .kpoly import KPoly, factor_k
-from .qint import (KElem, common_nonunit_divisor, elements_of_norm, is_prime,
-                   norm, ring)
+from .qint import (KElem, _canonical_points, _lattice_walk,
+                   common_nonunit_divisor, is_prime, ring)
 
 CORE_RINGS = (-1, -2, -3, -5, -14)
 
@@ -55,24 +55,22 @@ def naive_factorization_oracle(d: int, max_norm: int) -> dict:
     (norm, a, b)."""
     dd = -d
 
-    def key(a, b):
-        sa = 0 if a > 0 else (1 if a == 0 else 2)
-        sb = 0 if b > 0 else (1 if b == 0 else 2)
-        return (sa, abs(a), sb, abs(b))
-
     # canon_of maps every lattice point of norm <= max_norm to its
-    # canonical pair, found once per orbit; nonunits lists the canonical
-    # pairs of norm >= 2 as (norm, a, b)
+    # canonical pair, found once per orbit: a > 0 first, then the least
+    # a, then b > 0; nonunits lists those of norm >= 2 as (norm, a, b)
     canon_of, nonunits = {}, []
     r = math.isqrt(max_norm)
     for a in range(-r, r + 1):
         s = math.isqrt((max_norm - a * a) // dd)
         for b in range(-s, s + 1):
             if (a, b) not in canon_of:
-                orbit = [(a, b), (-a, -b)]
-                if d == -1:
-                    orbit += [(-b, a), (b, -a)]
-                c = min(orbit, key=lambda p: key(*p))
+                if d == -1 and (a or b):
+                    orbit = ((a, b), (-a, -b), (-b, a), (b, -a))
+                    u, v = min((p, -q) for p, q in orbit if p > 0)
+                    c = (u, -v)
+                else:
+                    orbit = ((a, b), (-a, -b))
+                    c = orbit[0] if orbit[0] > (0, 0) else orbit[1]
                 canon_of.update(dict.fromkeys(orbit, c))
                 n = a * a + dd * b * b
                 if n > 1:
@@ -96,8 +94,8 @@ def naive_factorization_oracle(d: int, max_norm: int) -> dict:
             if n * m > max_norm:
                 return
             pa, pb = a * ta - dd * b * tb, a * tb + b * ta
-            out[canon_of[(pa, pb)]].add(seq + (t,))
-            grow(seq + (t,), pa, pb, n * m, j)
+            out[canon_of[(pa, pb)]].add(longer := seq + (t,))
+            grow(longer, pa, pb, n * m, j)
 
     grow((), 1, 0, 1, 0)
     del grow  # frees canon_of now: grow's closure cell refers to grow
@@ -106,7 +104,8 @@ def naive_factorization_oracle(d: int, max_norm: int) -> dict:
 
 def _as_triples(fs: factor.FactorizationSet) -> set:
     # fs sorts its tuples by (norm, a, b), as the oracle does
-    return {tuple((norm(z), z.a, z.b) for z in m)
+    d = fs.element.cfg.d
+    return {tuple([(z.a * z.a - d * z.b * z.b, z.a, z.b) for z in m])
             for m in fs.factorizations}
 
 
@@ -206,8 +205,8 @@ def check_rx_split_z5(seed: int):
 def check_hfd_z5(seed: int):
     cfg = ring(-5)
     multi = None
-    for n in range(2, 5001):
-        for x in elements_of_norm(n, cfg):
+    for x in _canonical_points(cfg, _lattice_walk(cfg, 5000)):
+        if x.norm() > 1:
             fs = factor.factorizations(x)
             if len({len(m) for m in fs.factorizations}) != 1:
                 return False, f"length set of {x} is not a singleton"
@@ -242,8 +241,8 @@ def check_elasticity_shrink(seed: int):
     pools = {}
     for d in ds:
         cfg = ring(d)
-        pools[d] = [x for n in range(2, 61)
-                    for x in elements_of_norm(n, cfg) if is_prime(x)]
+        pools[d] = [x for x in _canonical_points(cfg, _lattice_walk(cfg, 60))
+                    if x.norm() > 1 and is_prime(x)]
     checked = 0
     while checked < 200:
         d = ds[checked % len(ds)]

@@ -195,6 +195,45 @@ def test_factorizations_match_oracle_large_norms():
         done += 1
 
 
+def test_atoms_match_divisor_oracle_large_norms():
+    # the eager atom pass that factor reads against the try_div scan of
+    # tests/divisor_oracle.py, on 120 seeded single elements of norm 10^6
+    # to 10^8, the range of the elements workload: drawn near a
+    # log-uniform norm, squares (whose atoms may have norm exactly
+    # sqrt(N), the last pass), and products of small nonunits, whose
+    # divisors are many.  The same irreducibles, sorted by (norm, a, b),
+    # each carrying its own element
+    import divisor_oracle
+    from quadfactor.qint import _atoms
+    rng = random.Random(27)
+    done = 0
+    while done < 120:
+        cfg = ring(rng.choice(ORACLE_RINGS))
+        if done % 3:
+            target = int(10 ** rng.uniform(3 if done % 3 == 2 else 6, 8))
+            b = rng.randint(0, int((target / -cfg.d) ** 0.5))
+            a = int((target + cfg.d * b * b) ** 0.5)
+            x = cfg.el(rng.choice((a, -a)), rng.choice((b, -b)))
+            if done % 3 == 2:
+                x = x * x
+        else:
+            x = cfg.el(1)
+            while x.norm() < 10 ** 6:
+                y = cfg.el(rng.randint(-6, 6), rng.randint(-2, 2))
+                if not y.is_zero() and not y.is_unit():
+                    x = x * y
+        if not 10 ** 6 <= x.norm() <= 10 ** 8:
+            continue
+        atoms = _atoms(x.a, x.b, cfg)
+        assert [t[:3] for t in atoms] == sorted(
+            (c.norm(), c.a, c.b)
+            for c in divisor_oracle.irreducible_common_divisors([x])), \
+            (cfg.d, str(x))
+        assert all((t[3].a, t[3].b, t[3].cfg) == (t[1], t[2], cfg)
+                   for t in atoms)
+        done += 1
+
+
 @pytest.mark.parametrize("d, x, count", [
     (-5, 6 ** 5, 28), (-26, 15 ** 3 * 2, 31), (-6, 30 ** 2 * 5, 76),
     (-17, 3 ** 4 * 2 ** 4 * 7, 23)])
@@ -212,13 +251,13 @@ def test_one_divisor_scan_per_call(monkeypatch):
     # finds it in the memo and scans nothing
     from quadfactor import factor, qint
     scans = []
-    scan = qint._divisor_scan
+    scan = qint._norm_pair_scan
 
-    def counted(elems):
-        scans.append(elems)
-        return scan(elems)
+    def counted(cfg, xa, xb, g, ms):
+        scans.append((xa, xb))
+        return scan(cfg, xa, xb, g, ms)
 
-    monkeypatch.setattr(qint, "_divisor_scan", counted)
+    monkeypatch.setattr(qint, "_norm_pair_scan", counted)
     factor._factor_multisets.cache_clear()
     cfg = ring(-5)
     fs = factorizations(cfg.el(6 ** 5))

@@ -9,7 +9,8 @@ from kelem_oracle import coords
 
 from quadfactor.errors import DomainError
 from quadfactor.qint import (KElem, _associate_coords, _canonical_coords,
-                             _coords_key, _divisors, _is_rational_prime,
+                             _canonical_points, _coords_key, _divisors,
+                             _is_rational_prime, _lattice_walk,
                              canonical_associate, common_divisors,
                              common_nonunit_divisor, conj, elements_of_norm,
                              irreducible_common_divisors, is_irreducible,
@@ -385,6 +386,21 @@ def test_elements_of_norm_matches_lattice_walk():
         for n in range(top + 1):
             want = sorted(classes.get(n, ()), key=_coords_key)
             assert [(z.a, z.b) for z in elements_of_norm(n, cfg)] == want
+
+
+def test_lattice_walk_canonical_points_are_the_classes_by_norm():
+    # the walk's canonical nonzero points, in walk order, are the
+    # concatenation of elements_of_norm(n) over n <= B: d = -1 has four
+    # units, d = -3 is a non-maximal order.  Each B is a norm with
+    # several classes, so the walk ends inside a run of equal norms
+    for d, bound in ((-1, 1105), (-3, 2548), (-5, 1449), (-97, 2597)):
+        cfg = ring(d)
+        assert len(elements_of_norm(bound, cfg)) >= 4
+        want = [(z.a, z.b) for n in range(1, bound + 1)
+                for z in elements_of_norm(n, cfg)]
+        got = [(z.a, z.b) for z in
+               _canonical_points(cfg, _lattice_walk(cfg, bound))]
+        assert got == want, d
 
 
 def _seeded_large_elements(rng, count):

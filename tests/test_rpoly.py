@@ -16,13 +16,12 @@ from quadfactor.ideals import (content_ideal, gauss_product_check,
                                is_primitive, is_superprimitive)
 from quadfactor.kpoly import KElem, KPoly, factor_k
 from quadfactor.parse import parse_rpoly
-from quadfactor.qint import (_coords_key, _is_squarefree, _twice_sqrt,
-                             check_integral,
+from quadfactor.qint import (_coords_key, _is_squarefree, _lattice_walk,
+                             _twice_sqrt, check_integral,
                              common_nonunit_divisor, elements_of_norm,
                              is_irreducible, ring)
 from quadfactor.rpoly import (WITNESS_MAX_CANDIDATES, _linear_leads,
-                              _quad_splits_in_rx, _splits,
-                              _witness_coeffs, _witness_count,
+                              _quad_splits_in_rx, _splits, _witness_count,
                               canonical_poly, factorizations_rx,
                               is_irreducible_rx, lambda_candidates,
                               property_p_witness)
@@ -442,12 +441,12 @@ def test_witness_coeffs_order_and_cap():
                          if a * a - d * b * b <= 900),
                         key=lambda p: (p[0] * p[0] - d * p[1] * p[1],
                                        _coords_key(p)))
-        assert _witness_coeffs(ring(d), 900) == points
+        assert _lattice_walk(ring(d), 900) == points
     for d in ALL_DS:
         cfg = ring(d)
         for bound in (1, 2, 3, 4, 10, 99, 100, 101, 2000):
             assert _witness_count(cfg, bound) == \
-                len(_witness_coeffs(cfg, bound)), (d, bound)
+                len(_lattice_walk(cfg, bound)), (d, bound)
         # property_p_witness clamps its count at this norm, which alone
         # outnumbers the budget
         assert _witness_count(cfg, 2 * -d * (WITNESS_MAX_CANDIDATES + 1)) \
@@ -459,7 +458,7 @@ def test_witness_coeffs_order_and_cap():
     for d in ALL_DS:
         cfg = ring(d)
         lams = _linear_leads(cfg.el(1))
-        for a, b in _witness_coeffs(cfg, 2000):
+        for a, b in _lattice_walk(cfg, 2000):
             t = _twice_sqrt(-4 * a, -4 * b, d)
             if t is None:
                 continue
