@@ -9,6 +9,9 @@ deg g >= 1, g is lam * g0 for some subproduct g0 of the monic K-factors
 and some lam in K*.  The admissible lam form a finite, computable set
 (see lambda_candidates), which makes irreducibility and the full
 factorization tree decidable.
+
+The witness search skips a quadratic that a symmetry of the question
+maps to an earlier one, so it still finds the first witness.
 """
 
 from __future__ import annotations
@@ -16,14 +19,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 
 from .errors import DomainError, ResourceLimitError
 from .factor import FactorizationSet
 from .kpoly import FACTOR_K_MAX_DEG, KPoly, factor_k, poly_order_key
-from .qint import (KElem, RingCfg, _canonical_points, _lattice_walk,
-                   _twice_sqrt, canonical_associate, check_coeff_norms,
-                   check_integral, common_divisors, irreducible_common_divisors,
-                   order_key, try_div)
+from .qint import (KElem, RingCfg, _canonical_coords, _canonical_points,
+                   _coords_key, _lattice_walk, _twice_sqrt,
+                   canonical_associate, check_coeff_norms, check_integral,
+                   common_divisors, irreducible_common_divisors, order_key,
+                   try_div)
 
 MAX_DEG = FACTOR_K_MAX_DEG
 WITNESS_MAX_DEG = 2
@@ -262,11 +267,17 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
     square in K (_twice_sqrt), no rescaling of its roots may give
     linear factors of R[x] (_quad_splits_in_rx); is_irreducible_rx
     decides a survivor, and rejects one with a common nonunit divisor of
-    its coefficients at its first constant split.  The rows of c1 and
-    -c1 share the square test, which reads c1 only through c1^2.  Past
-    WITNESS_MAX_CANDIDATES candidates, each row counted in full, the
-    search raises ResourceLimitError, from a count alone when the
-    coefficients outnumber that budget."""
+    its coefficients at its first constant split.
+
+    Both properties are kept by x -> -x, by x -> +-i*x at d = -1 (with
+    the unit rescaling, (c1, c0) -> (-+i*c1, -c0)), by conjugation and,
+    for c0 != 0, by the reversal x^2*f(1/x).  A candidate is skipped
+    only when one of these maps it to a strictly earlier candidate, so
+    the first witness is always tested: a row whose c1 is not canonical,
+    a lead whose conjugate class comes first, and a c0 != 0 whose class
+    comes before the lead's.  Past WITNESS_MAX_CANDIDATES candidates,
+    skipped ones included, the search raises ResourceLimitError, from a
+    count alone when the coefficients outnumber that budget."""
     if max_norm < 1 or max_deg < 1:
         raise DomainError("bounds must be positive")
     if max_deg > WITNESS_MAX_DEG:
@@ -288,34 +299,52 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
     # the coefficients, and the leads, their canonical nonzero points,
     # in (norm, _coords_key) order
     inner = _lattice_walk(cfg, max_norm)
-    leads = _canonical_points(cfg, inner)
-    # the discriminant c1^2 - 4*lead*c0 in coordinates: 4*lead*c0 and
-    # the split divisors once per lead, c1^2 once per row, its square test
-    # once per c1^2; a row the budget cuts short is the last, never reused
-    tried = 0
-    for lead in leads:
-        la, lb = 4 * lead.a, 4 * lead.b
-        prods = [(a, b, la * a + d * lb * b, la * b + lb * a)
-                 for a, b in inner]
+    n, tried = len(inner), 0
+
+    def norm(p):
+        return p[0] * p[0] - d * p[1] * p[1]
+
+    for lead in _canonical_points(cfg, inner):
+        key = _coords_key((lead.a, lead.b))
+        if _coords_key(_canonical_coords(lead.a, -lead.b, d)) < key:
+            tried += n * n
+            if tried > WITNESS_MAX_CANDIDATES:
+                raise over_budget
+            continue
+        # the kept c0: 0, those of the lead's norm (inner[lo:hi]) whose
+        # class is not before the lead's, and every larger norm
+        lo = bisect_left(inner, lead.norm(), key=norm)
+        hi = bisect_right(inner, lead.norm(), lo, key=norm)
+        band = [i for i in range(lo, hi)
+                if _coords_key(_canonical_coords(*inner[i], d)) >= key]
+        # 4*lead*c0 and the split divisors once per lead; a survivor's c0
+        # is read back off 4*lead*c0 by exact division
+        la, lb, n4 = 4 * lead.a, 4 * lead.b, 16 * lead.norm()
+        prods = [(la * a + d * lb * b, la * b + lb * a)
+                 for a, b in itertools.chain(
+                     inner[:1], (inner[i] for i in band),
+                     itertools.islice(inner, hi, None))]
         c2, lams = (lead.a, lead.b), _linear_leads(lead)
-        squares = {}
         for c1 in inner:
             c1a, c1b = c1
-            sq = sa, sb = c1a * c1a + d * c1b * c1b, 2 * c1a * c1b
             left = WITNESS_MAX_CANDIDATES - tried
-            tried += len(prods)
-            row = squares.get(sq) if tried <= WITNESS_MAX_CANDIDATES else None
-            if row is None:
-                row = squares[sq] = [
-                    (a, b, t) for a, b, pa, pb in itertools.islice(prods, left)
-                    if (t := _twice_sqrt(sa - pa, sb - pb, d)) is not None]
-            for a, b, t in row:
-                if _quad_splits_in_rx(c2, c1, t, lams, d):
-                    continue
-                f = KPoly([KElem(a, b, cfg), KElem(c1a, c1b, cfg), lead], cfg)
-                # shortcut says witness; the full test has the final word
-                if is_irreducible_rx(f)[0]:
-                    return f
+            tried += n
+            if _canonical_coords(c1a, c1b, d) == c1:
+                sa, sb = c1a * c1a + d * c1b * c1b, 2 * c1a * c1b
+                # the row the budget cuts short keeps its first left c0
+                row = prods if tried <= WITNESS_MAX_CANDIDATES else \
+                    itertools.islice(prods, min(left, 1) + max(left - hi, 0)
+                                     + sum(i < left for i in band))
+                for pa, pb in row:
+                    t = _twice_sqrt(sa - pa, sb - pb, d)
+                    if t is None or _quad_splits_in_rx(c2, c1, t, lams, d):
+                        continue
+                    c0 = KElem((pa * la - d * pb * lb) // n4,
+                               (pb * la - pa * lb) // n4, cfg)
+                    f = KPoly([c0, KElem(c1a, c1b, cfg), lead], cfg)
+                    # shortcut says witness; the full test has the final word
+                    if is_irreducible_rx(f)[0]:
+                        return f
             if tried > WITNESS_MAX_CANDIDATES:
                 raise over_budget
     return None

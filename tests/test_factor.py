@@ -279,3 +279,72 @@ def test_repeated_factorizations_return_the_checked_memo(monkeypatch):
                         lambda x, fs: checks.append(x))
     assert factorizations(cfg.el(-6 ** 5)).factorizations is first
     assert checks == []
+
+
+@pytest.mark.parametrize("d", [-1, -3, -5, -89])
+def test_conjugate_pairs_match_oracle_in_both_orders(monkeypatch, d):
+    # of a conjugate pair, the class with the larger canonical (a, b) is
+    # read off the other's entry: seeded pairs of norm 10^3 to 10^8, half
+    # near a log-uniform norm and half products of small nonunits, are
+    # factored x then conj(x) and, with the memo cleared, conj(x) then x.
+    # Each order scans once, and both match the rescanning oracle
+    from factor_oracle import factorizations as oracle
+    from quadfactor import factor
+    scans = []
+    atoms = factor._atoms
+    monkeypatch.setattr(factor, "_atoms",
+                        lambda *args: scans.append(args) or atoms(*args))
+    cfg = ring(d)
+    rng = random.Random(29 - d)
+    done = 0
+    while done < 16:
+        if done % 2:
+            target = int(10 ** rng.uniform(3, 8))
+            b = rng.randint(1, int((target / -d) ** 0.5))
+            x = cfg.el(rng.choice((-1, 1)) * int((target + d * b * b) ** 0.5),
+                       b)
+        else:
+            x = cfg.el(1)
+            while x.norm() < 10 ** 3 or rng.random() < 0.5:
+                y = cfg.el(rng.randint(-6, 6), rng.randint(-2, 2))
+                if not y.is_zero() and not y.is_unit():
+                    x = x * y
+        if not 10 ** 3 <= x.norm() <= 10 ** 8 or \
+                canonical_associate(x) == canonical_associate(x.conj()):
+            continue
+        for pair in ((x, x.conj()), (x.conj(), x)):
+            factor._factor_multisets.cache_clear()
+            scans.clear()
+            for y in pair:
+                assert factorizations(y).factorizations == oracle(y), \
+                    (d, str(y))
+            assert len(scans) == 1, (d, str(x))
+        done += 1
+
+
+def test_corrupted_conjugate_entry_fails_verification(monkeypatch):
+    # a derived entry is multiplied back like a computed one: an extra
+    # factor in the conjugate's entry raises VerificationError
+    from factor_oracle import factorizations as oracle
+    from quadfactor import factor
+    from quadfactor.errors import VerificationError
+    cfg = ring(-5)
+    x = canonical_associate(cfg.el(1, 1) ** 3 * cfg.el(3))
+    c = canonical_associate(x.conj())
+    assert (c.a, c.b) < (x.a, x.b)
+    real = factor._factor_multisets
+
+    def corrupted(key):
+        fs = real(key)
+        if (key.a, key.b) != (c.a, c.b):
+            return fs
+        m = min(fs, key=len)
+        return fs - {m} | {m + (m[0],)}
+
+    factor._factor_multisets.cache_clear()
+    monkeypatch.setattr(factor, "_factor_multisets", corrupted)
+    with pytest.raises(VerificationError):
+        factorizations(x)
+    monkeypatch.undo()
+    factor._factor_multisets.cache_clear()
+    assert factorizations(x).factorizations == oracle(x)

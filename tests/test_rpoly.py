@@ -399,9 +399,11 @@ def test_witness_budget(monkeypatch):
 
 @pytest.mark.parametrize("d, bound", [(-1, 18), (-2, 19)])
 def test_witness_square_test_once_per_c1_squared(monkeypatch, d, bound):
-    # no witness exists, so every row is scanned; the rows of c1 and -c1
-    # share the square test of their discriminant c1^2 - 4*lead*c0, so
-    # _twice_sqrt runs once per lead, distinct c1^2 and c0
+    # no witness exists, so every row is scanned; _twice_sqrt runs once
+    # per orbit representative: the lead comes no later than its
+    # conjugate class, c1 no later than -c1 (and than +-i*c1 at d = -1),
+    # and c0 is 0 or of a class no earlier than the lead's.  "Later" is
+    # read off the walk's positions, not off the closed form of the scan
     from quadfactor import rpoly
     calls, twice_sqrt = [], rpoly._twice_sqrt
 
@@ -410,14 +412,70 @@ def test_witness_square_test_once_per_c1_squared(monkeypatch, d, bound):
         return twice_sqrt(*args)
 
     monkeypatch.setattr(rpoly, "_twice_sqrt", counted)
-    cfg = ring(d)
-    assert property_p_witness(cfg, bound, 2) is None
+    assert property_p_witness(ring(d), bound, 2) is None
     k = math.isqrt(bound)
-    coeffs = [(a, b) for a in range(-k, k + 1) for b in range(-k, k + 1)
-              if a * a - d * b * b <= bound]
-    squares = {(a * a + d * b * b, 2 * a * b) for a, b in coeffs}
+    coeffs = sorted(((a, b) for a in range(-k, k + 1)
+                     for b in range(-k, k + 1) if a * a - d * b * b <= bound),
+                    key=lambda p: (p[0] * p[0] - d * p[1] * p[1],
+                                   _coords_key(p)))
+    pos = {p: i for i, p in enumerate(coeffs)}
+
+    def images(p):
+        a, b = p
+        return [(-a, -b)] + ([(-b, a), (b, -a)] if d == -1 else [])
+
+    def first(p):
+        return min([p] + images(p), key=pos.__getitem__)
+
+    rows = sum(all(pos[q] >= pos[c1] for q in images(c1)) for c1 in coeffs)
+    reps = 0
+    for lead in coeffs:
+        if lead == (0, 0) or first(lead) != lead or \
+                pos[first((lead[0], -lead[1]))] < pos[lead]:
+            continue
+        reps += rows * sum(c0 == (0, 0) or pos[first(c0)] >= pos[lead]
+                           for c0 in coeffs)
+    assert len(calls) == reps
+
+
+def test_witness_matches_unpruned_search():
+    # every squarefree ring at bounds 1-16: the same first witness, or
+    # None, as the search that tests every candidate
+    import witness_oracle
+    from test_kpoly import ALL_DS
+    found = 0
+    for d in ALL_DS:
+        for bound in range(1, 17):
+            want = witness_oracle.property_p_witness(ring(d), bound)
+            assert property_p_witness(ring(d), bound, 2) == want, (d, bound)
+            found += want is not None
+    assert found > 100
+
+
+@pytest.mark.parametrize("d, bound", [(-1, 5), (-2, 6), (-3, 4), (-5, 9),
+                                      (-7, 4)])
+def test_witness_budget_matches_unpruned_search(monkeypatch, d, bound):
+    # every budget from 0 to past the full count: skipped candidates
+    # count, so both searches return the same witness or both raise
+    import witness_oracle
+    from quadfactor import rpoly
+
+    def outcome(search, *args):
+        try:
+            return search(*args)
+        except ResourceLimitError:
+            return "exceeds budget"
+
+    cfg = ring(d)
     leads = sum(len(elements_of_norm(n, cfg)) for n in range(1, bound + 1))
-    assert len(calls) == leads * len(squares) * len(coeffs)
+    full = leads * _witness_count(cfg, bound) ** 2
+    raised = 0
+    for budget in range(full + 2):
+        monkeypatch.setattr(rpoly, "WITNESS_MAX_CANDIDATES", budget)
+        want = outcome(witness_oracle.property_p_witness, cfg, bound)
+        assert outcome(property_p_witness, cfg, bound, 2) == want, budget
+        raised += want == "exceeds budget"
+    assert 0 < raised < full + 2
 
 
 def test_cli_witness_budget(capsys):
