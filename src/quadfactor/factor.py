@@ -14,11 +14,9 @@ only as a non-decreasing atom sequence, so each one is built once.
 The recursion, `_factor_multisets`, is memoized on the canonical
 element alone (its atoms are a function of it): one entry per distinct
 element or reducible quotient seen, with no bound, shared by every later
-call in the process, so a repeated element costs no scan.  Nor does an
-input whose conjugate class has the smaller canonical (a, b): its entry
-conjugates every factor of that class's entry.  Every entry, input or
-quotient, is multiplied back on integer coordinates when it is filled,
-and `factorizations` returns its checked frozenset as it is.
+call in the process, so a repeated element costs no scan.  Every entry,
+input or quotient, is multiplied back on integer coordinates when it is
+filled, and `factorizations` returns its checked frozenset as it is.
 """
 
 from __future__ import annotations
@@ -79,9 +77,7 @@ def _factor_multisets(x: _Element) -> frozenset:
     """x canonical, nonzero, nonunit; returns its distinct factorizations
     as tuples sorted by (norm, a, b), each checked by _check_products.
 
-    An input (x.atoms is None) whose conjugate class c has the smaller
-    canonical (a, b) conjugates every factor of c's entry.  Otherwise
-    the atoms are (norm, a, b, element) in ascending order, from the
+    The atoms are (norm, a, b, element) in ascending order, from the
     divisor scan when x.atoms is None, else its parent's; y divides x
     when x*conj(y) is 0 mod norm(y), coordinate by coordinate.  Each
     factorization is y, its least atom, then one of x/y whose least atom
@@ -89,12 +85,6 @@ def _factor_multisets(x: _Element) -> frozenset:
     (x/y,) when the first found from the top has the norm of x/y."""
     cfg, a, b = x.cfg, x.a, x.b
     d = cfg.d
-    if x.atoms is None and (c := _canonical_coords(a, -b, d)) < (a, b):
-        fs = frozenset(tuple(KElem(u, v, cfg) for _, u, v in sorted(
-            (y.norm(), *_canonical_coords(y.a, -y.b, d)) for y in m))
-            for m in _factor_multisets(_Element(cfg, *c, None)))
-        _check_products(x, fs)
-        return fs
     n = a * a - d * b * b
     atoms, out = x.atoms or _atoms(a, b, cfg), []
     for i, (m, ya, yb, y) in enumerate(atoms):

@@ -178,14 +178,15 @@ def _poly_multisets(f: KPoly, ks: tuple) -> frozenset:
     whose g is its least atom, then a factorization of h whose least atom
     is not below g.  _splits holds that split (a least atom is constant
     whenever any atom is), and distinct splits give distinct canonical g.
-    The K[x]-factors of g and h are read off the subset; g is irreducible
-    exactly when its own factor set, memoised here like f's, is
-    {(canonical g,)}."""
+    The K[x]-factors of g and h are read off the subset.  A constant g
+    of _splits is irreducible in R, hence in R[x], whose units are R's;
+    a nonconstant g is irreducible exactly when its own factor set,
+    memoised here like f's, is {(canonical g,)}."""
     out = []
     for cert in _splits(f, ks):
         gc = canonical_poly(cert.g)
-        g_ks = tuple(ks[i] for i in cert.subset)
-        if _poly_multisets(gc, g_ks) != {(gc,)}:
+        if cert.subset and _poly_multisets(
+                gc, tuple(ks[i] for i in cert.subset)) != {(gc,)}:
             continue
         least = poly_order_key(gc)
         rest_ks = tuple(q for i, q in enumerate(ks) if i not in cert.subset)

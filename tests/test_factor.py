@@ -283,11 +283,10 @@ def test_repeated_factorizations_return_the_checked_memo(monkeypatch):
 
 @pytest.mark.parametrize("d", [-1, -3, -5, -89])
 def test_conjugate_pairs_match_oracle_in_both_orders(monkeypatch, d):
-    # of a conjugate pair, the class with the larger canonical (a, b) is
-    # read off the other's entry: seeded pairs of norm 10^3 to 10^8, half
-    # near a log-uniform norm and half products of small nonunits, are
-    # factored x then conj(x) and, with the memo cleared, conj(x) then x.
-    # Each order scans once, and both match the rescanning oracle
+    # seeded pairs of norm 10^3 to 10^8, half near a log-uniform norm and
+    # half products of small nonunits, are factored x then conj(x) and,
+    # with the memo cleared, conj(x) then x.  Each class of a pair takes
+    # one atom pass, and both match the rescanning oracle in either order
     from factor_oracle import factorizations as oracle
     from quadfactor import factor
     scans = []
@@ -318,33 +317,32 @@ def test_conjugate_pairs_match_oracle_in_both_orders(monkeypatch, d):
             for y in pair:
                 assert factorizations(y).factorizations == oracle(y), \
                     (d, str(y))
-            assert len(scans) == 1, (d, str(x))
+            assert len(scans) == 2, (d, str(x))
         done += 1
 
 
-def test_corrupted_conjugate_entry_fails_verification(monkeypatch):
-    # a derived entry is multiplied back like a computed one: an extra
-    # factor in the conjugate's entry raises VerificationError
+def test_corrupted_quotient_entry_fails_verification(monkeypatch):
+    # a quotient's entry is multiplied back into its parent's: an extra
+    # factor in the first quotient entry the recursion reads raises
+    # VerificationError when the entry above it is checked
     from factor_oracle import factorizations as oracle
     from quadfactor import factor
     from quadfactor.errors import VerificationError
-    cfg = ring(-5)
-    x = canonical_associate(cfg.el(1, 1) ** 3 * cfg.el(3))
-    c = canonical_associate(x.conj())
-    assert (c.a, c.b) < (x.a, x.b)
-    real = factor._factor_multisets
+    real, corrupted = factor._factor_multisets, []
 
-    def corrupted(key):
+    def corrupting(key):
         fs = real(key)
-        if (key.a, key.b) != (c.a, c.b):
+        if key.atoms is None or corrupted:
             return fs
-        m = min(fs, key=len)
-        return fs - {m} | {m + (m[0],)}
+        corrupted.append(key)
+        return frozenset(m + (m[0],) for m in fs)
 
+    x = ring(-5).el(6 ** 5)
     factor._factor_multisets.cache_clear()
-    monkeypatch.setattr(factor, "_factor_multisets", corrupted)
+    monkeypatch.setattr(factor, "_factor_multisets", corrupting)
     with pytest.raises(VerificationError):
         factorizations(x)
+    assert corrupted
     monkeypatch.undo()
     factor._factor_multisets.cache_clear()
     assert factorizations(x).factorizations == oracle(x)

@@ -127,6 +127,26 @@ def test_constant_splits_have_irreducible_g():
             common_nonunit_divisor(list(f.coeffs)), text
 
 
+def test_constant_splits_take_no_irreducibility_probe(monkeypatch):
+    # a constant g of _splits is irreducible in R, so in R[x]: factoring a
+    # nonconstant input calls the memo on no constant key, yet still
+    # finds the factorizations that start with a constant
+    from quadfactor import rpoly
+    calls, memo = [], rpoly._poly_multisets
+
+    def counted(f, ks):
+        calls.append(f.degree())
+        return memo(f, ks)
+
+    monkeypatch.setattr(rpoly, "_poly_multisets", counted)
+    for text, d in (("81*x", -14), ("36*x^2+36", -5), ("(4+4*w)*x+8", -2)):
+        memo.cache_clear()
+        calls.clear()
+        fs = factorizations_rx(RP(text, d)).factorizations
+        assert calls and 0 not in calls, text
+        assert any(m[0].degree() == 0 for m in fs), text
+
+
 def test_certificate_stops_the_divisor_scan(monkeypatch, capsys):
     # 720 has 122 canonical divisors at d = -5, but the certificate is
     # the first of them, and the scan draws no more than that one
