@@ -515,15 +515,12 @@ def _divisor_scan(elems: list[KElem]):
     element, by norm, then _coords_key: x0 has the least norm N0, g is
     the gcd of the norms, and a divisor ca + cb*w of x0 divides a + b*w
     when a*ca - d*b*cb and b*ca - a*cb are 0 mod its norm.  Those of
-    norm <= sqrt(N0) come as their pass finds them, cofactors after;
-    with every element zero, the scan runs over all norms."""
+    norm <= sqrt(N0) come as their pass finds them, cofactors after."""
     cfg = elems[0].cfg
     d = cfg.d
     pairs = [(e.a, e.b) for e in elems if e.a or e.b]
     if not pairs:
-        for m in itertools.count(2):
-            for c in _elements_of_norm(m, cfg):
-                yield m, c.a, c.b, c
+        raise DomainError("all elements are zero")
     norms = [a * a - d * b * b for a, b in pairs]
     xa, xb = pairs.pop(norms.index(min(norms)))
     g, later = math.gcd(*norms), []
@@ -577,9 +574,7 @@ def common_nonunit_divisor(elems: list[KElem]) -> KElem | None:
     """Smallest-norm canonical nonunit dividing every element, or None.
 
     A common divisor of minimal norm > 1 is automatically irreducible:
-    any proper factor of it would be a smaller common divisor.  When
-    every element is zero this is the smallest irreducible of the ring.
-    """
+    any proper factor of it would be a smaller common divisor."""
     if not elems:
         raise DomainError("empty element list")
     return next(common_divisors(elems), None)
@@ -588,7 +583,5 @@ def common_nonunit_divisor(elems: list[KElem]) -> KElem | None:
 def irreducible_common_divisors(elems: list[KElem]):
     """The canonical irreducibles dividing every element of the list,
     by ascending norm, yielded as the divisor scan finds them."""
-    if all(e.is_zero() for e in elems):
-        raise DomainError("all elements are zero")
     for t in _irreducibles(_divisor_scan(elems), elems[0].cfg):
         yield t[3]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 
 from .errors import DomainError, ResourceLimitError
 from .factor import FactorizationSet
@@ -275,8 +275,8 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
     for c0 != 0, by the reversal x^2*f(1/x).  A candidate is skipped
     only when one of these maps it to a strictly earlier candidate, so
     the first witness is always tested: a row whose c1 is not canonical,
-    a lead whose conjugate class comes first, and a c0 != 0 whose class
-    comes before the lead's.  Past WITNESS_MAX_CANDIDATES candidates,
+    a lead whose conjugate class comes first, and a c0 != 0 of smaller
+    norm than the lead.  Past WITNESS_MAX_CANDIDATES candidates,
     skipped ones included, the search raises ResourceLimitError, from a
     count alone when the coefficients outnumber that budget."""
     if max_norm < 1 or max_deg < 1:
@@ -306,25 +306,20 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
         return p[0] * p[0] - d * p[1] * p[1]
 
     for lead in _canonical_points(cfg, inner):
-        key = _coords_key((lead.a, lead.b))
-        if _coords_key(_canonical_coords(lead.a, -lead.b, d)) < key:
+        if (_coords_key(_canonical_coords(lead.a, -lead.b, d))
+                < _coords_key((lead.a, lead.b))):
             tried += n * n
             if tried > WITNESS_MAX_CANDIDATES:
                 raise over_budget
             continue
-        # the kept c0: 0, those of the lead's norm (inner[lo:hi]) whose
-        # class is not before the lead's, and every larger norm
+        # the kept c0: 0 and every norm from the lead's on (inner[lo:])
         lo = bisect_left(inner, lead.norm(), key=norm)
-        hi = bisect_right(inner, lead.norm(), lo, key=norm)
-        band = [i for i in range(lo, hi)
-                if _coords_key(_canonical_coords(*inner[i], d)) >= key]
         # 4*lead*c0 and the split divisors once per lead; a survivor's c0
         # is read back off 4*lead*c0 by exact division
         la, lb, n4 = 4 * lead.a, 4 * lead.b, 16 * lead.norm()
         prods = [(la * a + d * lb * b, la * b + lb * a)
                  for a, b in itertools.chain(
-                     inner[:1], (inner[i] for i in band),
-                     itertools.islice(inner, hi, None))]
+                     inner[:1], itertools.islice(inner, lo, None))]
         c2, lams = (lead.a, lead.b), _linear_leads(lead)
         for c1 in inner:
             c1a, c1b = c1
@@ -334,8 +329,7 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
                 sa, sb = c1a * c1a + d * c1b * c1b, 2 * c1a * c1b
                 # the row the budget cuts short keeps its first left c0
                 row = prods if tried <= WITNESS_MAX_CANDIDATES else \
-                    itertools.islice(prods, min(left, 1) + max(left - hi, 0)
-                                     + sum(i < left for i in band))
+                    itertools.islice(prods, min(left, 1) + max(left - lo, 0))
                 for pa, pb in row:
                     t = _twice_sqrt(sa - pa, sb - pb, d)
                     if t is None or _quad_splits_in_rx(c2, c1, t, lams, d):

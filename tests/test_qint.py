@@ -213,7 +213,13 @@ def test_common_divisors():
     assert common_nonunit_divisor(
         [cfg.el(4), cfg.el(4), cfg.el(6)]) == cfg.el(2)
     assert common_nonunit_divisor([cfg.el(2), cfg.el(1, 1)]) is None
-    assert common_nonunit_divisor([cfg.el(0), cfg.el(0)]) == cfg.el(2)
+    zeros = [cfg.el(0), cfg.el(0)]
+    with pytest.raises(DomainError):
+        common_nonunit_divisor(zeros)
+    with pytest.raises(DomainError):
+        list(common_divisors(zeros))
+    with pytest.raises(DomainError):
+        list(irreducible_common_divisors(zeros))
     assert list(irreducible_common_divisors([cfg.el(6)])) == \
         [cfg.el(2), cfg.el(1, 1), cfg.el(1, -1), cfg.el(3)]
     with pytest.raises(DomainError):

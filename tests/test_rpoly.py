@@ -422,8 +422,8 @@ def test_witness_square_test_once_per_c1_squared(monkeypatch, d, bound):
     # no witness exists, so every row is scanned; _twice_sqrt runs once
     # per orbit representative: the lead comes no later than its
     # conjugate class, c1 no later than -c1 (and than +-i*c1 at d = -1),
-    # and c0 is 0 or of a class no earlier than the lead's.  "Later" is
-    # read off the walk's positions, not off the closed form of the scan
+    # and c0 is 0 or of norm no smaller than the lead's.  "Later" is read
+    # off the walk's positions, not off the closed form of the scan
     from quadfactor import rpoly
     calls, twice_sqrt = [], rpoly._twice_sqrt
 
@@ -434,10 +434,13 @@ def test_witness_square_test_once_per_c1_squared(monkeypatch, d, bound):
     monkeypatch.setattr(rpoly, "_twice_sqrt", counted)
     assert property_p_witness(ring(d), bound, 2) is None
     k = math.isqrt(bound)
+
+    def norm(p):
+        return p[0] * p[0] - d * p[1] * p[1]
+
     coeffs = sorted(((a, b) for a in range(-k, k + 1)
-                     for b in range(-k, k + 1) if a * a - d * b * b <= bound),
-                    key=lambda p: (p[0] * p[0] - d * p[1] * p[1],
-                                   _coords_key(p)))
+                     for b in range(-k, k + 1) if norm((a, b)) <= bound),
+                    key=lambda p: (norm(p), _coords_key(p)))
     pos = {p: i for i, p in enumerate(coeffs)}
 
     def images(p):
@@ -453,7 +456,7 @@ def test_witness_square_test_once_per_c1_squared(monkeypatch, d, bound):
         if lead == (0, 0) or first(lead) != lead or \
                 pos[first((lead[0], -lead[1]))] < pos[lead]:
             continue
-        reps += rows * sum(c0 == (0, 0) or pos[first(c0)] >= pos[lead]
+        reps += rows * sum(c0 == (0, 0) or norm(c0) >= norm(lead)
                            for c0 in coeffs)
     assert len(calls) == reps
 
