@@ -126,7 +126,7 @@ def d1_factorizations(g: ExtElem) -> FactorizationSet:
     # order) sort before every atom, and distinct ones stay distinct
     consts = [()] if c.is_unit() else [
         tuple(map(KPoly.const, m)) for m in factorizations(c).factorizations]
-    return FactorizationSet(element=g, factorizations=frozenset(
+    return FactorizationSet(element=g, factorizations=tuple(
         cm + atoms for cm in consts))
 
 

@@ -16,7 +16,8 @@ element alone (its atoms are a function of it): one entry per distinct
 element or reducible quotient seen, with no bound, shared by every later
 call in the process, so a repeated element costs no scan.  Every entry,
 input or quotient, is multiplied back on integer coordinates when it is
-filled, and `factorizations` returns its checked frozenset as it is.
+filled, and held as a tuple: `factorizations` wraps the checked entry
+as it is, and its frozenset is built only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -31,18 +32,25 @@ NORM_LIMIT = 10 ** 8
 
 
 class FactorizationSet:
-    """All factorizations of one element, up to associates and order.
+    """All factorizations of one element, up to associates and order,
+    given as a tuple or a frozenset of distinct tuples; tuple entries are
+    canonical representatives sorted by (norm, a, b).  `lengths` and
+    `elasticity` read them as given."""
 
-    `factorizations` is a frozenset of tuples; tuple entries are
-    canonical representatives sorted by (norm, a, b)."""
+    __slots__ = ("element", "_fs")
 
-    __slots__ = ("element", "factorizations")
+    def __init__(self, element, factorizations: tuple | frozenset):
+        self.element, self._fs = element, factorizations
 
-    def __init__(self, element, factorizations: frozenset):
-        self.element, self.factorizations = element, factorizations
+    @property
+    def factorizations(self) -> frozenset:
+        """The factorizations as a frozenset of tuples, built on the first
+        read and kept: frozenset() of a frozenset is that frozenset."""
+        self._fs = fs = frozenset(self._fs)
+        return fs
 
     def lengths(self) -> list[int]:
-        return sorted({len(m) for m in self.factorizations})
+        return sorted({len(m) for m in self._fs})
 
     def elasticity(self) -> Fraction:
         """max length / min length.  The set is never empty: every
@@ -73,9 +81,10 @@ class _Element:
 
 
 @functools.lru_cache(maxsize=None)
-def _factor_multisets(x: _Element) -> frozenset:
-    """x canonical, nonzero, nonunit; returns its distinct factorizations
-    as tuples sorted by (norm, a, b), each checked by _check_products.
+def _factor_multisets(x: _Element) -> tuple:
+    """x canonical, nonzero, nonunit; returns the tuple of its distinct
+    factorizations, each a tuple sorted by (norm, a, b) and checked by
+    _check_products.
 
     The atoms are (norm, a, b, element) in ascending order, from the
     divisor scan when x.atoms is None, else its parent's; y divides x
@@ -109,9 +118,8 @@ def _factor_multisets(x: _Element) -> frozenset:
             r = rest[0]
             if (r.a * r.a - d * r.b * r.b, r.a, r.b) >= least:
                 out.append((y,) + rest)
-    fs = frozenset(out)
-    _check_products(x, fs)
-    return fs
+    _check_products(x, out)
+    return tuple(out)
 
 
 def _check_products(x: _Element, fs) -> None:
@@ -129,7 +137,7 @@ def _check_products(x: _Element, fs) -> None:
 
 def factorizations(x: KElem) -> FactorizationSet:
     """Every factorization of x into irreducibles, up to associates: the
-    memo's frozenset, each checked once to multiply back to x's associate."""
+    memo's tuple, each checked once to multiply back to x's associate."""
     n = x.a * x.a - x.cfg.d * x.b * x.b
     if x.den != 1 or n < 2:
         _require_factorable(x)

@@ -170,9 +170,10 @@ def is_irreducible_rx(f: KPoly):
 
 
 @functools.lru_cache(maxsize=4096)
-def _poly_multisets(f: KPoly, ks: tuple) -> frozenset:
-    """f canonical, nonzero, nonunit, with monic K[x]-factors ks;
-    frozenset of KPoly tuples sorted by poly_order_key.
+def _poly_multisets(f: KPoly, ks: tuple) -> tuple:
+    """f canonical, nonzero, nonunit, with monic K[x]-factors ks; the
+    tuple of its distinct factorizations, KPoly tuples sorted by
+    poly_order_key.
 
     Each factorization is built once, least atom first: from the split
     whose g is its least atom, then a factorization of h whose least atom
@@ -181,19 +182,19 @@ def _poly_multisets(f: KPoly, ks: tuple) -> frozenset:
     The K[x]-factors of g and h are read off the subset.  A constant g
     of _splits is irreducible in R, hence in R[x], whose units are R's;
     a nonconstant g is irreducible exactly when its own factor set,
-    memoised here like f's, is {(canonical g,)}."""
+    memoised here like f's, is ((canonical g,),)."""
     out = []
     for cert in _splits(f, ks):
         gc = canonical_poly(cert.g)
         if cert.subset and _poly_multisets(
-                gc, tuple(ks[i] for i in cert.subset)) != {(gc,)}:
+                gc, tuple(ks[i] for i in cert.subset)) != ((gc,),):
             continue
         least = poly_order_key(gc)
         rest_ks = tuple(q for i, q in enumerate(ks) if i not in cert.subset)
         for rest in _poly_multisets(canonical_poly(cert.h), rest_ks):
             if poly_order_key(rest[0]) >= least:
                 out.append((gc,) + rest)
-    return frozenset(out) or frozenset({(f,)})
+    return tuple(out) or ((f,),)
 
 
 def factorizations_rx(f: KPoly) -> FactorizationSet:

@@ -208,7 +208,7 @@ def check_hfd_z5(seed: int):
     for x in _canonical_points(cfg, _lattice_walk(cfg, 5000)):
         if x.norm() > 1:
             fs = factor.factorizations(x)
-            if len({len(m) for m in fs.factorizations}) != 1:
+            if len(fs.lengths()) != 1:
                 return False, f"length set of {x} is not a singleton"
             if multi is None and len(fs.factorizations) > 1:
                 multi = x

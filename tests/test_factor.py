@@ -269,16 +269,67 @@ def test_one_divisor_scan_per_call(monkeypatch):
 
 
 def test_repeated_factorizations_return_the_checked_memo(monkeypatch):
-    # the memo holds the checked frozenset: a repeated call returns the
-    # same object, with no rebuild and no second multiply-back
+    # the memo holds the checked tuple: a repeated call reuses that same
+    # object, with no rebuild and no second multiply-back, and each
+    # FactorizationSet builds from it a frozenset equal to the first
     from quadfactor import factor
     cfg = ring(-5)
     first = factorizations(cfg.el(6 ** 5)).factorizations
     checks = []
     monkeypatch.setattr(factor, "_check_products",
                         lambda x, fs: checks.append(x))
-    assert factorizations(cfg.el(-6 ** 5)).factorizations is first
+    assert factorizations(cfg.el(-6 ** 5)).factorizations == first
+    entry = factor._factor_multisets(factor._Element(cfg, 6 ** 5, 0, None))
+    assert type(entry) is tuple and entry is factor._factor_multisets(
+        factor._Element(cfg, 6 ** 5, 0, None))
     assert checks == []
+
+
+def test_memo_entries_hold_each_factorization_once(monkeypatch):
+    # an entry is a tuple, so nothing merges a factorization built twice:
+    # every entry filled by a sweep of each class of norm 2..2000 at the
+    # suite's rings has distinct tuples
+    from quadfactor import factor
+    from quadfactor.qint import _canonical_points, _lattice_walk
+    from quadfactor.suite import CORE_RINGS
+    memo, entries = factor._factor_multisets, {}
+
+    def recording(key):
+        fs = memo(key)
+        entries[id(fs)] = fs
+        return fs
+
+    memo.cache_clear()
+    monkeypatch.setattr(factor, "_factor_multisets", recording)
+    for d in CORE_RINGS:
+        cfg = ring(d)
+        for x in _canonical_points(cfg, _lattice_walk(cfg, 2000)):
+            if x.norm() > 1:
+                factorizations(x)
+    assert len(entries) > 7000
+    assert all(len(set(fs)) == len(fs) for fs in entries.values())
+
+
+def test_lengths_hash_no_factor(monkeypatch):
+    # lengths() and elasticity() read the memo's tuple; only a read of
+    # .factorizations hashes factors, once per FactorizationSet
+    from quadfactor import factor
+    from quadfactor.qint import KElem
+    hashes, real = [], KElem.__hash__
+
+    def counted(self):
+        hashes.append(self)
+        return real(self)
+
+    factor._factor_multisets.cache_clear()
+    monkeypatch.setattr(KElem, "__hash__", counted)
+    fs = factorizations(ring(-5).el(6 ** 5))
+    assert fs.lengths() == [10] and fs.elasticity() == 1
+    assert hashes == []
+    first = fs.factorizations
+    assert len(first) == 28 and hashes
+    hashes.clear()
+    assert fs.factorizations is first and hashes == []
 
 
 @pytest.mark.parametrize("d", [-1, -3, -5, -89])

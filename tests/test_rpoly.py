@@ -648,6 +648,31 @@ def test_heavy_inputs_match_oracle(monkeypatch, d, text, count, lengths):
     assert len(fs.factorizations) == count and fs.lengths() == lengths
 
 
+def test_rx_memo_entries_hold_each_factorization_once(monkeypatch):
+    # an entry is a tuple, so nothing merges a factorization built twice:
+    # every entry filled for the inputs compared with rx_oracle above and
+    # for the four heavy benchmark inputs has distinct tuples
+    from quadfactor import rpoly
+    memo, entries = rpoly._poly_multisets, {}
+
+    def recording(f, ks):
+        fs = memo(f, ks)
+        entries[id(fs)] = fs
+        return fs
+
+    memo.cache_clear()
+    monkeypatch.setattr(rpoly, "_poly_multisets", recording)
+    test_split_search_matches_oracle(monkeypatch)
+    for d, text in (
+            (-5, "(2*x+1+w)*(2*x+1-w)*(3*x+1+w)*(3*x+1-w)*(x^2+5)"),
+            (-3, "(2*x+1+w)*(3*x+1+w)*(3*x+1+w)*(3*x+3)*(x-w)*(2)"),
+            (-5, "(3*x+1-w)*(2)*(3*x+1+w)*(x^2+1)*(2*x+1-w)*(3)"),
+            (-5, "(7)*(x-w)*(x^2+w)*(w)*(x-1)*(3*x+3)")):
+        factorizations_rx(RP(text, d))
+    assert len(entries) > 500
+    assert all(len(set(fs)) == len(fs) for fs in entries.values())
+
+
 def test_factor_k_runs_once_per_call(monkeypatch):
     from quadfactor import rpoly
     calls = []
