@@ -6,10 +6,10 @@ divisor of an element, so divisibility, irreducibility and primality are
 all decidable by finite enumeration.  Divisor questions share one scan,
 which reads each pair of norms once: a divisor of x and its cofactor
 have norms s and norm(x)/s, one of them <= sqrt(norm(x)), and one
-congruence on a class of norm s finds both; factoring takes every pass
-at once.  Only d < 0 is supported: the unit group is then finite
-({1, -1}, plus {w, -w} when d = -1), which makes "up to associates" a
-finite canonical notion.
+congruence on a class of norm s finds both; every divisor question takes
+every pass at once.  Only d < 0 is supported: the unit group is then
+finite ({1, -1}, plus {w, -w} when d = -1), which makes "up to
+associates" a finite canonical notion.
 
 Associate classes get a canonical representative: the unit multiple
 minimizing (-sign(a), |a|, -sign(b), |b|) lexicographically, i.e. positive
@@ -428,7 +428,7 @@ def _require_factorable(x: KElem) -> None:
 def _is_irreducible_canonical(x: KElem) -> bool:
     # a proper divisor has smaller norm and so comes first; the only
     # canonical divisor of x with the norm of x is x itself
-    return next(_divisor_scan([x]))[1:3] == (x.a, x.b)
+    return _divisor_scan([x])[0][1:3] == (x.a, x.b)
 
 
 def is_irreducible(x: KElem) -> bool:
@@ -474,20 +474,20 @@ def check_integral(coeffs) -> None:
             raise DomainError(f"coefficient of x^{i} is {c}, not in Z[w]")
 
 
-def _norm_pair_scan(cfg: RingCfg, xa: int, xb: int, g: int, ms) -> list:
+def _norm_pair_scan(cfg: RingCfg, xa: int, xb: int, g: int) -> list:
     """(norm, a, b, c) for each canonical nonunit a + b*w dividing the
     nonzero x0 = xa + xb*w with norm dividing g | N0 = norm(x0), found in
-    the passes m of ms, divisors of g, each once over all m | g; c is the
-    element _elements_of_norm cached, or None for a cofactor.  A class q
-    of norm s divides x0 exactly when x0*conj(q) = 0 mod s, and then its
-    cofactors x0*conj(q)/s, canonical, are the classes of divisors of
-    norm N0/s.  So the pass m reads the classes of norm min(m, N0/m),
-    and finds nothing when its partner N0/m < m divides g, whose pass
-    found both: when g = N0, the passes stop past sqrt(N0)."""
+    one pass m per divisor m of g; c is the element _elements_of_norm
+    cached, or None for a cofactor.  A class q of norm s divides x0
+    exactly when x0*conj(q) = 0 mod s, and then its cofactors
+    x0*conj(q)/s, canonical, are the classes of divisors of norm N0/s.
+    So the pass m reads the classes of norm min(m, N0/m), and finds
+    nothing when its partner N0/m < m divides g, whose pass found both:
+    when g = N0, the passes stop past sqrt(N0)."""
     d = cfg.d
     n0 = xa * xa - d * xb * xb
     out = []
-    for m in ms:
+    for m in _divisors(g):
         k = n0 // m
         if k >= m:
             s, big = m, k
@@ -510,12 +510,14 @@ def _norm_pair_scan(cfg: RingCfg, xa: int, xb: int, g: int, ms) -> list:
     return out
 
 
-def _divisor_scan(elems: list[KElem]):
+def _divisor_scan(elems: list[KElem]) -> list:
     """_norm_pair_scan's tuple for each canonical nonunit dividing every
-    element, by norm, then _coords_key: x0 has the least norm N0, g is
-    the gcd of the norms, and a divisor ca + cb*w of x0 divides a + b*w
-    when a*ca - d*b*cb and b*ca - a*cb are 0 mod its norm.  Those of
-    norm <= sqrt(N0) come as their pass finds them, cofactors after."""
+    element, as a list sorted by norm, then _coords_key: x0 has the least
+    norm N0, g is the gcd of the norms, and a divisor ca + cb*w of x0
+    divides a + b*w when a*ca - d*b*cb and b*ca - a*cb are 0 mod its
+    norm."""
+    if not elems:
+        raise DomainError("empty element list")
     cfg = elems[0].cfg
     d = cfg.d
     pairs = [(e.a, e.b) for e in elems if e.a or e.b]
@@ -523,27 +525,23 @@ def _divisor_scan(elems: list[KElem]):
         raise DomainError("all elements are zero")
     norms = [a * a - d * b * b for a, b in pairs]
     xa, xb = pairs.pop(norms.index(min(norms)))
-    g, later = math.gcd(*norms), []
-    for m in _divisors(g):
-        for t in _norm_pair_scan(cfg, xa, xb, g, (m,)):
-            n, ca, cb, c = t
-            if any((a * ca - d * b * cb) % n or (b * ca - a * cb) % n
+    scan = []
+    for t in _norm_pair_scan(cfg, xa, xb, math.gcd(*norms)):
+        n, ca, cb, _ = t
+        if not any((a * ca - d * b * cb) % n or (b * ca - a * cb) % n
                    for a, b in pairs):
-                continue
-            if c is None:
-                later.append(t)
-            else:
-                yield t
-    yield from sorted(later, key=lambda t: (t[0], _coords_key(t[1:3])))
+            scan.append(t)
+    scan.sort(key=lambda t: (t[0], _coords_key(t[1:3])))
+    return scan
 
 
-def _irreducibles(scan, cfg):
+def _irreducibles(scan, cfg) -> list:
     """The tuples of scan, where divisors precede their multiples, with
     an irreducible divisor, each with its element: those no tuple kept
     before divides, as distinct canonical divisors of equal norm cannot
     divide each other."""
     d = cfg.d
-    kept = []
+    kept, out = [], []
     for m, ca, cb, c in scan:
         for n, ya, yb in kept:
             if (m % n == 0 and not (ca * ya - d * cb * yb) % n
@@ -551,23 +549,25 @@ def _irreducibles(scan, cfg):
                 break
         else:
             kept.append((m, ca, cb))
-            yield m, ca, cb, KElem(ca, cb, cfg) if c is None else c
+            out.append((m, ca, cb, KElem(ca, cb, cfg) if c is None else c))
+    return out
 
 
 def _atoms(a: int, b: int, cfg: RingCfg) -> tuple:
     """(norm, a, b, element) for each canonical irreducible divisor of
     a + b*w, nonzero, by (norm, a, b): one eager pass over every m."""
     n = a * a - cfg.d * b * b
-    scan = _norm_pair_scan(cfg, a, b, n, _divisors(n))
+    scan = _norm_pair_scan(cfg, a, b, n)
     scan.sort()
     return tuple(_irreducibles(scan, cfg))
 
 
-def common_divisors(elems: list[KElem]):
-    """Canonical nonunits dividing every element, by ascending norm."""
+def common_divisors(elems: list[KElem]) -> list[KElem]:
+    """Canonical nonunits dividing every element, as a list sorted by
+    norm, then _coords_key."""
+    scan = _divisor_scan(elems)
     cfg = elems[0].cfg
-    for _, a, b, c in _divisor_scan(elems):
-        yield KElem(a, b, cfg) if c is None else c
+    return [KElem(a, b, cfg) if c is None else c for _, a, b, c in scan]
 
 
 def common_nonunit_divisor(elems: list[KElem]) -> KElem | None:
@@ -575,13 +575,12 @@ def common_nonunit_divisor(elems: list[KElem]) -> KElem | None:
 
     A common divisor of minimal norm > 1 is automatically irreducible:
     any proper factor of it would be a smaller common divisor."""
-    if not elems:
-        raise DomainError("empty element list")
-    return next(common_divisors(elems), None)
+    divs = common_divisors(elems)
+    return divs[0] if divs else None
 
 
-def irreducible_common_divisors(elems: list[KElem]):
+def irreducible_common_divisors(elems: list[KElem]) -> list[KElem]:
     """The canonical irreducibles dividing every element of the list,
-    by ascending norm, yielded as the divisor scan finds them."""
-    for t in _irreducibles(_divisor_scan(elems), elems[0].cfg):
-        yield t[3]
+    as a list sorted by norm, then _coords_key."""
+    scan = _divisor_scan(elems)
+    return [t[3] for t in _irreducibles(scan, elems[0].cfg)]

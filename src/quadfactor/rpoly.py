@@ -136,8 +136,8 @@ def _groupings(ks: tuple, unit: KElem):
 
 
 def _splits(f: KPoly, ks):
-    """Every split f = g * h into nonunits of R[x] with g irreducible or
-    nonconstant, up to associates, as certificates.
+    """Every split f = g * h into nonunits of R[x] with g canonical, and
+    irreducible or nonconstant, up to associates, as certificates.
 
     ks are the monic K[x]-factors of f, sorted as factor_k returns them;
     None factors f once the constant splits are exhausted.  First come
@@ -182,18 +182,18 @@ def _poly_multisets(f: KPoly, ks: tuple) -> tuple:
     The K[x]-factors of g and h are read off the subset.  A constant g
     of _splits is irreducible in R, hence in R[x], whose units are R's;
     a nonconstant g is irreducible exactly when its own factor set,
-    memoised here like f's, is ((canonical g,),)."""
+    memoised here like f's, is ((g,),)."""
     out = []
     for cert in _splits(f, ks):
-        gc = canonical_poly(cert.g)
+        g = cert.g
         if cert.subset and _poly_multisets(
-                gc, tuple(ks[i] for i in cert.subset)) != ((gc,),):
+                g, tuple(ks[i] for i in cert.subset)) != ((g,),):
             continue
-        least = poly_order_key(gc)
+        least = poly_order_key(g)
         rest_ks = tuple(q for i, q in enumerate(ks) if i not in cert.subset)
         for rest in _poly_multisets(canonical_poly(cert.h), rest_ks):
             if poly_order_key(rest[0]) >= least:
-                out.append((gc,) + rest)
+                out.append((g,) + rest)
     return tuple(out) or ((f,),)
 
 

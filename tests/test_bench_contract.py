@@ -37,3 +37,12 @@ def test_memo_tables_report_cache_info():
         module = importlib.import_module(f"quadfactor.{layer}")
         assert callable(getattr(getattr(module, name), "cache_info", None)), \
             f"{layer}.{name}"
+
+
+def test_traced_divisor_scans_return_lists():
+    # Tracer.wrap times the call only: a scan returned as a generator
+    # would charge its work to the caller that iterates it
+    from quadfactor import qint
+    cfg = qint.ring(-5)
+    for scan in (qint.common_divisors, qint.irreducible_common_divisors):
+        assert type(scan([cfg.el(6)])) is list, scan.__name__

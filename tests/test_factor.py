@@ -253,9 +253,9 @@ def test_one_divisor_scan_per_call(monkeypatch):
     scans = []
     scan = qint._norm_pair_scan
 
-    def counted(cfg, xa, xb, g, ms):
+    def counted(cfg, xa, xb, g):
         scans.append((xa, xb))
-        return scan(cfg, xa, xb, g, ms)
+        return scan(cfg, xa, xb, g)
 
     monkeypatch.setattr(qint, "_norm_pair_scan", counted)
     factor._factor_multisets.cache_clear()

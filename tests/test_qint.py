@@ -222,8 +222,10 @@ def test_common_divisors():
         list(irreducible_common_divisors(zeros))
     assert list(irreducible_common_divisors([cfg.el(6)])) == \
         [cfg.el(2), cfg.el(1, 1), cfg.el(1, -1), cfg.el(3)]
-    with pytest.raises(DomainError):
-        common_nonunit_divisor([])
+    for empty_list_scan in (common_nonunit_divisor, common_divisors,
+                            irreducible_common_divisors):
+        with pytest.raises(DomainError, match="empty element list"):
+            empty_list_scan([])
 
 
 def _assert_scans_match(elems):

@@ -19,7 +19,7 @@ from quadfactor.parse import parse_rpoly
 from quadfactor.qint import (_coords_key, _is_squarefree, _lattice_walk,
                              _twice_sqrt, check_integral,
                              common_nonunit_divisor, elements_of_norm,
-                             is_irreducible, ring)
+                             is_irreducible, ring, units)
 from quadfactor.rpoly import (WITNESS_MAX_CANDIDATES, _linear_leads,
                               _quad_splits_in_rx, _splits, _witness_count,
                               canonical_poly, factorizations_rx,
@@ -147,16 +147,15 @@ def test_constant_splits_take_no_irreducibility_probe(monkeypatch):
         assert any(m[0].degree() == 0 for m in fs), text
 
 
-def test_certificate_stops_the_divisor_scan(monkeypatch, capsys):
-    # 720 has 122 canonical divisors at d = -5, but the certificate is
-    # the first of them, and the scan draws no more than that one
+def test_certificate_takes_one_divisor_scan(monkeypatch, capsys):
+    # 720 has 122 canonical divisors at d = -5; the certificate is the
+    # first irreducible of one divisor scan of the coefficients
     from quadfactor import cli, qint
-    scan, drawn = qint._divisor_scan, []
+    scan, calls = qint._divisor_scan, []
 
     def counting(elems):
-        for t in scan(elems):
-            drawn.append(elems[0].cfg.el(t[1], t[2]))
-            yield t
+        calls.append(elems)
+        return scan(elems)
 
     monkeypatch.setattr(qint, "_divisor_scan", counting)
     assert cli.main(["--d", "-5", "irr", "720*x+720"]) == 0
@@ -164,7 +163,7 @@ def test_certificate_stops_the_divisor_scan(monkeypatch, capsys):
         '{"poly": "720*x+720", "d": -5, "irreducible": false, '
         '"certificate": {"subset": [], "lambda": "2", "g": "2", '
         '"h": "360*x+360"}}\n')
-    assert drawn == [ring(-5).el(2)]
+    assert len(calls) == 1
 
 
 def test_lambda_candidates_exact():
@@ -289,6 +288,26 @@ def test_factorizations_rx():
     fs = factorizations_rx(RX([6], ring(-5)))
     assert {tuple(str(g) for g in m) for m in fs.factorizations} == \
         {("2", "3"), ("1-w", "1+w")}
+
+
+def test_rx_factorizations_multiply_back():
+    # nothing in factorizations_rx multiplies a factorization back, so
+    # check that each one is a unit multiple of its input, on seeded
+    # products of one to three factors of degree <= 2
+    rng = random.Random(39)
+    for _ in range(560):
+        cfg = ring(rng.choice((-1, -2, -3, -5, -6, -7, -14, -15)))
+        f = RX([1], cfg)
+        for _ in range(rng.randint(1, 3)):
+            f = f * KPoly([cfg.el(rng.randint(-3, 3), rng.randint(-2, 2))
+                           for _ in range(rng.randint(1, 3))], cfg)
+        if f.is_zero() or f.is_unit():
+            continue
+        for m in factorizations_rx(f).factorizations:
+            prod = RX([1], cfg)
+            for g in m:
+                prod = prod * g
+            assert any(prod.scale(u) == f for u in units(cfg)), (f, m)
 
 
 def test_factorizations_81x():
@@ -601,6 +620,8 @@ def test_split_search_matches_oracle(monkeypatch):
         fs = factorizations_rx(f).factorizations
         assert fs == rx_oracle.poly_multisets(canonical_poly(f)), f
         assert is_irreducible_rx(f) == rx_oracle.is_irreducible_rx(f), f
+        # _splits builds each g canonical, so the memo takes it as is
+        assert all(canonical_poly(c.g) == c.g for c in _splits(f, None)), f
         return fs
 
     checked = 0
