@@ -1,3 +1,3 @@
-from .cli import run
+from .commands import run
 
 run()

@@ -125,7 +125,7 @@ def d1_factorizations(g: ExtElem) -> FactorizationSet:
     # constants (degree 0, each factorization already in (norm, a, b)
     # order) sort before every atom, and distinct ones stay distinct
     consts = [()] if c.is_unit() else [
-        tuple(map(KPoly.const, m)) for m in factorizations(c).factorizations]
+        tuple(map(KPoly.const, m)) for m in factorizations(c)]
     return FactorizationSet(element=g, factorizations=tuple(
         cm + atoms for cm in consts))
 

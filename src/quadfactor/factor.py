@@ -42,6 +42,10 @@ class FactorizationSet:
     def __init__(self, element, factorizations: tuple | frozenset):
         self.element, self._fs = element, factorizations
 
+    def __iter__(self):
+        """The factorizations as stored, with no set built."""
+        return iter(self._fs)
+
     @property
     def factorizations(self) -> frozenset:
         """The factorizations as a frozenset of tuples, built on the first

@@ -264,11 +264,14 @@ def factor_q(f: KPoly) -> tuple[KElem, list[KPoly]]:
 def _trager(h: KPoly) -> list[KPoly]:
     """Distinct monic irreducible K[x]-factors of monic squarefree h.
 
-    Every quadratic, h or a Q-factor of it, goes to _quadratic_factors.
-    Any other rational h is factored over Q first, by one Zassenhaus call
-    on its integer form (h is already squarefree), and each other Q-factor
-    descends from shift 1: at shift 0 its norm h^2 is never squarefree.
+    A linear h is its own factor.  Every quadratic, h or a Q-factor of
+    it, goes to _quadratic_factors.  Any other rational h is factored over
+    Q first, by one Zassenhaus call on its integer form (h is already
+    squarefree), and each other Q-factor descends from shift 1: at shift
+    0 its norm h^2 is never squarefree.
     """
+    if h.degree() == 1:
+        return [h]
     if h.degree() == 2:
         return _quadratic_factors(h)
     if not h.is_rational():

@@ -5,10 +5,11 @@ and ^ for exponents.  * binds tighter than + and -, ^ tighter still and
 only accepts a nonnegative integer exponent; / only accepts a nonzero
 constant divisor.  Each input evaluates exactly in one value type,
 chosen from its tokens: a scalar `qint.KElem` of K when it has no x,
-else a `kpoly.KPoly` of K[x].  The typed entry points then lift or
-narrow the result (element, K-element, R[x] polynomial) with errors
-naming the offending coefficient; an R[x] polynomial is a KPoly whose
-coefficients pass `qint.check_integral`.
+else a `kpoly.KPoly` of K[x] (only then is `kpoly` imported, so parsing
+an element loads no polynomial layer).  The typed entry points then
+lift or narrow the result (element, K-element, R[x] polynomial) with
+errors naming the offending coefficient; an R[x] polynomial is a KPoly
+whose coefficients pass `qint.check_integral`.
 
 Work and output stay bounded: a literal has at most MAX_DIGITS digits;
 parentheses, unary signs and exponents nest at most MAX_NESTING deep, so
@@ -26,7 +27,6 @@ from __future__ import annotations
 import re
 
 from .errors import DomainError, ParseError
-from .kpoly import KPoly
 from .qint import KElem, RingCfg, check_integral
 
 MAX_EXPONENT = 64
@@ -76,6 +76,9 @@ class _Parser:
         # every x of the text is an x token; without one, every value is
         # a scalar, and `self.poly and <degree>` reads its degree as 0
         self.poly = "x" in text
+        if self.poly:
+            from . import kpoly
+            self.KPoly = kpoly.KPoly
 
     def peek(self):
         return self.tokens[self.pos]
@@ -93,7 +96,7 @@ class _Parser:
     def const(self, a: int, b: int = 0) -> KElem | KPoly:
         """a + b*w as a value of this input's type."""
         z = KElem(a, b, self.cfg)
-        return KPoly.const(z) if self.poly else z
+        return self.KPoly.const(z) if self.poly else z
 
     def atom(self, depth: int) -> KElem | KPoly:
         kind, val, _ = tok = self.tokens[self.pos]
@@ -103,8 +106,8 @@ class _Parser:
         if kind == "name":
             if val == "w":
                 return self.const(0, 1)
-            return KPoly([KElem(0, 0, self.cfg), KElem(1, 0, self.cfg)],
-                         self.cfg)
+            return self.KPoly([KElem(0, 0, self.cfg), KElem(1, 0, self.cfg)],
+                              self.cfg)
         if kind == "op" and val == "(":
             inner = self.expr(0, depth + 1)
             closing = self.tokens[self.pos]
@@ -186,7 +189,10 @@ class _Parser:
 def parse_kpoly(text: str, cfg: RingCfg) -> KPoly:
     """Polynomial over K, exact coefficients."""
     v = _Parser(text, cfg).parse()
-    return v if isinstance(v, KPoly) else KPoly.const(v)
+    if isinstance(v, KElem):
+        from . import kpoly
+        return kpoly.KPoly.const(v)
+    return v
 
 
 def parse_kelem(text: str, cfg: RingCfg) -> KElem:

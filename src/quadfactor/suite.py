@@ -106,7 +106,7 @@ def _as_triples(fs: factor.FactorizationSet) -> set:
     # fs sorts its tuples by (norm, a, b), as the oracle does
     d = fs.element.cfg.d
     return {tuple([(z.a * z.a - d * z.b * z.b, z.a, z.b) for z in m])
-            for m in fs.factorizations}
+            for m in fs}
 
 
 # ---------------------------------------------------------------- checks

@@ -1,5 +1,5 @@
 """The CLI's former argparse parser, kept only as an oracle for the argv
-reader of quadfactor.cli.
+reader of quadfactor.commands.
 
 `read(argv)` gives ("help",) when the parser prints its help,
 ("usage",) when it rejects argv, and ("ok", fields) otherwise, where

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import argparse_oracle
-from quadfactor import cli
+from quadfactor import commands
 from test_readme import EXAMPLES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -21,10 +21,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 def read(argv):
     """The reader's outcome in the oracle's terms."""
     try:
-        return ("ok", vars(cli._read_argv(argv)))
-    except cli._Help:
+        return ("ok", vars(commands._read_argv(argv)))
+    except commands._Help:
         return ("help",)
-    except cli._Usage:
+    except commands._Usage:
         return ("usage",)
 
 
@@ -102,9 +102,10 @@ def argvs(draw):
         form = draw(st.sampled_from(("spaced", "joined", "bare")))
         argv += {"spaced": [spelled, value], "joined": [f"{spelled}={value}"],
                  "bare": [spelled]}[form]
-    command = draw(st.sampled_from(sorted(cli._COMMANDS) + ["bogus", "-5"]))
+    command = draw(st.sampled_from(sorted(commands._COMMANDS)
+                                   + ["bogus", "-5"]))
     argv.append(command)
-    wanted = len(cli._COMMANDS.get(command, ((),))[0])
+    wanted = len(commands._COMMANDS.get(command, ((),))[0])
     if command == "gcd-v":
         wanted = draw(st.integers(1, 4))
     count = max(0, wanted + draw(st.sampled_from((0, 0, 0, -1, 1, 2))))

@@ -1,22 +1,31 @@
-"""What importing the package loads.  No timing asserts: module sets only.
+"""What importing the package, and running one CLI command, loads.  No
+timing asserts: module sets only.
 
 A short CLI call is mostly interpreter start-up and imports.  So the
 package keeps `dataclasses` (which pulls in `inspect`, `ast`, `dis` and
 `tokenize`) and `argparse` (which pulls in `gettext`) out of its import
 graph, and the package root imports a layer only when one of that
-layer's public names is first used.
-`quadfactor.cli` still imports every layer at module level: the batch
-benchmark's tracer expects them all in sys.modules after importing it."""
+layer's public names is first used.  `python -m quadfactor` and the
+installed script enter through `quadfactor.commands`, whose handlers
+import the layers they run when called, and the parser loads K[x] only
+for an input with an x; so a call loads only what its command runs.
+`quadfactor.cli`, the in-process entry, still imports every layer at
+module level: a batch caller and its tracer expect them all in
+sys.modules after importing it."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import quadfactor
 
 SRC = pathlib.Path(quadfactor.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 LAYERS = ("errors", "qint", "zpoly", "kpoly", "factor", "rpoly", "parse",
           "ideals", "extring", "suite", "cli")
 
@@ -51,17 +60,21 @@ def test_package_does_not_import_argparse():
     assert _modules_importing("argparse") == []
 
 
+def _env() -> dict:
+    """The environment with this checkout's package first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def _modules_loaded_by(code: str) -> set[str]:
-    """Modules a fresh interpreter loads while running code, with this
-    checkout's package first on the path."""
+    """Modules a fresh interpreter loads while running code."""
     probe = ("import sys\nbefore = set(sys.modules)\n" + code + "\n"
              "assert quadfactor.__file__ == %r\n"
              "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
              % quadfactor.__file__)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+    proc = subprocess.run([sys.executable, "-c", probe], env=_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
@@ -75,14 +88,18 @@ def test_cli_import_loads_every_layer_but_not_dataclasses():
 
 # code run after `import quadfactor` -> the package modules it may load:
 # scalar arithmetic stays in the lowest layer, ideals need no
-# polynomial layer, and the parser needs K[x] but no R[x] search
+# polynomial layer, and the parser loads K[x] only for an input with an
+# x, and no R[x] search
 ROOT_USES = (
     ("quadfactor.ring(-5)", ("errors", "qint")),
     ("quadfactor.ring(-5).el(1) * quadfactor.ring(-5).el(0, 1)",
      ("errors", "qint")),
     ("quadfactor.ideal_from_gens([quadfactor.ring(-5).el(2)])",
      ("errors", "qint", "ideals")),
-    ("import quadfactor.parse", ("errors", "qint", "zpoly", "kpoly", "parse")),
+    ("import quadfactor.parse", ("errors", "qint", "parse")),
+    ("import quadfactor.parse\n"
+     "quadfactor.parse.parse_kpoly('x+1', quadfactor.ring(-5))",
+     ("errors", "qint", "parse", "zpoly", "kpoly")),
 )
 
 
@@ -92,3 +109,65 @@ def test_package_root_loads_only_what_is_used():
         ours = {m for m in loaded if m.split(".")[0] == "quadfactor"}
         assert ours == {"quadfactor"} | {f"quadfactor.{m}"
                                          for m in layers}, code
+
+
+# `python -m quadfactor` argv -> the package modules the call loads
+# besides the package root and quadfactor.commands
+CLI_LOADS = (
+    (("--d", "-5", "factor", "6"), ("errors", "qint", "parse", "factor")),
+    (("--d", "-5", "gcd-v", "6", "2+2*w"),
+     ("errors", "qint", "parse", "ideals")),
+    (("--d", "-5", "kfactor", "x^2+5"),
+     ("errors", "qint", "parse", "zpoly", "kpoly")),
+    (("--d", "-5", "witness-p"),
+     ("errors", "qint", "zpoly", "kpoly", "factor", "rpoly")),
+    (("--d", "-5", "d1", "x^2+5"),
+     ("errors", "qint", "parse", "zpoly", "kpoly", "factor", "rpoly",
+      "extring")),
+    (("paper-suite",),
+     ("errors", "qint", "zpoly", "kpoly", "factor", "rpoly", "ideals",
+      "extring", "suite")),
+)
+
+
+def _modules_loaded_by_cli(argv) -> set[str]:
+    """The quadfactor modules loaded by one `python -m quadfactor` call
+    (run as -m runs it, by runpy), listed on stderr after its output."""
+    probe = ("import runpy, sys\n"
+             "sys.argv = ['quadfactor', *%r]\n"
+             "try:\n"
+             "    runpy.run_module('quadfactor', run_name='__main__',\n"
+             "                     alter_sys=True)\n"
+             "except SystemExit as e:\n"
+             "    assert e.code == 0, e.code\n"
+             "assert sys.modules['quadfactor'].__file__ == %r\n"
+             "sys.stderr.write('\\nloaded: ' + ' '.join(\n"
+             "    m for m in sys.modules if m.split('.')[0] == 'quadfactor'))\n"
+             % (list(argv), quadfactor.__file__))
+    proc = subprocess.run([sys.executable, "-c", probe], env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return set(proc.stderr.rpartition("\nloaded: ")[2].split())
+
+
+def test_cli_call_loads_only_its_command_layers():
+    for argv, layers in CLI_LOADS:
+        assert _modules_loaded_by_cli(argv) == {
+            "quadfactor", "quadfactor.commands"} | {
+            f"quadfactor.{m}" for m in layers}, argv
+
+
+def test_installed_script_is_the_module_entry():
+    # the `quadfactor` script runs the function that `python -m
+    # quadfactor` runs, from the module it imports, so the load sets
+    # above hold for the script too
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["quadfactor"]
+    imp, call = ast.parse((SRC / "__main__.py").read_text()).body
+    [alias] = imp.names
+    assert imp.level == 1 and alias.asname is None
+    assert ast.unparse(call) == f"{alias.name}()"
+    assert target == f"quadfactor.{imp.module}:{alias.name}"
+    module, _, name = target.partition(":")
+    assert callable(getattr(importlib.import_module(module), name))

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from quadfactor.cli import _COMMANDS, main, run
+from quadfactor.commands import _COMMANDS, main, run
 from quadfactor.errors import DomainError, ParseError
 from quadfactor.parse import (MAX_NESTING, parse_element, parse_ideal_gens,
                               parse_kelem, parse_kpoly, parse_rpoly)
@@ -299,6 +299,26 @@ def test_cli_budgets_refuse_large_constants():
         assert json.loads(proc.stderr)["error"]["type"] == "resource", argv
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("factor", "10000"), 0),  # norm exactly 10^8
+    (("factor", "10000+w"), 4),  # norm 10^8 + 5
+    (("poly-factor", "1000*x+1"), 0),  # coefficient norm exactly 10^6
+    (("psp-check", "1000*x+1"), 0),
+    (("poly-factor", "(1000+w)*x+1"), 4),  # coefficient norm 10^6 + 5
+    (("psp-check", "(1000+w)*x+1"), 4),
+])
+def test_cli_stated_limits_are_inclusive(capsys, argv, code):
+    # README's guards refuse element norms above 10^8 and coefficient
+    # norms above 10^6: a value at the limit is accepted, the next one
+    # in the ring is refused
+    got, out, err = invoke(capsys, "--d", "-5", *argv)
+    assert got == code, argv
+    if code == 0:
+        assert err == "" and json.loads(out)["d"] == -5
+    else:
+        assert out == "" and json.loads(err)["error"]["type"] == "resource"
+
+
 @pytest.mark.parametrize("cmd, text", [
     ("factor", "9" * 5000),                  # literal past 4000 digits
     ("kfactor", "((2^64)^64)^64"),           # power past 4000 digits
@@ -395,12 +415,10 @@ def test_cli_element_verification_failure_exits_5(capsys, monkeypatch):
 
 def test_cli_unexpected_error_exits_5(capsys, monkeypatch):
     # any other exception is reported as JSON with its class name
-    from quadfactor import cli
-
     def broken(a, cfg):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._COMMANDS, "factor",
+    monkeypatch.setitem(_COMMANDS, "factor",
                         (("element",), True, broken))
     code, out, err = invoke(capsys, "--d", "-5", "factor", "6")
     assert code == 5 and out == "" and "Traceback" not in err
@@ -414,7 +432,7 @@ def test_cli_unexpected_error_exits_5(capsys, monkeypatch):
         raise Stop
 
     # a BaseException, such as a benchmark's timeout, is not caught
-    monkeypatch.setitem(cli._COMMANDS, "factor",
+    monkeypatch.setitem(_COMMANDS, "factor",
                         (("element",), True, stopped))
     with pytest.raises(Stop):
         main(["--d", "-5", "factor", "6"])
@@ -457,7 +475,7 @@ def test_package_surface():
 
 
 def _run_entry_point(capsys, monkeypatch, *argv):
-    """cli.run() as the installed script calls it: argv from sys.argv,
+    """commands.run() as the installed script calls it: argv from sys.argv,
     the exit code through SystemExit."""
     monkeypatch.setattr(sys, "argv", ["quadfactor", *argv])
     with pytest.raises(SystemExit) as exit_info:
