@@ -13,8 +13,8 @@ invertible, and (R : I) must still come out right there.
 
 Z[w] = Z[x]/(x^2 - d) is monogenic, hence Gorenstein, so by Bass ("On
 the ubiquity of Gorenstein rings", 1963) every nonzero fractional ideal
-is divisorial: I_v = I.  v_closure still computes (R : (R : I)) from the
-definition, and the tests use the theorem as an independent oracle.
+is divisorial: I_v = I.  gcd_v and gamma_check read I itself; v_closure
+remains the definition (R : (R : I)), checked against the theorem.
 
 is_principal and is_superprimitive read their answers off one Lagrange
 reduction of the numerator lattice, with no lattice walk.
@@ -276,13 +276,13 @@ def is_superprimitive(f) -> tuple[bool, KElem | None]:
 def gcd_v(elems: list[KElem]) -> KElem | None:
     """Greatest common divisor in the divisor-theoretic sense: g such
     that the common divisors of the input are exactly the divisors of g.
-    Exists iff the divisorial closure of the generated ideal is
-    principal; None when it is not.  g is the canonical generator
-    is_principal returns; it lies in Z[w] when the elements do, since
-    the v-closure of an integral ideal is integral."""
+    Exists iff the v-closure of the generated ideal I is principal, and
+    I_v = I by Bass's theorem, so is_principal reads I itself; None when
+    it is not.  g is the canonical generator, in Z[w] when the elements
+    are; v_closure remains the definition the tests check against."""
     if all(e.is_zero() for e in elems):
         raise DomainError("gcd of zeros is undefined")
-    return is_principal(v_closure(ideal_from_gens(elems)))
+    return is_principal(ideal_from_gens(elems))
 
 
 def gauss_product_check(f, g) -> bool:
@@ -297,7 +297,7 @@ def gauss_product_check(f, g) -> bool:
 
 class GammaReport:
     """One instance of the implication (B*C)_v = R  ==>  B_v principal:
-    whether the premise holds, and a generator of B_v if it has one."""
+    whether the premise holds, and a generator of B_v = B (Bass), if any."""
 
     __slots__ = ("product_v_trivial", "b_v_generator")
 
@@ -311,7 +311,7 @@ class GammaReport:
 
 
 def gamma_check(B: FracIdeal, C: FracIdeal) -> GammaReport:
-    """Instance of the implication: (B*C)_v = R  ==>  B_v principal."""
-    return GammaReport(
-        product_v_trivial=v_closure(mul(B, C)) == unit_ideal(B.cfg),
-        b_v_generator=is_principal(v_closure(B)))
+    """(B*C)_v = R  ==>  B_v principal, read on B*C and B themselves as
+    I_v = I (Bass); v_closure remains the definition the tests check."""
+    return GammaReport(product_v_trivial=mul(B, C) == unit_ideal(B.cfg),
+                       b_v_generator=is_principal(B))

@@ -194,9 +194,25 @@ def test_every_ideal_is_divisorial():
     # one-dimensional Gorenstein domain every nonzero fractional ideal
     # is divisorial (Bass, "On the ubiquity of Gorenstein rings", 1963);
     # v_closure computes (R : (R : I)) from the definition, with no
-    # shortcut, so I_v = I is an independent check on colon
-    for I, _ in seeded_ideals(22, 40, 40, 15, (1, 1, 2, 3, 6)):
+    # shortcut, so I_v = I is an independent check on colon.  gcd_v and
+    # gamma_check read I itself by the theorem; the v-closure route
+    # they replaced is their oracle, on (B, C) = (I, previous ideal of
+    # the ring) and (I, (R : I)), whose product is R when I is invertible
+    seen = set()
+    prev = None
+    for I, gens in seeded_ideals(22, 40, 40, 15, (1, 1, 2, 3, 6)):
         assert v_closure(I) == I, I
+        assert gcd_v(gens) == is_principal(v_closure(I)), gens
+        for C in (colon(I), prev):
+            if C is None or C.cfg.d != I.cfg.d:
+                continue
+            rep = gamma_check(I, C)
+            assert rep.product_v_trivial == (
+                v_closure(mul(I, C)) == unit_ideal(I.cfg)), (I, C)
+            assert rep.b_v_generator == is_principal(v_closure(I)), I
+            seen.add((rep.product_v_trivial, rep.holds))
+        prev = I
+    assert seen == {(True, True), (True, False), (False, True)}
 
 
 def test_is_principal():
@@ -404,6 +420,27 @@ def test_gcd_v():
     assert gcd_v([cfg1.el(1, 1), cfg1.el(2)]) == cfg1.el(1, 1)
     with pytest.raises(DomainError):
         gcd_v([cfg.el(0)])
+
+
+def test_ideal_conditions_compute_no_colon(monkeypatch):
+    # gcd_v and gamma_check read the ideal itself, so neither runs the
+    # two colon ideals of a v-closure; is_superprimitive reads (R : A_f)
+    from quadfactor import ideals
+    calls = []
+
+    def counted(I):
+        calls.append(I)
+        return colon(I)
+
+    monkeypatch.setattr(ideals, "colon", counted)
+    cfg = ring(-5)
+    B = ideal_from_gens([cfg.el(2), cfg.el(1, 1)])
+    C = ideal_from_gens([E(1, 0, -5), E(Fraction(1, 2), Fraction(-1, 2), -5)])
+    assert gcd_v([cfg.el(4), cfg.el(2)]) == cfg.el(2)
+    assert gamma_check(B, C).holds is False
+    assert calls == []
+    assert is_superprimitive(KPoly([cfg.el(2), cfg.el(1, 1)], cfg))[0] is False
+    assert calls == [B]
 
 
 def gcd_distributivity_check(elems, b):
