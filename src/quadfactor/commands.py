@@ -1,5 +1,6 @@
 """Command line interface: the command table, the argv reader, and the
-process entry point `run` that `python -m quadfactor` calls.
+process entry point `run` that `python -m quadfactor` calls, which ends
+the process right after flushing the command's output.
 
 Output goes to stdout as a single JSON object (or key/value TSV), and
 is byte-identical across runs for a fixed argv and seed.  Errors are
@@ -16,14 +17,15 @@ every string is one.
 
 from __future__ import annotations
 
-import importlib
 import json
+import math
+import os
 import re
 import sys
 from types import SimpleNamespace
 
 from .errors import (DomainError, ParseError, ResourceLimitError,
-                     VerificationError)
+                     VerificationError, load)
 from .qint import ring, units
 
 
@@ -49,16 +51,19 @@ _FAILURES = {_Usage: ("usage", 2), ParseError: ("parse", 2),
 _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _ratio(q) -> dict:
-    return {"num": q.numerator, "den": q.denominator}
+def _ratio(num: int, den: int) -> dict:
+    """num/den in lowest terms; an elasticity is max/min of the length
+    set, so printing one builds no Fraction."""
+    g = math.gcd(num, den)
+    return {"num": num // g, "den": den // g}
 
 
 def _lengths(fs) -> dict:
     """Factorizations (shortest first), length set and elasticity."""
     rendered = [[str(z) for z in m] for m in fs]
+    lens = fs.lengths()
     return {"factorizations": sorted(rendered, key=lambda m: (len(m), m)),
-            "length_set": fs.lengths(),
-            "elasticity": _ratio(fs.elasticity())}
+            "length_set": lens, "elasticity": _ratio(lens[-1], lens[0])}
 
 
 def _ring_info(a, cfg) -> dict:
@@ -67,47 +72,35 @@ def _ring_info(a, cfg) -> dict:
             "units": [str(u) for u in units(cfg)]}
 
 
-class _Layers:
-    """The layer modules as attributes, each imported on its first read,
-    so a process that runs one command loads only the layers it reads; a
-    later read is a plain attribute lookup, with no import machinery."""
-
-    def __getattr__(self, name: str):
-        module = importlib.import_module(f".{name}", __package__)
-        setattr(self, name, module)
-        return module
-
-
-_layers = _Layers()
-
-
 def _factor(a, cfg) -> dict:
-    x = _layers.parse.parse_element(a.element, cfg)
+    x = load(".parse").parse_element(a.element, cfg)
     return {"element": str(x), "d": cfg.d,
-            **_lengths(_layers.factor.factorizations(x))}
+            **_lengths(load(".factor").factorizations(x))}
 
 
 def _elasticity(a, cfg) -> dict:
-    x = _layers.parse.parse_element(a.element, cfg)
-    return {"element": str(x), "d": cfg.d, "elasticity": _ratio(
-        _layers.factor.factorizations(x).elasticity())}
+    x = load(".parse").parse_element(a.element, cfg)
+    lens = load(".factor").factorizations(x).lengths()
+    return {"element": str(x), "d": cfg.d,
+            "elasticity": _ratio(lens[-1], lens[0])}
 
 
 def _poly_factor(a, cfg) -> dict:
-    f = _layers.parse.parse_rpoly(a.poly, cfg)
+    f = load(".parse").parse_rpoly(a.poly, cfg)
     return {"poly": str(f), "d": cfg.d,
-            **_lengths(_layers.rpoly.factorizations_rx(f))}
+            **_lengths(load(".rpoly").factorizations_rx(f))}
 
 
 def _poly_elasticity(a, cfg) -> dict:
-    f = _layers.parse.parse_rpoly(a.poly, cfg)
-    return {"poly": str(f), "d": cfg.d, "elasticity": _ratio(
-        _layers.rpoly.factorizations_rx(f).elasticity())}
+    f = load(".parse").parse_rpoly(a.poly, cfg)
+    lens = load(".rpoly").factorizations_rx(f).lengths()
+    return {"poly": str(f), "d": cfg.d,
+            "elasticity": _ratio(lens[-1], lens[0])}
 
 
 def _irr(a, cfg) -> dict:
-    f = _layers.parse.parse_rpoly(a.poly, cfg)
-    flag, cert = _layers.rpoly.is_irreducible_rx(f)
+    f = load(".parse").parse_rpoly(a.poly, cfg)
+    flag, cert = load(".rpoly").is_irreducible_rx(f)
     return {"poly": str(f), "d": cfg.d, "irreducible": flag,
             "certificate": None if cert is None else {
                 "subset": list(cert.subset), "lambda": str(cert.lam),
@@ -115,30 +108,30 @@ def _irr(a, cfg) -> dict:
 
 
 def _kfactor(a, cfg) -> dict:
-    f = _layers.parse.parse_kpoly(a.poly, cfg)
-    unit, factors = _layers.kpoly.factor_k(f)
+    f = load(".parse").parse_kpoly(a.poly, cfg)
+    unit, factors = load(".kpoly").factor_k(f)
     return {"poly": str(f), "d": cfg.d, "unit": str(unit),
             "factors": [str(q) for q in factors]}
 
 
 def _psp_check(a, cfg) -> dict:
-    f = _layers.parse.parse_rpoly(a.poly, cfg)
-    prim = _layers.ideals.is_primitive(f)
-    sup, wit = _layers.ideals.is_superprimitive(f)
+    f = load(".parse").parse_rpoly(a.poly, cfg)
+    prim = load(".ideals").is_primitive(f)
+    sup, wit = load(".ideals").is_superprimitive(f)
     return {"poly": str(f), "d": cfg.d, "primitive": prim,
             "superprimitive": sup,
             "witness": None if wit is None else str(wit)}
 
 
 def _gcd_v(a, cfg) -> dict:
-    elems = [_layers.parse.parse_element(e, cfg) for e in a.elements]
-    g = _layers.ideals.gcd_v(elems)
+    elems = [load(".parse").parse_element(e, cfg) for e in a.elements]
+    g = load(".ideals").gcd_v(elems)
     return {"elements": [str(e) for e in elems], "d": cfg.d,
             "exists": g is not None, "gcd": None if g is None else str(g)}
 
 
 def _gamma_check(a, cfg) -> dict:
-    ideals, parse = _layers.ideals, _layers.parse
+    ideals, parse = load(".ideals"), load(".parse")
     B = ideals.ideal_from_gens(parse.parse_ideal_gens(a.b, cfg))
     C = ideals.ideal_from_gens(parse.parse_ideal_gens(a.c, cfg))
     rep = ideals.gamma_check(B, C)
@@ -150,40 +143,42 @@ def _gamma_check(a, cfg) -> dict:
 
 
 def _witness_p(a, cfg) -> dict:
-    wit = _layers.rpoly.property_p_witness(cfg, a.norm_bound, a.deg_bound)
+    wit = load(".rpoly").property_p_witness(cfg, a.norm_bound, a.deg_bound)
     return {"d": cfg.d, "norm_bound": a.norm_bound,
             "deg_bound": a.deg_bound,
             "witness": None if wit is None else str(wit)}
 
 
 def _d1(a, cfg) -> dict:
-    p = _layers.parse.parse_kpoly(a.poly, cfg)
-    g = _layers.extring.ExtElem(p, "D1")
-    label = _layers.extring.d1_classify(g)
+    p = load(".parse").parse_kpoly(a.poly, cfg)
+    g = load(".extring").ExtElem(p, "D1")
+    label = load(".extring").d1_classify(g)
     payload = {"poly": str(p), "d": cfg.d, "classification": label,
                "factorizations": None, "length_set": None,
                "elasticity": None, "note": None}
     if label != "unit":
         try:
-            payload.update(_lengths(_layers.extring.d1_factorizations(g)))
+            payload.update(_lengths(load(".extring").d1_factorizations(g)))
         except DomainError as e:
             payload["note"] = str(e)
     return payload
 
 
 def _d2_demo(a, cfg) -> dict:
-    pi = _layers.parse.parse_element(a.pi, cfg)
-    rep = _layers.extring.d2_witness_verify(pi, a.n)
+    pi = load(".parse").parse_element(a.pi, cfg)
+    rep = load(".extring").d2_witness_verify(pi, a.n)
+    bound = rep.elasticity_lower_bound
     return {"d": cfg.d, "pi": str(pi), "n": a.n,
             "identity_holds": rep.identity_holds,
             "factors_irreducible": rep.factors_irreducible,
             "lengths": list(rep.lengths),
-            "elasticity_lower_bound": _ratio(rep.elasticity_lower_bound),
+            "elasticity_lower_bound": _ratio(bound.numerator,
+                                             bound.denominator),
             "observed_lengths": list(rep.observed_lengths)}
 
 
 def _paper_suite(a, cfg) -> dict:
-    results = _layers.suite.run_all(a.seed)
+    results = load(".suite").run_all(a.seed)
     return {"results": [{"name": r.name, "ok": r.ok, "claim": r.claim,
                          "detail": r.detail} for r in results],
             "passed": sum(r.ok for r in results),
@@ -369,4 +364,20 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main(sys.argv[1:]))
+    """The `quadfactor` command: main() on sys.argv, then the process ends
+    as soon as its output is flushed, with no interpreter teardown.  Only
+    a tracer or profiler, which writes its report at exit, gets a normal
+    exit.  A reader that closed stdout gets exit 1 and no traceback."""
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        # the flush at a normal exit then writes to devnull, not the pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    mon = getattr(sys, "monitoring", None)  # profilers use it from 3.12
+    if sys.gettrace() is None and sys.getprofile() is None and not (
+            mon and any(map(mon.get_tool, range(6)))):
+        os._exit(code)
+    sys.exit(code)

@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `load`, the one form
+of deferred import that its modules use."""
+
+import functools
+import importlib
+
+
+@functools.cache
+def load(name: str):
+    """The module `name` ("fractions", or ".kpoly" for a layer), imported
+    on the first call for that name; a later call is one C-level cache
+    hit, with no import machinery run."""
+    return importlib.import_module(name, __package__)
 
 
 class DomainError(ValueError):

@@ -23,9 +23,8 @@ as it is, and its frozenset is built only when a caller reads it.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
-from .errors import ResourceLimitError, VerificationError
+from .errors import ResourceLimitError, VerificationError, load
 from .qint import KElem, _atoms, _canonical_coords, _require_factorable
 
 NORM_LIMIT = 10 ** 8
@@ -56,13 +55,13 @@ class FactorizationSet:
     def lengths(self) -> list[int]:
         return sorted({len(m) for m in self._fs})
 
-    def elasticity(self) -> Fraction:
+    def elasticity(self):
         """max length / min length.  The set is never empty: every
         public constructor (factorizations, rpoly.factorizations_rx,
         extring.d1_factorizations) takes a nonzero nonunit, and so
         yields at least one factorization."""
         lens = self.lengths()
-        return Fraction(lens[-1], lens[0])
+        return load("fractions").Fraction(lens[-1], lens[0])
 
 
 class _Element:

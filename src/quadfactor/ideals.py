@@ -23,9 +23,8 @@ reduction of the numerator lattice, with no lattice walk.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .errors import DomainError, VerificationError
+from .errors import DomainError, VerificationError, load
 from .qint import (KElem, RingCfg, _canonical_coords, check_coeff_norms,
                    check_integral, common_nonunit_divisor)
 
@@ -99,10 +98,11 @@ class FracIdeal:
         q, r = divmod(self.denom, z.den)
         return not r and self._lattice_member(z.a * q, z.b * q)
 
-    def norm(self) -> Fraction:
+    def norm(self):
         """Index-based norm a*c / denom^2 (the module index [R : I],
         extended multiplicatively to fractional ideals)."""
-        return Fraction(self.a * self.c, self.denom * self.denom)
+        return load("fractions").Fraction(self.a * self.c,
+                                           self.denom * self.denom)
 
     def __str__(self) -> str:
         g1, g2 = self.generators()

@@ -9,7 +9,8 @@ R[x] check that with `qint.check_integral`.
 
 Rational polynomials are factored over Z by the Zassenhaus method
 (`zpoly.zassenhaus`: Berlekamp mod p, Hensel lifting, recombination)
-after splitting off content and repeated factors.
+after splitting off content and repeated factors; `zpoly` is imported
+by the first call that runs it.
 
 K[x] factorization reduces to Q[x] by norm descent (Trager 1976): shift
 f by s*w until N(x) = g*conj(g) is squarefree, factor N over Q, and read
@@ -22,9 +23,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, ResourceLimitError, VerificationError
+from .errors import DomainError, ResourceLimitError, VerificationError, load
 from .qint import KElem, RingCfg, _twice_sqrt, order_key, try_div
-from .zpoly import zassenhaus
 
 FACTOR_Q_MAX_DEG = 8
 FACTOR_K_MAX_DEG = 6
@@ -257,7 +257,8 @@ def factor_q(f: KPoly) -> tuple[KElem, list[KPoly]]:
     content, F = _integer_form(f)
     sqf = f.divmod(poly_gcd(f, f.derivative()))[0]
     distinct = [KPoly.from_rationals(g, f.cfg) for g in
-                (zassenhaus(_integer_form(sqf)[1]) if len(F) > 1 else ())]
+                (load(".zpoly").zassenhaus(_integer_form(sqf)[1])
+                 if len(F) > 1 else ())]
     return _checked(f, content, _repeat(f, distinct))
 
 
@@ -277,7 +278,7 @@ def _trager(h: KPoly) -> list[KPoly]:
     if not h.is_rational():
         return _descent(h, (0,) + _SHIFTS)
     qs = (KPoly.from_rationals(q, h.cfg).monic()
-          for q in zassenhaus(_integer_form(h)[1]))
+          for q in load(".zpoly").zassenhaus(_integer_form(h)[1]))
     return [g for q in qs for g in (_quadratic_factors(q) if q.degree() == 2
                                     else _descent(q, _SHIFTS))]
 
@@ -304,6 +305,7 @@ def _descent(h: KPoly, shifts: tuple[int, ...]) -> list[KPoly]:
             raise VerificationError(f"norm of {g} is not rational")
         if poly_gcd(normpoly, normpoly.derivative()).degree() != 0:
             continue
+        zassenhaus = load(".zpoly").zassenhaus
         gcds = (poly_gcd(g, KPoly.from_rationals(n, cfg))
                 for n in zassenhaus(_integer_form(normpoly)[1]))
         out = [q.shifted(KElem(0, s, cfg)).monic() for q in gcds]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, load
 from .qint import KElem, RingCfg, check_integral
 
 MAX_EXPONENT = 64
@@ -77,8 +77,7 @@ class _Parser:
         # a scalar, and `self.poly and <degree>` reads its degree as 0
         self.poly = "x" in text
         if self.poly:
-            from . import kpoly
-            self.KPoly = kpoly.KPoly
+            self.KPoly = load(".kpoly").KPoly
 
     def peek(self):
         return self.tokens[self.pos]
@@ -190,8 +189,7 @@ def parse_kpoly(text: str, cfg: RingCfg) -> KPoly:
     """Polynomial over K, exact coefficients."""
     v = _Parser(text, cfg).parse()
     if isinstance(v, KElem):
-        from . import kpoly
-        return kpoly.KPoly.const(v)
+        return load(".kpoly").KPoly.const(v)
     return v
 
 

@@ -26,9 +26,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 
-from .errors import DomainError, ResourceLimitError, VerificationError
+from .errors import DomainError, ResourceLimitError, VerificationError, load
 
 MAX_ABS_D = 100
 MAX_COEFF_NORM = 10 ** 6
@@ -116,7 +115,9 @@ class KElem:
     def norm(self):
         """The field norm: an integer on R, an exact rational off it."""
         n = self.a * self.a - self.cfg.d * self.b * self.b
-        return n if self.den == 1 else Fraction(n, self.den * self.den)
+        if self.den == 1:
+            return n
+        return load("fractions").Fraction(n, self.den * self.den)
 
     def conj(self) -> "KElem":
         return KElem(self.a, -self.b, self.cfg, self.den)
@@ -336,6 +337,7 @@ def order_key(x):
     n = a * a - x.cfg.d * b * b
     if den == 1:
         return (n, a, b)
+    Fraction = load("fractions").Fraction
     return (Fraction(n, den * den), Fraction(a, den), Fraction(b, den))
 
 

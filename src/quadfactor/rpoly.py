@@ -21,8 +21,7 @@ import itertools
 import math
 from bisect import bisect_left
 
-from .errors import DomainError, ResourceLimitError
-from .factor import FactorizationSet
+from .errors import DomainError, ResourceLimitError, load
 from .kpoly import FACTOR_K_MAX_DEG, KPoly, factor_k, poly_order_key
 from .qint import (KElem, RingCfg, _canonical_coords, _canonical_points,
                    _coords_key, _lattice_walk, _twice_sqrt,
@@ -197,12 +196,12 @@ def _poly_multisets(f: KPoly, ks: tuple) -> tuple:
     return tuple(out) or ((f,),)
 
 
-def factorizations_rx(f: KPoly) -> FactorizationSet:
+def factorizations_rx(f: KPoly):
     """Every factorization of f in R[x] into irreducibles, up to
-    associates and order."""
+    associates and order, as a `factor.FactorizationSet`."""
     _guard(f)
     ks = tuple(factor_k(f)[1])
-    return FactorizationSet(
+    return load(".factor").FactorizationSet(
         element=f, factorizations=_poly_multisets(canonical_poly(f), ks))
 
 

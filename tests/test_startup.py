@@ -8,7 +8,9 @@ graph, and the package root imports a layer only when one of that
 layer's public names is first used.  `python -m quadfactor` and the
 installed script enter through `quadfactor.commands`, whose handlers
 import the layers they run when called, and the parser loads K[x] only
-for an input with an x; so a call loads only what its command runs.
+for an input with an x, Zassenhaus only where a factor over Q of degree
+above 2 is split, and `fractions` only where a rational is built; so a
+call loads only what its command runs.
 `quadfactor.cli`, the in-process entry, still imports every layer at
 module level: a batch caller and its tracer expect them all in
 sys.modules after importing it."""
@@ -99,7 +101,7 @@ ROOT_USES = (
     ("import quadfactor.parse", ("errors", "qint", "parse")),
     ("import quadfactor.parse\n"
      "quadfactor.parse.parse_kpoly('x+1', quadfactor.ring(-5))",
-     ("errors", "qint", "parse", "zpoly", "kpoly")),
+     ("errors", "qint", "parse", "kpoly")),
 )
 
 
@@ -112,37 +114,49 @@ def test_package_root_loads_only_what_is_used():
 
 
 # `python -m quadfactor` argv -> the package modules the call loads
-# besides the package root and quadfactor.commands
+# besides the package root and quadfactor.commands: Zassenhaus (zpoly)
+# loads only for a factor over Q of degree > 2, and the element search
+# (factor) for R[x] only where its factorizations are listed
 CLI_LOADS = (
     (("--d", "-5", "factor", "6"), ("errors", "qint", "parse", "factor")),
     (("--d", "-5", "gcd-v", "6", "2+2*w"),
      ("errors", "qint", "parse", "ideals")),
-    (("--d", "-5", "kfactor", "x^2+5"),
-     ("errors", "qint", "parse", "zpoly", "kpoly")),
-    (("--d", "-5", "witness-p"),
-     ("errors", "qint", "zpoly", "kpoly", "factor", "rpoly")),
+    (("--d", "-5", "kfactor", "x^2+5"), ("errors", "qint", "parse", "kpoly")),
+    (("--d", "-14", "kfactor", "x^4+3*x^2+7"),
+     ("errors", "qint", "parse", "kpoly", "zpoly")),
+    (("--d", "-5", "witness-p"), ("errors", "qint", "kpoly", "rpoly")),
     (("--d", "-5", "d1", "x^2+5"),
-     ("errors", "qint", "parse", "zpoly", "kpoly", "factor", "rpoly",
-      "extring")),
+     ("errors", "qint", "parse", "kpoly", "factor", "rpoly", "extring")),
     (("paper-suite",),
-     ("errors", "qint", "zpoly", "kpoly", "factor", "rpoly", "ideals",
-      "extring", "suite")),
+     ("errors", "qint", "kpoly", "factor", "rpoly", "ideals", "extring",
+      "suite")),
+)
+# fractions, with the decimal and numbers modules it imports, loads only
+# where a rational is built: these calls print each ratio from integers.
+# (witness-p does build rationals: qint.order_key sorts elements of K,
+# such as the roots of a quadratic and the lambda candidates, by them.)
+RATIONAL_FREE = (
+    ("--d", "-5", "factor", "6"),
+    ("--d", "-14", "elasticity", "81"),
+    ("--d", "-5", "gcd-v", "6", "2+2*w"),
+    ("--d", "-5", "gamma-check", "2; 1+w", "3; 1+w"),
 )
 
 
 def _modules_loaded_by_cli(argv) -> set[str]:
-    """The quadfactor modules loaded by one `python -m quadfactor` call
-    (run as -m runs it, by runpy), listed on stderr after its output."""
-    probe = ("import runpy, sys\n"
+    """The modules loaded by one `python -m quadfactor` call (run as -m
+    runs it, by runpy, with the process exit of commands.run replaced by
+    sys.exit), listed on stderr after its output."""
+    probe = ("import os, runpy, sys\n"
              "sys.argv = ['quadfactor', *%r]\n"
+             "os._exit = sys.exit\n"
              "try:\n"
              "    runpy.run_module('quadfactor', run_name='__main__',\n"
              "                     alter_sys=True)\n"
              "except SystemExit as e:\n"
              "    assert e.code == 0, e.code\n"
              "assert sys.modules['quadfactor'].__file__ == %r\n"
-             "sys.stderr.write('\\nloaded: ' + ' '.join(\n"
-             "    m for m in sys.modules if m.split('.')[0] == 'quadfactor'))\n"
+             "sys.stderr.write('\\nloaded: ' + ' '.join(sys.modules))\n"
              % (list(argv), quadfactor.__file__))
     proc = subprocess.run([sys.executable, "-c", probe], env=_env(),
                           capture_output=True, text=True, timeout=120)
@@ -152,9 +166,17 @@ def _modules_loaded_by_cli(argv) -> set[str]:
 
 def test_cli_call_loads_only_its_command_layers():
     for argv, layers in CLI_LOADS:
-        assert _modules_loaded_by_cli(argv) == {
-            "quadfactor", "quadfactor.commands"} | {
+        ours = {m for m in _modules_loaded_by_cli(argv)
+                if m.split(".")[0] == "quadfactor"}
+        assert ours == {"quadfactor", "quadfactor.commands"} | {
             f"quadfactor.{m}" for m in layers}, argv
+
+
+def test_element_and_ideal_calls_load_no_rationals():
+    for argv in RATIONAL_FREE:
+        loaded = _modules_loaded_by_cli(argv)
+        assert "quadfactor.qint" in loaded, argv
+        assert not loaded & {"fractions", "decimal", "numbers"}, argv
 
 
 def test_installed_script_is_the_module_entry():

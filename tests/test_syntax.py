@@ -476,8 +476,10 @@ def test_package_surface():
 
 def _run_entry_point(capsys, monkeypatch, *argv):
     """commands.run() as the installed script calls it: argv from sys.argv,
-    the exit code through SystemExit."""
+    the exit code through SystemExit (run() ends the process with
+    os._exit, which sys.exit stands in for here)."""
     monkeypatch.setattr(sys, "argv", ["quadfactor", *argv])
+    monkeypatch.setattr(os, "_exit", sys.exit)
     with pytest.raises(SystemExit) as exit_info:
         run()
     cap = capsys.readouterr()
