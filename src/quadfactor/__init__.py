@@ -22,7 +22,8 @@ _EXPORTS = {
                "gamma_check"),
     "factor": ("FactorizationSet", "factorizations"),
     "rpoly": ("GroupingCertificate", "lambda_candidates",
-              "is_irreducible_rx", "factorizations_rx", "property_p_witness"),
+              "is_irreducible_rx", "factorizations_rx"),
+    "witness": ("property_p_witness",),
     "extring": ("ExtElem", "D2WitnessReport", "d1_classify",
                 "d1_factorizations", "d2_is_irreducible", "d2_witness_verify"),
 }

@@ -6,8 +6,8 @@ before its first call.  `python -m quadfactor` and the installed script
 enter through quadfactor.commands, which loads only what a command runs."""
 
 from . import (commands, errors, extring, factor, ideals, kpoly, parse,
-               qint, rpoly, suite, zpoly)
+               qint, rpoly, suite, witness, zpoly)
 
-LAYERS = (errors, qint, zpoly, kpoly, factor, rpoly, parse, ideals, extring,
-          suite)
+LAYERS = (errors, qint, zpoly, kpoly, factor, rpoly, witness, parse, ideals,
+          extring, suite)
 main, run = commands.main, commands.run

@@ -143,7 +143,7 @@ def _gamma_check(a, cfg) -> dict:
 
 
 def _witness_p(a, cfg) -> dict:
-    wit = load(".rpoly").property_p_witness(cfg, a.norm_bound, a.deg_bound)
+    wit = load(".witness").property_p_witness(cfg, a.norm_bound, a.deg_bound)
     return {"d": cfg.d, "norm_bound": a.norm_bound,
             "deg_bound": a.deg_bound,
             "witness": None if wit is None else str(wit)}

@@ -48,3 +48,6 @@ def test_tiny_corpus_traced_twice(bench):
         calls.append({k: v for k, v in result["metrics"].items()
                       if k.endswith(".calls")})
     assert calls[0] == calls[1] and any(calls[0].values())
+    # the tiny corpus holds one witness-p; the tracer counts it where the
+    # benchmark reads it, rpoly's binding of the search
+    assert calls[0]["rpoly.property_p_witness.calls"] == 1

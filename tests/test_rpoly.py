@@ -20,11 +20,11 @@ from quadfactor.qint import (_coords_key, _is_squarefree, _lattice_walk,
                              _twice_sqrt, check_integral,
                              common_nonunit_divisor, elements_of_norm,
                              is_irreducible, ring, units)
-from quadfactor.rpoly import (WITNESS_MAX_CANDIDATES, _linear_leads,
-                              _quad_splits_in_rx, _splits, _witness_count,
-                              canonical_poly, factorizations_rx,
+from quadfactor.rpoly import (_splits, canonical_poly, factorizations_rx,
                               is_irreducible_rx, lambda_candidates,
                               property_p_witness)
+from quadfactor.witness import (WITNESS_MAX_CANDIDATES, _linear_leads,
+                                _quad_splits_in_rx, _witness_count)
 
 
 def RP(text, d):
@@ -417,22 +417,22 @@ def test_twice_sqrt_matches_sqrt_in_field(case):
 
 
 def test_witness_budget(monkeypatch):
-    from quadfactor import rpoly
+    from quadfactor import witness
     cfg = ring(-1)
     leads = sum(len(elements_of_norm(n, cfg)) for n in range(1, 11))
     coeffs = sum(a * a + b * b <= 10
                  for a in range(-3, 4) for b in range(-3, 4))
     total = leads * coeffs ** 2
-    monkeypatch.setattr(rpoly, "WITNESS_MAX_CANDIDATES", total)
+    monkeypatch.setattr(witness, "WITNESS_MAX_CANDIDATES", total)
     assert property_p_witness(cfg, 10, 2) is None
-    monkeypatch.setattr(rpoly, "WITNESS_MAX_CANDIDATES", total - 1)
+    monkeypatch.setattr(witness, "WITNESS_MAX_CANDIDATES", total - 1)
     with pytest.raises(ResourceLimitError):
         property_p_witness(cfg, 10, 2)
     # a witness beyond the budget raises, one inside it is found
-    monkeypatch.setattr(rpoly, "WITNESS_MAX_CANDIDATES", 1)
+    monkeypatch.setattr(witness, "WITNESS_MAX_CANDIDATES", 1)
     with pytest.raises(ResourceLimitError):
         property_p_witness(ring(-3), 20, 2)
-    monkeypatch.setattr(rpoly, "WITNESS_MAX_CANDIDATES", 10 ** 4)
+    monkeypatch.setattr(witness, "WITNESS_MAX_CANDIDATES", 10 ** 4)
     assert property_p_witness(ring(-3), 20, 2) == RP("x^2+x+1", -3)
 
 
@@ -443,14 +443,14 @@ def test_witness_square_test_once_per_c1_squared(monkeypatch, d, bound):
     # conjugate class, c1 no later than -c1 (and than +-i*c1 at d = -1),
     # and c0 is 0 or of norm no smaller than the lead's.  "Later" is read
     # off the walk's positions, not off the closed form of the scan
-    from quadfactor import rpoly
-    calls, twice_sqrt = [], rpoly._twice_sqrt
+    from quadfactor import witness
+    calls, twice_sqrt = [], witness._twice_sqrt
 
     def counted(*args):
         calls.append(args)
         return twice_sqrt(*args)
 
-    monkeypatch.setattr(rpoly, "_twice_sqrt", counted)
+    monkeypatch.setattr(witness, "_twice_sqrt", counted)
     assert property_p_witness(ring(d), bound, 2) is None
     k = math.isqrt(bound)
 
@@ -500,7 +500,7 @@ def test_witness_budget_matches_unpruned_search(monkeypatch, d, bound):
     # every budget from 0 to past the full count: skipped candidates
     # count, so both searches return the same witness or both raise
     import witness_oracle
-    from quadfactor import rpoly
+    from quadfactor import witness
 
     def outcome(search, *args):
         try:
@@ -513,7 +513,7 @@ def test_witness_budget_matches_unpruned_search(monkeypatch, d, bound):
     full = leads * _witness_count(cfg, bound) ** 2
     raised = 0
     for budget in range(full + 2):
-        monkeypatch.setattr(rpoly, "WITNESS_MAX_CANDIDATES", budget)
+        monkeypatch.setattr(witness, "WITNESS_MAX_CANDIDATES", budget)
         want = outcome(witness_oracle.property_p_witness, cfg, bound)
         assert outcome(property_p_witness, cfg, bound, 2) == want, budget
         raised += want == "exceeds budget"

@@ -9,11 +9,13 @@ layer's public names is first used.  `python -m quadfactor` and the
 installed script enter through `quadfactor.commands`, whose handlers
 import the layers they run when called, and the parser loads K[x] only
 for an input with an x, Zassenhaus only where a factor over Q of degree
-above 2 is split, and `fractions` only where a rational is built; so a
-call loads only what its command runs.
-`quadfactor.cli`, the in-process entry, still imports every layer at
-module level: a batch caller and its tracer expect them all in
-sys.modules after importing it."""
+above 2 is split, and `fractions` only where a rational is built; the
+witness search (`quadfactor.witness`) loads K[x] and R[x] only for a
+quadratic that survives its integer screens.  So a call loads only what
+its command runs.
+`quadfactor.cli`, the in-process entry, still imports every module of
+the package at module level: a batch caller and its tracer expect them
+all in sys.modules after importing it."""
 
 import ast
 import importlib
@@ -28,8 +30,6 @@ import quadfactor
 
 SRC = pathlib.Path(quadfactor.__file__).parent
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-LAYERS = ("errors", "qint", "zpoly", "kpoly", "factor", "rpoly", "parse",
-          "ideals", "extring", "suite", "cli")
 
 
 def _imported_modules(tree):
@@ -83,15 +83,27 @@ def _modules_loaded_by(code: str) -> set[str]:
 
 
 def test_cli_import_loads_every_layer_but_not_dataclasses():
+    # every module of the package, read off its files: one left out of
+    # cli's imports would first be compiled inside a caller's first
+    # timed command.  cli names each itself, so the list does not rest
+    # on what another layer happens to import
+    layers = {p.stem for p in SRC.glob("*.py")} - {"__init__", "__main__"}
+    assert len(layers) > 10
+    listed = {alias.name
+              for node in ast.parse((SRC / "cli.py").read_text()).body
+              if isinstance(node, ast.ImportFrom) and node.level == 1
+              and node.module is None for alias in node.names}
+    assert listed == layers - {"cli"}
     loaded = _modules_loaded_by("import quadfactor.cli")
-    assert {f"quadfactor.{m}" for m in LAYERS} <= loaded
+    assert {f"quadfactor.{m}" for m in layers} <= loaded
     assert not loaded & {"dataclasses", "inspect", "argparse", "gettext"}
 
 
 # code run after `import quadfactor` -> the package modules it may load:
 # scalar arithmetic stays in the lowest layer, ideals need no
-# polynomial layer, and the parser loads K[x] only for an input with an
-# x, and no R[x] search
+# polynomial layer, the parser loads K[x] only for an input with an
+# x, and no R[x] search, and a witness search that no quadratic survives
+# loads no polynomial layer
 ROOT_USES = (
     ("quadfactor.ring(-5)", ("errors", "qint")),
     ("quadfactor.ring(-5).el(1) * quadfactor.ring(-5).el(0, 1)",
@@ -102,6 +114,8 @@ ROOT_USES = (
     ("import quadfactor.parse\n"
      "quadfactor.parse.parse_kpoly('x+1', quadfactor.ring(-5))",
      ("errors", "qint", "parse", "kpoly")),
+    ("quadfactor.property_p_witness(quadfactor.ring(-1), 10, 2)",
+     ("errors", "qint", "witness")),
 )
 
 
@@ -115,8 +129,11 @@ def test_package_root_loads_only_what_is_used():
 
 # `python -m quadfactor` argv -> the package modules the call loads
 # besides the package root and quadfactor.commands: Zassenhaus (zpoly)
-# loads only for a factor over Q of degree > 2, and the element search
-# (factor) for R[x] only where its factorizations are listed
+# loads only for a factor over Q of degree > 2, the element search
+# (factor) for R[x] only where its factorizations are listed, and the
+# polynomial layers for witness-p only once a quadratic survives the
+# integer screens (none does at d = -1); rpoly binds the search, so a
+# call that loads rpoly loads witness too
 CLI_LOADS = (
     (("--d", "-5", "factor", "6"), ("errors", "qint", "parse", "factor")),
     (("--d", "-5", "gcd-v", "6", "2+2*w"),
@@ -124,23 +141,28 @@ CLI_LOADS = (
     (("--d", "-5", "kfactor", "x^2+5"), ("errors", "qint", "parse", "kpoly")),
     (("--d", "-14", "kfactor", "x^4+3*x^2+7"),
      ("errors", "qint", "parse", "kpoly", "zpoly")),
-    (("--d", "-5", "witness-p"), ("errors", "qint", "kpoly", "rpoly")),
+    (("--d", "-1", "witness-p"), ("errors", "qint", "witness")),
+    (("--d", "-5", "witness-p"),
+     ("errors", "qint", "kpoly", "rpoly", "witness")),
     (("--d", "-5", "d1", "x^2+5"),
-     ("errors", "qint", "parse", "kpoly", "factor", "rpoly", "extring")),
+     ("errors", "qint", "parse", "kpoly", "factor", "rpoly", "witness",
+      "extring")),
     (("paper-suite",),
-     ("errors", "qint", "kpoly", "factor", "rpoly", "ideals", "extring",
-      "suite")),
+     ("errors", "qint", "kpoly", "factor", "rpoly", "witness", "ideals",
+      "extring", "suite")),
 )
 # fractions, with the decimal and numbers modules it imports, loads only
 # where a rational is built: these calls print each ratio from integers.
-# (witness-p does build rationals: qint.order_key sorts elements of K,
-# such as the roots of a quadratic and the lambda candidates, by them.)
 RATIONAL_FREE = (
     ("--d", "-5", "factor", "6"),
     ("--d", "-14", "elasticity", "81"),
     ("--d", "-5", "gcd-v", "6", "2+2*w"),
     ("--d", "-5", "gamma-check", "2; 1+w", "3; 1+w"),
+    ("--d", "-1", "witness-p"),
 )
+# (witness-p screens its candidates in integers; only a survivor builds
+# rationals, as qint.order_key sorts the lambda candidates of its
+# R[x] test, elements of K, by them.)
 
 
 def _modules_loaded_by_cli(argv) -> set[str]:

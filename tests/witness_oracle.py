@@ -1,12 +1,12 @@
 """The field-arithmetic quadratic test and the unpruned witness search,
 kept only as test oracles.
 
-quad_disc_sqrt and quad_splits_in_rx are rpoly's witness scan as it was
+quad_disc_sqrt and quad_splits_in_rx are the witness scan as it was
 before it answered its two questions in Z[w]: the square root s of the
 discriminant comes from the Fraction-based sqrt_oracle, and the split
 test forms the roots in K as Fraction-based KElems and asks whether
 lam*r1 and (c2/lam)*r2 are integral.  property_p_witness is
-rpoly.property_p_witness as it was before it skipped candidates by
+witness.property_p_witness as it was before it skipped candidates by
 symmetry: every (lead, c1, c0) is tested, the rows of c1 and -c1 sharing
 the square test of their discriminant."""
 
@@ -14,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from quadfactor import rpoly
+from quadfactor import rpoly, witness
 from quadfactor.errors import ResourceLimitError
 from quadfactor.kpoly import KPoly
 from quadfactor.qint import (KElem, _canonical_points, _lattice_walk,
@@ -50,9 +50,10 @@ def quad_splits_in_rx(c2: KElem, c1: KElem, s: KElem) -> bool:
 
 
 def property_p_witness(cfg, max_norm: int):
-    """The first degree-2 witness by the order of rpoly.property_p_witness,
-    under the budget rpoly.WITNESS_MAX_CANDIDATES holds at call time."""
-    budget = rpoly.WITNESS_MAX_CANDIDATES
+    """The first degree-2 witness by the order of
+    witness.property_p_witness, under the budget
+    witness.WITNESS_MAX_CANDIDATES holds at call time."""
+    budget = witness.WITNESS_MAX_CANDIDATES
     over_budget = ResourceLimitError("witness search exceeds its budget "
                                      f"of {budget} candidates")
     if len(_lattice_walk(cfg, max_norm)) > budget:
@@ -64,7 +65,7 @@ def property_p_witness(cfg, max_norm: int):
         la, lb = 4 * lead.a, 4 * lead.b
         prods = [(a, b, la * a + d * lb * b, la * b + lb * a)
                  for a, b in inner]
-        c2, lams = (lead.a, lead.b), rpoly._linear_leads(lead)
+        c2, lams = (lead.a, lead.b), witness._linear_leads(lead)
         squares = {}
         for c1 in inner:
             c1a, c1b = c1
@@ -77,7 +78,7 @@ def property_p_witness(cfg, max_norm: int):
                     (a, b, t) for a, b, pa, pb in itertools.islice(prods, left)
                     if (t := _twice_sqrt(sa - pa, sb - pb, d)) is not None]
             for a, b, t in row:
-                if rpoly._quad_splits_in_rx(c2, c1, t, lams, d):
+                if witness._quad_splits_in_rx(c2, c1, t, lams, d):
                     continue
                 f = KPoly([KElem(a, b, cfg), KElem(c1a, c1b, cfg), lead], cfg)
                 if rpoly.is_irreducible_rx(f)[0]:
