@@ -24,9 +24,9 @@ from .qint import (KElem, canonical_associate, check_coeff_norms,
                    irreducible_common_divisors, order_key, try_div)
 
 MAX_DEG = FACTOR_K_MAX_DEG
-# the witness search lives in `witness`, which a search with no survivor
-# runs without any polynomial layer; the name stays here, bound to the
-# same function, where suite and qfbench's tracer read it
+# the witness search lives in `witness`; the name stays here, bound to
+# the same function, only for qfbench's TRACED table, which reads it
+# here; it goes when that table is re-pinned (ROADMAP item 1)
 property_p_witness = witness.property_p_witness
 
 

@@ -22,7 +22,7 @@ import random
 import time
 from fractions import Fraction
 
-from . import extring, factor, ideals, rpoly
+from . import extring, factor, ideals, rpoly, witness
 from .kpoly import KPoly, factor_k
 from .qint import (KElem, _canonical_points, _lattice_walk,
                    common_nonunit_divisor, is_prime, ring)
@@ -284,7 +284,7 @@ def check_property_p(seed: int):
     notes = []
     for d in (-3, -5, -6, -10, -14):
         cfg = ring(d)
-        wit = rpoly.property_p_witness(cfg, 20, 2)
+        wit = witness.property_p_witness(cfg, 20, 2)
         if wit is None:
             return False, f"no witness found for d={d}"
         if not rpoly.is_irreducible_rx(wit)[0]:
@@ -296,7 +296,7 @@ def check_property_p(seed: int):
         notes.append(f"d={d}: {wit}")
     for d in (-1, -2):
         cfg = ring(d)
-        wit = rpoly.property_p_witness(cfg, 20, 2)
+        wit = witness.property_p_witness(cfg, 20, 2)
         if wit is not None:
             return False, f"unexpected witness {wit} for d={d}"
         notes.append(f"d={d}: none")

@@ -1,12 +1,14 @@
 """The Property-P witness search: the first quadratic of R[x] that is
 irreducible in R[x] but splits in K[x].
 
-A candidate is screened on integer coordinates (qint._twice_sqrt and
-_quad_splits_in_rx), so a search that no candidate survives loads no
-polynomial layer; `kpoly` and `rpoly`, whose is_irreducible_rx decides
-a survivor, load at the first survivor.  The search skips a quadratic
-that a symmetry of the question maps to an earlier one, so it still
-finds the first witness.
+A candidate is decided on integer coordinates by two screens: its
+discriminant must be a square in K (qint._twice_sqrt), and no rescaling
+of its two linear K-factors may lie in R[x] (_quad_splits_in_rx).  The
+first candidate that passes both is the witness (property_p_witness
+gives the argument), and only it is built as a KPoly; so the search
+loads `kpoly` once it has found a witness, and no other polynomial
+layer.  The search skips a quadratic that a symmetry of the question
+maps to an earlier one, so it still finds the first witness.
 """
 
 from __future__ import annotations
@@ -85,20 +87,35 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
     Degrees 0 and 1 cannot witness (constants have no K[x] splitting,
     linear polynomials are K-irreducible), so max_deg = 1 finds none.
     A quadratic is screened in integers: its discriminant must be a
-    square in K (_twice_sqrt), no rescaling of its roots may give
-    linear factors of R[x] (_quad_splits_in_rx); is_irreducible_rx
-    decides a survivor, and rejects one with a common nonunit divisor of
-    its coefficients at its first constant split.
+    square in K (_twice_sqrt), and no rescaling of its roots may give
+    linear factors of R[x] (_quad_splits_in_rx).  The first survivor is
+    returned, and it is a witness.  It splits in K[x]; a split of a
+    survivor f into nonunits of R[x] is not linear times linear, so it
+    is delta*g with delta a nonunit of R, taken up to a unit so that
+    the lead of g = f/delta is canonical.  Then g survives too: its
+    discriminant is f's over delta^2, and delta times a linear split of
+    g would be one of f.  The lead of g has norm N(lead f)/N(delta) <
+    N(lead f), and no coefficient of g has a larger norm than f's.  So
+    g, or the member of its orbit that is not skipped (below), survived
+    before f, and a reducible f is never the first survivor.  No
+    coefficient of the first survivor passes the R[x] layer's guard
+    (norm 10^6), so no exit code changes either: at lead 1 a maximal
+    order has no survivor (a root in K of a monic quadratic is
+    integral, so in R), and a non-maximal one has x^2 + x + (1-d)/4,
+    of coefficient norms <= 625, in the first row tested after c1 = 0,
+    which holds no survivor (see below); a second lead is reached only
+    with at most 1000 coefficients, so below norm bound 250000.
 
-    Both properties are kept by x -> -x, by x -> +-i*x at d = -1 (with
+    Both screens are kept by x -> -x, by x -> +-i*x at d = -1 (with
     the unit rescaling, (c1, c0) -> (-+i*c1, -c0)), by conjugation and,
     for c0 != 0, by the reversal x^2*f(1/x).  A candidate is skipped
     only when one of these maps it to a strictly earlier candidate, so
-    the first witness is always tested: a row whose c1 is not canonical,
-    a lead whose conjugate class comes first, and a c0 != 0 of smaller
-    norm than the lead.  Past WITNESS_MAX_CANDIDATES candidates,
-    skipped ones included, the search raises ResourceLimitError, from a
-    count alone when the coefficients outnumber that budget."""
+    the first survivor is always tested: a row whose c1 is not
+    canonical, a lead whose conjugate class comes first, and a c0 != 0
+    of smaller norm than the lead.  Past WITNESS_MAX_CANDIDATES
+    candidates, skipped ones included, the search raises
+    ResourceLimitError, from a count alone when the coefficients
+    outnumber that budget."""
     if max_norm < 1 or max_deg < 1:
         raise DomainError("bounds must be positive")
     if max_deg > WITNESS_MAX_DEG:
@@ -109,7 +126,7 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
     over_budget = ResourceLimitError("witness search exceeds its budget "
                                      f"of {WITNESS_MAX_CANDIDATES} candidates")
     # with more coefficients than the budget L it runs out in the first
-    # row, x^2 + c0 (lead 1, c1 = 0), which holds no witness: a root r is
+    # row, x^2 + c0 (lead 1, c1 = 0), which holds no survivor: a root r is
     # integral, so r is in R and x^2 + c0 = (x-r)(x+r); else d = 1 mod 4,
     # r = (u + v*w)/2 with u, v odd, and -c0 = r^2 has w-part u*v/2 not in
     # Z.  Norm 2*|d|*(L+1) has (2*isqrt(L+1)+1)^2 > L points: stop there
@@ -156,11 +173,8 @@ def property_p_witness(cfg: RingCfg, max_norm: int = 20,
                         continue
                     c0 = KElem((pa * la - d * pb * lb) // n4,
                                (pb * la - pa * lb) // n4, cfg)
-                    f = load(".kpoly").KPoly(
+                    return load(".kpoly").KPoly(
                         [c0, KElem(c1a, c1b, cfg), lead], cfg)
-                    # shortcut says witness; the full test has the final word
-                    if load(".rpoly").is_irreducible_rx(f)[0]:
-                        return f
             if tried > WITNESS_MAX_CANDIDATES:
                 raise over_budget
     return None

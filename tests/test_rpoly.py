@@ -16,15 +16,15 @@ from quadfactor.ideals import (content_ideal, gauss_product_check,
                                is_primitive, is_superprimitive)
 from quadfactor.kpoly import KElem, KPoly, factor_k
 from quadfactor.parse import parse_rpoly
-from quadfactor.qint import (_coords_key, _is_squarefree, _lattice_walk,
-                             _twice_sqrt, check_integral,
+from quadfactor.qint import (_canonical_points, _coords_key, _is_squarefree,
+                             _lattice_walk, _twice_sqrt, check_integral,
                              common_nonunit_divisor, elements_of_norm,
                              is_irreducible, ring, units)
 from quadfactor.rpoly import (_splits, canonical_poly, factorizations_rx,
-                              is_irreducible_rx, lambda_candidates,
-                              property_p_witness)
+                              is_irreducible_rx, lambda_candidates)
 from quadfactor.witness import (WITNESS_MAX_CANDIDATES, _linear_leads,
-                                _quad_splits_in_rx, _witness_count)
+                                _quad_splits_in_rx, _witness_count,
+                                property_p_witness)
 
 
 def RP(text, d):
@@ -337,6 +337,47 @@ def test_property_p_witnesses():
         property_p_witness(ring(-5), 0, 2)
     with pytest.raises(ResourceLimitError):
         property_p_witness(ring(-5), 20, 3)
+
+
+def _survives_screens(f):
+    c0, c1, c2 = f.coeffs
+    d = f.cfg.d
+    t = _twice_sqrt(*coords(c1 * c1 - c2 * c0 * f.cfg.el(4)), d)
+    return t is not None and not _quad_splits_in_rx(
+        (c2.a, c2.b), (c1.a, c1.b), t, _linear_leads(c2), d)
+
+
+def test_reducible_survivors_come_after_their_witness():
+    # the search returns its first screen survivor: a survivor that is
+    # reducible in R[x] is delta*g with delta a nonunit constant, and g
+    # survives under a lead of smaller norm.  Each pinned bound-20
+    # witness g times each canonical nonunit delta of norm <= 9 is
+    # reducible and has a lead of larger norm than g's; where it
+    # survives both screens, the R[x] test rejects it at a constant
+    # split.  Not every delta*g survives: 2*(2*x^2+2+w) at d = -5 is
+    # (2*x-1+w)*(2*x+1-w)
+    path = pathlib.Path(__file__).with_name("witness_p_norm20.jsonl")
+    survivors = linear = 0
+    for line in path.read_text().splitlines():
+        row = json.loads(line)
+        if row["witness"] is None:
+            continue
+        cfg = ring(row["d"])
+        g = RP(row["witness"], row["d"])
+        assert _survives_screens(g) and is_irreducible_rx(g)[0]
+        for delta in _canonical_points(cfg, _lattice_walk(cfg, 9)):
+            if delta.norm() == 1:
+                continue
+            f = g.scale(delta)
+            assert f.lc().norm() > g.lc().norm()
+            irreducible, cert = is_irreducible_rx(f)
+            assert not irreducible, (g, delta)
+            if _survives_screens(f):
+                assert cert.subset == (), (g, delta)
+                survivors += 1
+            else:
+                linear += 1
+    assert survivors > 30 and linear > 0
 
 
 def test_quadratic_shortcut_matches_generic():

@@ -10,9 +10,9 @@ installed script enter through `quadfactor.commands`, whose handlers
 import the layers they run when called, and the parser loads K[x] only
 for an input with an x, Zassenhaus only where a factor over Q of degree
 above 2 is split, and `fractions` only where a rational is built; the
-witness search (`quadfactor.witness`) loads K[x] and R[x] only for a
-quadratic that survives its integer screens.  So a call loads only what
-its command runs.
+witness search (`quadfactor.witness`) decides every candidate with its
+integer screens and loads K[x] only to build the first survivor, which
+is the witness.  So a call loads only what its command runs.
 `quadfactor.cli`, the in-process entry, still imports every module of
 the package at module level: a batch caller and its tracer expect them
 all in sys.modules after importing it."""
@@ -130,8 +130,8 @@ def test_package_root_loads_only_what_is_used():
 # `python -m quadfactor` argv -> the package modules the call loads
 # besides the package root and quadfactor.commands: Zassenhaus (zpoly)
 # loads only for a factor over Q of degree > 2, the element search
-# (factor) for R[x] only where its factorizations are listed, and the
-# polynomial layers for witness-p only once a quadratic survives the
+# (factor) for R[x] only where its factorizations are listed, and K[x]
+# for witness-p only to build the first quadratic that survives the
 # integer screens (none does at d = -1); rpoly binds the search, so a
 # call that loads rpoly loads witness too
 CLI_LOADS = (
@@ -142,8 +142,7 @@ CLI_LOADS = (
     (("--d", "-14", "kfactor", "x^4+3*x^2+7"),
      ("errors", "qint", "parse", "kpoly", "zpoly")),
     (("--d", "-1", "witness-p"), ("errors", "qint", "witness")),
-    (("--d", "-5", "witness-p"),
-     ("errors", "qint", "kpoly", "rpoly", "witness")),
+    (("--d", "-5", "witness-p"), ("errors", "qint", "kpoly", "witness")),
     (("--d", "-5", "d1", "x^2+5"),
      ("errors", "qint", "parse", "kpoly", "factor", "rpoly", "witness",
       "extring")),
@@ -159,10 +158,10 @@ RATIONAL_FREE = (
     ("--d", "-5", "gcd-v", "6", "2+2*w"),
     ("--d", "-5", "gamma-check", "2; 1+w", "3; 1+w"),
     ("--d", "-1", "witness-p"),
+    ("--d", "-5", "witness-p"),
 )
-# (witness-p screens its candidates in integers; only a survivor builds
-# rationals, as qint.order_key sorts the lambda candidates of its
-# R[x] test, elements of K, by them.)
+# (witness-p screens its candidates in integers and builds its witness
+# from integer coordinates.)
 
 
 def _modules_loaded_by_cli(argv) -> set[str]:

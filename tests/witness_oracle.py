@@ -7,9 +7,20 @@ discriminant comes from the Fraction-based sqrt_oracle, and the split
 test forms the roots in K as Fraction-based KElems and asks whether
 lam*r1 and (c2/lam)*r2 are integral.  property_p_witness is
 witness.property_p_witness as it was before it skipped candidates by
-symmetry: every (lead, c1, c0) is tested, the rows of c1 and -c1 sharing
-the square test of their discriminant."""
+symmetry, and before it took its first screen survivor as the witness:
+every (lead, c1, c0) is tested, the rows of c1 and -c1 sharing the
+square test of their discriminant.  A candidate whose discriminant
+qint._twice_sqrt calls a square is decided by the two Fraction-based
+tests above, and rpoly.is_irreducible_rx has the final word on one
+that passes them.  The quadfactor names it still shares with the
+search are the order and range of the candidates (qint._lattice_walk
+and qint._canonical_points), the budget
+(witness.WITNESS_MAX_CANDIDATES), qint._twice_sqrt, as a filter that
+may only lose a witness, not add one, and the element and polynomial
+types (qint.KElem, kpoly.KPoly); qint.norm, try_div and
+common_divisors serve the Fraction-based tests."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -49,6 +60,15 @@ def quad_splits_in_rx(c2: KElem, c1: KElem, s: KElem) -> bool:
     return False
 
 
+@functools.cache
+def _field_survivor(c2: KElem, c1: KElem, c0: KElem) -> bool:
+    """Whether c2*x^2 + c1*x + c0 has a discriminant that is a square in
+    K and no split into linear factors of R[x], by the Fraction-based
+    tests; cached, as the budget tests rerun the search at each budget."""
+    s = quad_disc_sqrt(c2, c1, c0)
+    return s is not None and not quad_splits_in_rx(c2, c1, s)
+
+
 def property_p_witness(cfg, max_norm: int):
     """The first degree-2 witness by the order of
     witness.property_p_witness, under the budget
@@ -65,22 +85,22 @@ def property_p_witness(cfg, max_norm: int):
         la, lb = 4 * lead.a, 4 * lead.b
         prods = [(a, b, la * a + d * lb * b, la * b + lb * a)
                  for a, b in inner]
-        c2, lams = (lead.a, lead.b), witness._linear_leads(lead)
         squares = {}
-        for c1 in inner:
-            c1a, c1b = c1
+        for c1a, c1b in inner:
+            c1 = KElem(c1a, c1b, cfg)
             sq = sa, sb = c1a * c1a + d * c1b * c1b, 2 * c1a * c1b
             left = budget - tried
             tried += len(prods)
             row = squares.get(sq) if tried <= budget else None
             if row is None:
                 row = squares[sq] = [
-                    (a, b, t) for a, b, pa, pb in itertools.islice(prods, left)
-                    if (t := _twice_sqrt(sa - pa, sb - pb, d)) is not None]
-            for a, b, t in row:
-                if witness._quad_splits_in_rx(c2, c1, t, lams, d):
+                    KElem(a, b, cfg)
+                    for a, b, pa, pb in itertools.islice(prods, left)
+                    if _twice_sqrt(sa - pa, sb - pb, d) is not None]
+            for c0 in row:
+                if not _field_survivor(lead, c1, c0):
                     continue
-                f = KPoly([KElem(a, b, cfg), KElem(c1a, c1b, cfg), lead], cfg)
+                f = KPoly([c0, c1, lead], cfg)
                 if rpoly.is_irreducible_rx(f)[0]:
                     return f
             if tried > budget:
