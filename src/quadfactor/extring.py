@@ -18,6 +18,7 @@ one factor and (a/c)*x^2, of the same kind, as the other.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError, VerificationError
@@ -34,12 +35,12 @@ D2_MAX_POWER = 6
 LEVELS = {"D1": 1, "D2": 2}
 
 
-class ExtElem:
+class ExtElem(namedtuple("ExtElem", "poly level")):
     """Element of D1 or D2, carried as the underlying K[x] polynomial."""
 
-    __slots__ = ("poly", "level")
+    __slots__ = ()
 
-    def __init__(self, poly: KPoly, level: str):
+    def __new__(cls, poly: KPoly, level: str):
         depth = LEVELS.get(level)
         if depth is None:
             raise DomainError(f"unknown ring level {level!r}")
@@ -49,7 +50,7 @@ class ExtElem:
                 raise DomainError(
                     f"coefficient of x^{i} is {c}, not in Z[w]; "
                     f"element lies outside {level}")
-        self.poly, self.level = poly, level
+        return super().__new__(cls, poly, level)
 
     def __str__(self) -> str:
         return str(self.poly)
@@ -171,22 +172,12 @@ def d2_is_irreducible(g: ExtElem) -> bool:
     return is_irreducible_rx(p)[0]
 
 
-class D2WitnessReport:
+class D2WitnessReport(namedtuple(
+        "D2WitnessReport", "pi n identity_holds factors_irreducible lengths "
+        "elasticity_lower_bound observed_lengths")):
     """Outcome of the pi^(2n) length-jump construction in D2."""
 
-    __slots__ = ("pi", "n", "identity_holds", "factors_irreducible",
-                 "lengths", "elasticity_lower_bound", "observed_lengths")
-
-    def __init__(self, pi: KElem, n: int, identity_holds: bool,
-                 factors_irreducible: bool, lengths: tuple[int, int],
-                 elasticity_lower_bound: Fraction,
-                 observed_lengths: tuple[int, ...]):
-        self.pi, self.n = pi, n
-        self.identity_holds = identity_holds
-        self.factors_irreducible = factors_irreducible
-        self.lengths = lengths
-        self.elasticity_lower_bound = elasticity_lower_bound
-        self.observed_lengths = observed_lengths
+    __slots__ = ()
 
     def ok(self) -> bool:
         return self.identity_holds and self.factors_irreducible

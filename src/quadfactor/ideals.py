@@ -23,6 +23,7 @@ reduction of the numerator lattice, with no lattice walk.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .errors import DomainError, VerificationError, load
 from .qint import (KElem, RingCfg, _canonical_coords, check_coeff_norms,
@@ -51,34 +52,21 @@ def hnf2(vecs: list[tuple[int, int]]) -> tuple[int, int, int]:
     return a, b % a, c
 
 
-class FracIdeal:
+class FracIdeal(namedtuple("FracIdeal", "a b c denom cfg")):
     """Fractional ideal (1/denom) * (Z*(a,0) + Z*(b,c)) of Z[w]; the
     reduced form is unique, so equality compares the fields."""
 
-    __slots__ = ("a", "b", "c", "denom", "cfg")
+    __slots__ = ()
 
-    def __init__(self, a: int, b: int, c: int, denom: int, cfg: RingCfg):
-        self.a, self.b, self.c, self.denom, self.cfg = a, b, c, denom, cfg
+    def __new__(cls, a: int, b: int, c: int, denom: int, cfg: RingCfg):
+        self = super().__new__(cls, a, b, c, denom, cfg)
         # reduced Hermite form, closed under the w-action (x, y) -> (d*y, x)
         if not (0 <= b < a and c > 0 and denom > 0
                 and math.gcd(a, b, c, denom) == 1
                 and self._lattice_member(0, a)
                 and self._lattice_member(cfg.d * c, b)):
             raise VerificationError(f"{self!r} is not a reduced ideal lattice")
-
-    def _fields(self) -> tuple:
-        return self.a, self.b, self.c, self.denom, self.cfg.d
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, FracIdeal)
-                and self._fields() == other._fields())
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (f"FracIdeal(a={self.a}, b={self.b}, c={self.c}, "
-                f"denom={self.denom}, cfg={self.cfg!r})")
+        return self
 
     def _lattice_member(self, x: int, y: int) -> bool:
         if y % self.c:
@@ -295,15 +283,12 @@ def gauss_product_check(f, g) -> bool:
     return common_nonunit_divisor(list((f * g).coeffs)) is None
 
 
-class GammaReport:
+class GammaReport(namedtuple("GammaReport",
+                              "product_v_trivial b_v_generator")):
     """One instance of the implication (B*C)_v = R  ==>  B_v principal:
     whether the premise holds, and a generator of B_v = B (Bass), if any."""
 
-    __slots__ = ("product_v_trivial", "b_v_generator")
-
-    def __init__(self, product_v_trivial: bool, b_v_generator: KElem | None):
-        self.product_v_trivial = product_v_trivial
-        self.b_v_generator = b_v_generator
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:

@@ -428,9 +428,9 @@ def _require_factorable(x: KElem) -> None:
 
 
 def _is_irreducible_canonical(x: KElem) -> bool:
-    # a proper divisor has smaller norm and so comes first; the only
-    # canonical divisor of x with the norm of x is x itself
-    return _divisor_scan([x])[0][1:3] == (x.a, x.b)
+    # the scan holds each canonical nonunit divisor of x, x itself (the
+    # unit's cofactor) among them: x is irreducible when it is alone
+    return len(_norm_pair_scan(x.cfg, x.a, x.b, x.norm())) == 1
 
 
 def is_irreducible(x: KElem) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import namedtuple
 
 from . import witness
 from .errors import DomainError, ResourceLimitError, load
@@ -35,27 +36,15 @@ def canonical_poly(f: KPoly) -> KPoly:
     return f.scale(try_div(canonical_associate(f.lc()), f.lc()))
 
 
-class GroupingCertificate:
+class GroupingCertificate(namedtuple("GroupingCertificate",
+                                      "subset lam g h")):
     """Witness that f is reducible: f = g * h with g, h nonunits of R[x].
 
     subset gives the indices of the K[x]-factors of f grouped into g
     (empty for a constant split), lam the rescaling constant with
     g = lam * g0."""
 
-    __slots__ = ("subset", "lam", "g", "h")
-
-    def __init__(self, subset: tuple, lam: KElem, g: KPoly, h: KPoly):
-        self.subset, self.lam, self.g, self.h = subset, lam, g, h
-
-    def _fields(self) -> tuple:
-        return self.subset, self.lam, self.g, self.h
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, GroupingCertificate)
-                and self._fields() == other._fields())
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+    __slots__ = ()
 
 
 def lambda_candidates(g0: KPoly, h0: KPoly) -> list[KElem]:

@@ -20,6 +20,7 @@ import functools
 import math
 import random
 import time
+from collections import namedtuple
 from fractions import Fraction
 
 from . import extring, factor, ideals, rpoly, witness
@@ -30,13 +31,7 @@ from .qint import (KElem, _canonical_points, _lattice_walk,
 CORE_RINGS = (-1, -2, -3, -5, -14)
 
 
-class CheckResult:
-    __slots__ = ("name", "claim", "ok", "detail", "seconds")
-
-    def __init__(self, name: str, claim: str, ok: bool, detail: str,
-                 seconds: float = 0.0):
-        self.name, self.claim, self.ok = name, claim, ok
-        self.detail, self.seconds = detail, seconds
+CheckResult = namedtuple("CheckResult", "name claim ok detail seconds")
 
 
 # ---------------------------------------------------------------- oracle

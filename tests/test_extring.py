@@ -35,6 +35,17 @@ def test_membership():
     assert "x^1" in str(exc.value)
     with pytest.raises(DomainError):
         ExtElem(parse_kpoly("x", ring(-5)), "D3")
+    # an immutable record that compares by its fields, checked the same
+    # way when built by keyword
+    p = parse_kpoly("1/3*w*x^2+2*x+1", ring(-5))
+    assert ExtElem(p, "D1") == g == ExtElem(poly=p, level="D1")
+    assert hash(ExtElem(p, "D1")) == hash(g)
+    assert ExtElem(p, "D2") != g
+    with pytest.raises(AttributeError):
+        g.level = "D2"
+    with pytest.raises(DomainError) as exc:
+        ExtElem(poly=parse_kpoly("1/2*x+1", ring(-5)), level="D2")
+    assert "x^1" in str(exc.value)
 
 
 def test_d1_classify():
@@ -317,6 +328,10 @@ def test_d2_witness_verify():
     assert rep.lengths == (2, 3)
     assert rep.elasticity_lower_bound == Fraction(3, 2)
     assert rep.observed_lengths == (2, 3)
+    # an immutable record, built by position or by keyword
+    assert D2WitnessReport(*rep) == D2WitnessReport(**rep._asdict()) == rep
+    with pytest.raises(AttributeError):
+        rep.n = 2
     rep = d2_witness_verify(cfg.el(2), 5)
     assert rep.ok()
     assert rep.lengths == (2, 11)

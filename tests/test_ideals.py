@@ -13,8 +13,8 @@ import pytest
 from kelem_oracle import coords, normk
 
 from quadfactor.errors import DomainError, VerificationError
-from quadfactor.ideals import (colon, content_ideal, gamma_check,
-                               gauss_product_check, gcd_v, hnf2,
+from quadfactor.ideals import (FracIdeal, GammaReport, colon, content_ideal,
+                               gamma_check, gauss_product_check, gcd_v, hnf2,
                                ideal_from_gens, is_primitive, is_principal, is_superprimitive,
                                mul, unit_ideal, v_closure)
 from quadfactor.kpoly import KPoly
@@ -91,6 +91,9 @@ def test_frac_ideal_invariants_raise():
                               "lattice")
     with pytest.raises(VerificationError):
         FracIdeal(2, 0, 1, 0, ring(-5))
+    # built by keyword, the record is checked the same way
+    with pytest.raises(VerificationError):
+        FracIdeal(a=2, b=0, c=1, denom=1, cfg=ring(-5))
 
 
 def test_frac_ideal_equality_is_by_ideal():
@@ -106,6 +109,11 @@ def test_frac_ideal_equality_is_by_ideal():
     assert I != ideal_from_gens([cfg.el(2)])
     # the same lattice (a, b, c) = (2, 1, 1) in another ring
     assert I != ideal_from_gens([ring(-3).el(2), ring(-3).el(1, 1)])
+    # an immutable record: rebuilt by position or by keyword it is the
+    # same ideal, and no field can be reassigned
+    assert FracIdeal(*I) == FracIdeal(**I._asdict()) == I
+    with pytest.raises(AttributeError):
+        I.a = 4
 
 
 def test_ideal_from_gens_rejects_zero():
@@ -515,6 +523,11 @@ def test_gamma_check():
     rep = gamma_check(B, C)
     assert rep.product_v_trivial and rep.b_v_generator is None
     assert rep.holds is False
+    # an immutable record, built by position or by keyword
+    assert rep == GammaReport(True, None) == GammaReport(
+        product_v_trivial=True, b_v_generator=None)
+    with pytest.raises(AttributeError):
+        rep.product_v_trivial = False
     # trivial product closure never arises here, so the implication holds
     C2 = ideal_from_gens([cfg.el(2), cfg.el(1, -1)])
     assert gamma_check(B, C2).holds is True

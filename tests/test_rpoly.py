@@ -20,8 +20,9 @@ from quadfactor.qint import (_canonical_points, _coords_key, _is_squarefree,
                              _lattice_walk, _twice_sqrt, check_integral,
                              common_nonunit_divisor, elements_of_norm,
                              is_irreducible, ring, units)
-from quadfactor.rpoly import (_splits, canonical_poly, factorizations_rx,
-                              is_irreducible_rx, lambda_candidates)
+from quadfactor.rpoly import (GroupingCertificate, _splits, canonical_poly,
+                              factorizations_rx, is_irreducible_rx,
+                              lambda_candidates)
 from quadfactor.witness import (WITNESS_MAX_CANDIDATES, _linear_leads,
                                 _quad_splits_in_rx, _witness_count,
                                 property_p_witness)
@@ -249,6 +250,11 @@ def test_is_irreducible_rx():
     # certificates compare and hash by their fields
     again = is_irreducible_rx(RP("x^2+5", -5))[1]
     assert again is not cert and again == cert and len({cert, again}) == 1
+    # an immutable record, built by position or by keyword
+    assert GroupingCertificate(*cert) == GroupingCertificate(
+        subset=cert.subset, lam=cert.lam, g=cert.g, h=cert.h) == cert
+    with pytest.raises(AttributeError):
+        cert.g = cert.h
     assert is_irreducible_rx(RP("x^2+x+1", -5)) == (True, None)
     assert is_irreducible_rx(RP("x", -5)) == (True, None)
     assert is_irreducible_rx(RP("2*x^2+2+w", -5)) == (True, None)

@@ -4,6 +4,7 @@ stdout."""
 
 import pathlib
 
+import pytest
 import split_oracle
 from quadfactor import factor, suite
 from quadfactor.cli import main
@@ -55,6 +56,14 @@ def test_factor_oracle_catches_an_extra_factorization(monkeypatch):
     monkeypatch.setattr(factor, "factorizations", padding)
     r = suite.check_factor_oracle()
     assert not r.ok and r.detail == "mismatch at d=-5, element (6, 0)"
+
+
+def test_check_result_is_an_immutable_record():
+    r = suite.CheckResult("c", "claim", True, "detail", 0.5)
+    assert r == suite.CheckResult(name="c", claim="claim", ok=True,
+                                  detail="detail", seconds=0.5)
+    with pytest.raises(AttributeError):
+        r.ok = False
 
 
 def test_paper_suite_tsv_pinned(capsys):
