@@ -36,7 +36,9 @@ LEVELS = {"D1": 1, "D2": 2}
 
 
 class ExtElem(namedtuple("ExtElem", "poly level")):
-    """Element of D1 or D2, carried as the underlying K[x] polynomial."""
+    """Element of D1 or D2, carried as the underlying K[x] polynomial.
+    __new__ checks the level and the low coefficients; the inherited
+    _make and _replace do not."""
 
     __slots__ = ()
 

@@ -54,7 +54,8 @@ def hnf2(vecs: list[tuple[int, int]]) -> tuple[int, int, int]:
 
 class FracIdeal(namedtuple("FracIdeal", "a b c denom cfg")):
     """Fractional ideal (1/denom) * (Z*(a,0) + Z*(b,c)) of Z[w]; the
-    reduced form is unique, so equality compares the fields."""
+    reduced form is unique, so equality compares the fields.  __new__
+    checks the fields; the inherited _make and _replace do not."""
 
     __slots__ = ()
 

@@ -5,7 +5,6 @@ replacement, and the tier-1 test that must then fail.
 
     python tests/mutants.py            # each row against its named test
     python tests/mutants.py --full     # then against all of tier-1
-    python tests/mutants.py NAME ...   # only the rows named
 
 A row is applied to a copy of `src/` in a temporary directory, never to
 the working tree, and pytest runs from the repository root with that
@@ -118,12 +117,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--full", action="store_true",
                     help="also run all of tier-1 against each row")
-    ap.add_argument("names", nargs="*", help="rows to run (default: all)")
     args = ap.parse_args(argv)
-    rows = [m for m in MUTANTS if not args.names or m.name in args.names]
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        ap.error(f"no such row: {', '.join(sorted(unknown))}")
     survived = errors = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         tmp = pathlib.Path(tmp)
@@ -136,11 +130,11 @@ def main(argv=None) -> int:
         if not found.startswith(str(src)):
             print(f"quadfactor does not import from the copy: {found!r}")
             return 2
-        code, seconds, failed = _pytest(src, sorted({m.test for m in rows}))
+        code, seconds, failed = _pytest(src, sorted({m.test for m in MUTANTS}))
         if code:
             print(f"named tests fail on unchanged src/ ({failed})")
             return 2
-        for m in rows:
+        for m in MUTANTS:
             src = _copy(tmp, m)
             runs = [("named", [m.test])] + ([("tier-1", TIER1)]
                                             if args.full else [])
