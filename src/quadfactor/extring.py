@@ -21,12 +21,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DomainError, ResourceLimitError, VerificationError
+from .errors import DomainError, ResourceLimitError, VerificationError, load
 from .factor import NORM_LIMIT, FactorizationSet, factorizations
 from .kpoly import KPoly, factor_k, poly_order_key
 from .qint import (KElem, canonical_associate, common_nonunit_divisor,
                    is_irreducible)
-from .rpoly import is_irreducible_rx
 
 D2_MAX_POWER = 6
 
@@ -171,7 +170,7 @@ def d2_is_irreducible(g: ExtElem) -> bool:
         # a (1,1)-split would need both linear factors in R[x], whose
         # product has leading coefficient in R
         return True
-    return is_irreducible_rx(p)[0]
+    return load(".rpoly").is_irreducible_rx(p)[0]
 
 
 class D2WitnessReport(namedtuple(

@@ -7,16 +7,19 @@ K[x] and its subring R[x]: a polynomial lies in R[x] when every
 coefficient lies in Z[w] (`is_integral`), and the functions that need
 R[x] check that with `qint.check_integral`.
 
-Rational polynomials are factored over Z by the Zassenhaus method
-(`zpoly.zassenhaus`: Berlekamp mod p, Hensel lifting, recombination)
-after splitting off content and repeated factors; `zpoly` is imported
-by the first call that runs it.
+factor_q and factor_k run one pipeline, `_factored`: take the squarefree
+part, split it into distinct irreducibles, repeat each by its
+multiplicity and check the product by multiplying back.  factor_q
+splits over Q with `_q_factors`, the one caller of the Zassenhaus
+method (`zpoly.zassenhaus`: Berlekamp mod p, Hensel lifting,
+recombination), and `zpoly` is imported by the first call that runs it.
 
-K[x] factorization reduces to Q[x] by norm descent (Trager 1976): shift
-f by s*w until N(x) = g*conj(g) is squarefree, factor N over Q, and read
-each K-factor off as gcd(g, h_i).  Every quadratic, input or Q-factor,
-splits by its discriminant instead, with no descent.  Each factorization
-is checked by multiplying back before it is returned.
+factor_k splits in K[x] with `_trager`: a linear part is its own
+factor, a quadratic one splits by its discriminant, and any other goes
+to Trager's norm descent (1976): shift it by s*w until N(x) =
+g*conj(g) is squarefree, factor N over Q, and read each K-factor off as
+gcd(g, h_i).  A rational input other than a linear or quadratic one is
+split over Q first, and each Q-factor takes the same three ways.
 """
 
 from __future__ import annotations
@@ -220,26 +223,34 @@ def _integer_form(p: KPoly) -> tuple[KElem, list[int]]:
     return KElem(g, 0, p.cfg, den), [c // g for c in ints]
 
 
-def _repeat(f: KPoly, distinct: list[KPoly]) -> list[KPoly]:
-    """The distinct factors of f, each repeated by its multiplicity."""
+def _q_factors(p: KPoly) -> list[KPoly]:
+    """The Q-irreducible factors of squarefree rational p, primitive in
+    Z[x] with lc > 0, from one Zassenhaus call; [] for a constant."""
+    if p.degree() == 0:
+        return []
+    return [KPoly.from_rationals(q, p.cfg)
+            for q in load(".zpoly").zassenhaus(_integer_form(p)[1])]
+
+
+def _factored(f: KPoly, unit: KElem, base: KPoly, split):
+    """(unit, sorted factors of f), once they multiply back to f exactly.
+
+    split gives the distinct irreducible factors of base's squarefree
+    part, and each is repeated by its multiplicity in base.
+    """
     out = []
-    for q in distinct:
-        quo, r = f.divmod(q)
+    for q in split(base.divmod(poly_gcd(base, base.derivative()))[0]):
+        quo, r = base.divmod(q)
         while r.is_zero():
             out.append(q)
-            f = quo
-            quo, r = f.divmod(q)
-    return out
-
-
-def _checked(f: KPoly, unit: KElem, factors: list[KPoly]):
-    """(unit, sorted factors), once they multiply back to f exactly."""
+            base = quo
+            quo, r = base.divmod(q)
     prod = KPoly.const(unit)
-    for q in factors:
+    for q in out:
         prod = prod * q
     if prod != f:
         raise VerificationError(f"factors of {f} do not multiply back")
-    return unit, sorted(factors, key=poly_order_key)
+    return unit, sorted(out, key=poly_order_key)
 
 
 def factor_q(f: KPoly) -> tuple[KElem, list[KPoly]]:
@@ -254,33 +265,26 @@ def factor_q(f: KPoly) -> tuple[KElem, list[KPoly]]:
     if f.degree() > FACTOR_Q_MAX_DEG:
         raise ResourceLimitError(
             f"degree {f.degree()} exceeds factor_q guard {FACTOR_Q_MAX_DEG}")
-    content, F = _integer_form(f)
-    sqf = f.divmod(poly_gcd(f, f.derivative()))[0]
-    distinct = [KPoly.from_rationals(g, f.cfg) for g in
-                (load(".zpoly").zassenhaus(_integer_form(sqf)[1])
-                 if len(F) > 1 else ())]
-    return _checked(f, content, _repeat(f, distinct))
+    return _factored(f, _integer_form(f)[0], f, _q_factors)
 
 
 def _trager(h: KPoly) -> list[KPoly]:
     """Distinct monic irreducible K[x]-factors of monic squarefree h.
 
-    A linear h is its own factor.  Every quadratic, h or a Q-factor of
-    it, goes to _quadratic_factors.  Any other rational h is factored over
-    Q first, by one Zassenhaus call on its integer form (h is already
-    squarefree), and each other Q-factor descends from shift 1: at shift
-    0 its norm h^2 is never squarefree.
+    A rational h of degree other than 1 or 2 is factored over Q first
+    (a constant has no factor), and each Q-factor descends from shift 1:
+    at shift 0 its norm q^2 is never squarefree.  Each part, h itself
+    or a Q-factor, is its own factor when linear, goes to
+    _quadratic_factors when quadratic and to _descent otherwise.
     """
-    if h.degree() == 1:
-        return [h]
-    if h.degree() == 2:
-        return _quadratic_factors(h)
-    if not h.is_rational():
-        return _descent(h, (0,) + _SHIFTS)
-    qs = (KPoly.from_rationals(q, h.cfg).monic()
-          for q in load(".zpoly").zassenhaus(_integer_form(h)[1]))
-    return [g for q in qs for g in (_quadratic_factors(q) if q.degree() == 2
-                                    else _descent(q, _SHIFTS))]
+    if h.is_rational() and h.degree() not in (1, 2):
+        parts, shifts = [q.monic() for q in _q_factors(h)], _SHIFTS
+    else:
+        parts, shifts = [h], (0,) + _SHIFTS
+    return [g for q in parts
+            for g in ([q] if q.degree() == 1 else
+                      _quadratic_factors(q) if q.degree() == 2 else
+                      _descent(q, shifts))]
 
 
 def _descent(h: KPoly, shifts: tuple[int, ...]) -> list[KPoly]:
@@ -296,8 +300,6 @@ def _descent(h: KPoly, shifts: tuple[int, ...]) -> list[KPoly]:
     s = 0).
     """
     cfg = h.cfg
-    if h.degree() <= 1:
-        return [h]
     for s in shifts:
         g = h.shifted(KElem(0, -s, cfg))  # g(x) = h(x - s*w)
         normpoly = g * g.conj_coeffs()
@@ -305,10 +307,8 @@ def _descent(h: KPoly, shifts: tuple[int, ...]) -> list[KPoly]:
             raise VerificationError(f"norm of {g} is not rational")
         if poly_gcd(normpoly, normpoly.derivative()).degree() != 0:
             continue
-        zassenhaus = load(".zpoly").zassenhaus
-        gcds = (poly_gcd(g, KPoly.from_rationals(n, cfg))
-                for n in zassenhaus(_integer_form(normpoly)[1]))
-        out = [q.shifted(KElem(0, s, cfg)).monic() for q in gcds]
+        out = [poly_gcd(g, n).shifted(KElem(0, s, cfg)).monic()
+               for n in _q_factors(normpoly)]
         if sum(q.degree() for q in out) != h.degree():
             raise VerificationError(f"norm descent lost factors of {h}")
         return sorted(out, key=poly_order_key)
@@ -337,9 +337,4 @@ def factor_k(f: KPoly) -> tuple[KElem, list[KPoly]]:
     if f.degree() > FACTOR_K_MAX_DEG:
         raise ResourceLimitError(
             f"degree {f.degree()} exceeds factor_k guard {FACTOR_K_MAX_DEG}")
-    unit = f.lc()
-    m = f.monic()
-    if m.degree() == 0:
-        return unit, []
-    sqf = m.divmod(poly_gcd(m, m.derivative()))[0]
-    return _checked(f, unit, _repeat(m, _trager(sqf)))
+    return _factored(f, f.lc(), f.monic(), _trager)

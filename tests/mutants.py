@@ -68,25 +68,38 @@ MUTANTS = (
            "        for i in range(depth):",
            "        for i in range(depth - 1):",
            "tests/test_extring.py::test_membership"),
+    Mutant("element-order-admits-equal-atom", "factor.py",
+           "(r.a * r.a - d * r.b * r.b, r.a, r.b) >= least",
+           "(r.a * r.a - d * r.b * r.b, r.a, r.b) > least",
+           "tests/test_factor.py::test_factor_squares"),
+    Mutant("rx-order-admits-equal-atom", "rpoly.py",
+           "poly_order_key(rest[0]) >= least",
+           "poly_order_key(rest[0]) > least",
+           "tests/test_rpoly.py::"
+           "test_constant_splits_take_no_irreducibility_probe"),
+    Mutant("kx-multiply-back-skipped", "kpoly.py",
+           "    if prod != f:",
+           "    if False:",
+           "tests/test_syntax.py::test_cli_verification_failure_exits_5"),
 )
 
 TIER1 = ["tests", "--continue-on-collection-errors"]
 
 
 def _pytest(src: pathlib.Path, args: list[str]):
-    """(pytest's exit code, seconds, first FAILED line) for a run from the
-    repository root with src first on the path."""
+    """(pytest's exit code, seconds, first FAILED or ERROR line) for a run
+    from the repository root with src first on the path."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-rf",
+        [sys.executable, "-m", "pytest", "-x", "-q", "-rfE",
          "-p", "no:cacheprovider", *args],
         cwd=ROOT, env=env, capture_output=True, text=True)
     seconds = time.perf_counter() - start
     failed = next((line for line in proc.stdout.splitlines()
-                   if line.startswith("FAILED ")), "")
+                   if line.startswith(("FAILED ", "ERROR "))), "")
     return proc.returncode, seconds, failed
 
 

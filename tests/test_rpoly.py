@@ -171,6 +171,12 @@ def test_lambda_candidates_exact():
     # splitting x^2+x+1 over Z[sqrt(-3)]: neither half can be rescaled in
     g0, g1 = factor_k(RP("x^2+x+1", -3))[1]
     assert lambda_candidates(g0, g1) == []
+    # x^2+5 = (x-w)(x+w) over Z[sqrt(-5)]: both halves already lie in
+    # R[x], so lam = 1 is the only rescaling
+    h0, h1 = factor_k(RP("x^2+5", -5))[1]
+    assert (str(h0), str(h1)) == ("x-w", "x+w")
+    assert lambda_candidates(h0, h1) == lambda_candidates(h1, h0) == \
+        [E(1, 0, -5)]
     # 2x+1+w = 2 * (x + (1+w)/2): lam = 2 pulls the factor into R[x]
     unit, ks = factor_k(RP("2*x+1+w", -3))
     assert lambda_candidates(ks[0], KPoly.const(unit)) == [E(2, 0, -3)]

@@ -133,7 +133,8 @@ def test_package_root_loads_only_what_is_used():
 # (factor) for R[x] only where its factorizations are listed, and K[x]
 # for witness-p only to build the first quadratic that survives the
 # integer screens (none does at d = -1); rpoly binds the search, so a
-# call that loads rpoly loads witness too
+# call that loads rpoly loads witness too, and D1 loads no R[x] layer
+# (only D2's irreducibility test does)
 CLI_LOADS = (
     (("--d", "-5", "factor", "6"), ("errors", "qint", "parse", "factor")),
     (("--d", "-5", "gcd-v", "6", "2+2*w"),
@@ -144,8 +145,7 @@ CLI_LOADS = (
     (("--d", "-1", "witness-p"), ("errors", "qint", "witness")),
     (("--d", "-5", "witness-p"), ("errors", "qint", "kpoly", "witness")),
     (("--d", "-5", "d1", "x^2+5"),
-     ("errors", "qint", "parse", "kpoly", "factor", "rpoly", "witness",
-      "extring")),
+     ("errors", "qint", "parse", "kpoly", "factor", "extring")),
     (("paper-suite",),
      ("errors", "qint", "kpoly", "factor", "rpoly", "witness", "ideals",
       "extring", "suite")),
